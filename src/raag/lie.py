@@ -1,7 +1,7 @@
 """Graded ranks of the Lie algebras attached to the graph, by two
 independent routes: spans of left-normed bracket expansions inside the
-partially commuting polynomial ring, and product recursions on the
-Poincare series.
+partially commuting polynomial ring, and Moebius inversion of the
+logarithmic derivative of the Poincare series.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from raag.errors import check_states
-from raag.graph import Graph
+from raag.graph import Graph, clique_counts
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, PCSeries, Q
-from raag.useries import USeries
+from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_prime
 from raag.words import Trace, canonicalize_trace
 
 
@@ -115,56 +114,57 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
 # -- series recursions -------------------------------------------------
 
 
-def _solve_product_form(target: USeries, factor_at, upto: int) -> list[int]:
-    """Solve prod_{n>=1} F_n(t)^{e_n} = target degree by degree, where
-    F_n = factor_at(n) satisfies F_n = 1 + t^n + O(t^{n+1}).  Returns
-    e_1..e_upto; each step divides out the known part and reads the next
-    coefficient."""
-    order = target.order
-    residual = target
-    exps: list[int] = []
-    for n in range(1, upto + 1):
-        c = residual[n]
-        if c.denominator != 1:
-            raise DomainError(f"non-integer exponent at degree {n}: {c}")
-        e = c.numerator
-        exps.append(e)
-        residual = residual * factor_at(n).series(order) ** (-e)
-    return exps
+def _mobius_ranks(g: Graph, upto: int, p: int | None) -> tuple[int, ...]:
+    """Exponents x_1..x_upto of prod_n F_n^{x_n} = Phi_R, where
+    F_n = (1 - t^n)^{-1} when p is None, else (1 - t^{pn})/(1 - t^n).
+
+    Phi_R = 1/Q with q_k = (-1)^k (number of k-cliques), so the coefficients
+    c_m of t d/dt log Phi_R = -t Q'/Q obey Newton's identities
+    c_m = -m q_m - sum_{k=1}^{m-1} q_k c_{m-k}.  Taking t d/dt log of the
+    product and writing e_n = n x_n gives c_m = sum_{n|m} e_n
+    - p sum_{n|(m/p)} e_n, the last sum present only when p divides m; it is
+    solved for e_m degree by degree, with a forward sieve accumulating the
+    sums over proper divisors.
+    """
+    if upto < 1:
+        raise DomainError(f"degree bound must be >= 1, got {upto}")
+    # |c_m| <= (clique number) * |V|^m, so coefficient sizes grow linearly
+    # with the degree; their total bit length bounds time and memory.
+    check_states(upto * (upto + 1) // 2 * max(1, len(g.vertices).bit_length()),
+                 "series ranks (coefficient bits)")
+    q = [n if k % 2 == 0 else -n for k, n in enumerate(clique_counts(g))]
+    c = [0] * (upto + 1)
+    e = [0] * (upto + 1)
+    proper = [0] * (upto + 1)  # proper[m] = sum of e_n over n | m, n < m
+    for m in range(1, upto + 1):
+        c[m] = -sum(q[k] * c[m - k] for k in range(1, min(m, len(q))))
+        if m < len(q):
+            c[m] -= m * q[m]
+        e[m] = c[m] - proper[m]
+        if p is not None and m % p == 0:
+            e[m] += p * (proper[m // p] + e[m // p])
+        if e[m] % m:
+            raise DomainError(
+                f"non-integer exponent at degree {m}: {e[m]}/{m}")
+        for j in range(2 * m, upto + 1, m):
+            proper[j] += e[m]
+    return tuple(e[m] // m for m in range(1, upto + 1))
 
 
-def series_rank_lcs(g: Graph, upto: int, order: int | None = None) -> RankTable:
-    """Ranks b_n solving prod (1 - t^n)^{-b_n} = Phi_R(t)."""
-    from raag.growth import phi_R
-    from raag.useries import RatFunc
-
-    order = order or upto + 1
-    target = phi_R(g, max(order, upto + 1))
-
-    def factor(n: int) -> RatFunc:
-        # (1 - t^n)^{-1} = 1 + t^n + ...
-        return RatFunc([1], [1] + [0] * (n - 1) + [-1])
-
-    values = _solve_product_form(target, factor, upto)
-    return RankTable(g, "lower_central", tuple(values), "series_recursion")
+def series_rank_lcs(g: Graph, upto: int) -> RankTable:
+    """Ranks b_n solving prod (1 - t^n)^{-b_n} = Phi_R(t), by Moebius
+    inversion of c_m = sum_{n|m} n b_n (see _mobius_ranks)."""
+    return RankTable(g, "lower_central", _mobius_ranks(g, upto, None),
+                     "series_recursion")
 
 
-def series_rank_restricted(g: Graph, p: int, upto: int,
-                           order: int | None = None) -> RankTable:
-    """Ranks d_n solving prod ((1 - t^{pn})/(1 - t^n))^{d_n} = Phi_R(t)."""
-    from raag.growth import phi_R
-    from raag.useries import RatFunc
-
-    order = order or upto + 1
-    target = phi_R(g, max(order, upto + 1))
-
-    def factor(n: int) -> RatFunc:
-        # (1 - t^{pn})/(1 - t^n) = 1 + t^n + ... + t^{(p-1)n}
-        return RatFunc([1] + [0] * (p * n - 1) + [-1],
-                       [1] + [0] * (n - 1) + [-1])
-
-    values = _solve_product_form(target, factor, upto)
-    return RankTable(g, "restricted", tuple(values), "series_recursion", p=p)
+def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
+    """Ranks d_n solving prod ((1 - t^{pn})/(1 - t^n))^{d_n} = Phi_R(t) for a
+    prime p, by Moebius inversion (see _mobius_ranks)."""
+    if not _is_prime(p):
+        raise DomainError(f"restricted ranks need a prime p, got {p}")
+    return RankTable(g, "restricted", _mobius_ranks(g, upto, p),
+                     "series_recursion", p=p)
 
 
 def lambda_dims(g: Graph, p: int, upto: int) -> RankTable:
@@ -172,8 +172,9 @@ def lambda_dims(g: Graph, p: int, upto: int) -> RankTable:
     the lower-central Lie algebra tensored with a polynomial ring on one
     degree-1 variable, i.e. partial sums of the b_m.  Only valid for
     p >= 3 (the p-power map fails to be linear at p = 2)."""
-    if p < 3:
-        raise DomainError("exponent-p dimensions need p >= 3")
+    if p < 3 or not _is_prime(p):
+        raise DomainError(
+            f"exponent-p dimensions need a prime p >= 3, got {p}")
     b = series_rank_lcs(g, upto).values
     partial = []
     acc = 0

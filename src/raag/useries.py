@@ -69,14 +69,6 @@ class USeries:
                     out[i + j] += a * b
         return USeries(out, self.order)
 
-    def __pow__(self, n: int) -> "USeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        out = USeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def invert(self) -> "USeries":
         if self.coeffs[0] == 0:
             raise SeriesError("constant term must be a unit")

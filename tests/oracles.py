@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from math import comb
 
 from raag.graph import Graph
 
@@ -107,6 +108,46 @@ def witt_rank(k: int, n: int) -> int:
     total = sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
     assert total % n == 0
     return total // n
+
+
+def _one_minus_power(n: int, e: int, order: int) -> list[int]:
+    """(1 - t^n)^e truncated below t^order, for any integer e."""
+    out = [0] * order
+    for j in range((order - 1) // n + 1):
+        out[n * j] = (-1) ** j * comb(e, j) if e >= 0 else comb(j - e - 1, j)
+    return out
+
+
+def _truncated_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * len(a)
+    for j, y in enumerate(b):
+        if y:
+            for i in range(len(a) - j):
+                out[i + j] += a[i] * y
+    return out
+
+
+def product_form_ranks(counts: list[int], upto: int,
+                       p: int | None = None) -> list[int]:
+    """Exponents x_1..x_upto with prod_n F_n^{x_n} = 1/sum_k (-1)^k n_k t^k,
+    where n_k = counts[k], F_n = (1 - t^n)^{-1} for p None and
+    F_n = (1 - t^{pn})/(1 - t^n) otherwise.  Since F_n = 1 + t^n + ...,
+    x_n is the degree-n coefficient once F_1..F_{n-1} are divided out."""
+    order = upto + 1
+    q = [c if k % 2 == 0 else -c for k, c in enumerate(counts)]
+    residual = [1] + [0] * upto
+    for m in range(1, order):
+        residual[m] = -sum(q[k] * residual[m - k]
+                           for k in range(1, min(m + 1, len(q))))
+    exps = []
+    for n in range(1, order):
+        x = residual[n]
+        exps.append(x)
+        residual = _truncated_mul(residual, _one_minus_power(n, x, order))
+        if p is not None:
+            residual = _truncated_mul(residual,
+                                      _one_minus_power(p * n, -x, order))
+    return exps
 
 
 def min_syllable_count(letters, g: Graph, limit: int = 100_000) -> int:

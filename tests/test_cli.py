@@ -3,7 +3,7 @@ import json
 import pytest
 
 from raag.cli import main
-from raag.graph import path_graph
+from raag.graph import cycle_graph, path_graph
 
 
 @pytest.fixture()
@@ -58,6 +58,43 @@ def test_ranks(graph_file, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["values"] == {"1": 3, "2": 1, "3": 2, "4": 3}
+
+
+def test_ranks_degree_100(tmp_path, capsys):
+    f = tmp_path / "c5.json"
+    f.write_text(json.dumps(cycle_graph(5).to_dict()))
+    code, out = run(capsys, "--graph", str(f), "ranks", "--upto", "100")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values) == 100
+    assert [values[str(n)] for n in range(1, 11)] == [
+        5, 5, 15, 40, 124, 365, 1160, 3650, 11800, 38374]
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "restricted", "--p", "1"],
+    ["--kind", "restricted", "--p", "4"],
+    ["--kind", "lambda", "--p", "4"],
+    ["--upto", "0"],
+    ["--upto", "-3"],
+], ids=["restricted-p1", "restricted-p4", "lambda-p4", "upto0", "upto-3"])
+def test_ranks_bad_input_exit_code(graph_file, capsys, args):
+    code, out = run(capsys, "--graph", graph_file, "ranks", *args)
+    assert code == 2
+    assert out == ""
+
+
+def test_ranks_resource_limit(graph_file, capsys, monkeypatch):
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    assert main(["--graph", graph_file, "ranks", "--upto", "1000"]) == 0
+    capsys.readouterr()
+    assert main(["--graph", graph_file, "ranks", "--upto", "1000000"]) == 3
+    err = capsys.readouterr().err
+    assert "series ranks (coefficient bits)" in err
+    assert "1000001000000 states" in err
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    assert main(["--graph", graph_file, "ranks", "--kind", "lambda",
+                 "--upto", "10"]) == 3
 
 
 def test_koszul(graph_file, capsys):

@@ -1,13 +1,19 @@
-import pytest
+from itertools import combinations
 
-from raag.graph import complete_graph, empty_graph, path_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raag.errors import ResourceLimitError
+from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
+                        empty_graph, path_graph)
 from raag.lie import (bracket_span_rank, lambda_dims, left_normed_brackets,
                       primitivity_check, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
 from raag.series import DomainError, Fp, Q
 
 from conftest import SUITE, small_suite
-from oracles import witt_rank
+from oracles import product_form_ranks, witt_rank
 
 UPTO = 4
 
@@ -15,14 +21,65 @@ UPTO = 4
 def test_free_group_ranks_are_witt():
     for d in (2, 3):
         g = empty_graph(d)
-        got = series_rank_lcs(g, 5).values
-        assert got == tuple(witt_rank(d, n) for n in range(1, 6))
+        got = series_rank_lcs(g, 40).values
+        assert got == tuple(witt_rank(d, n) for n in range(1, 41))
 
 
 def test_abelian_ranks():
     for d in (2, 3, 4):
         g = complete_graph(d)
-        assert series_rank_lcs(g, 4).values == (d, 0, 0, 0)
+        assert series_rank_lcs(g, 40).values == (d,) + (0,) * 39
+
+
+def test_series_ranks_match_product_form_oracle():
+    for name, g in SUITE.items():
+        counts = clique_counts(g)
+        assert (list(series_rank_lcs(g, 12).values)
+                == product_form_ranks(counts, 12)), name
+        for p in (2, 3, 5):
+            assert (list(series_rank_restricted(g, p, 12).values)
+                    == product_form_ranks(counts, 12, p)), (name, p)
+
+
+@st.composite
+def graphs_st(draw):
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = list(combinations(vertices, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(vertices, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(), st.sampled_from([None, 2, 3, 7]))
+def test_series_ranks_match_product_form_oracle_on_random_graphs(g, p):
+    want = product_form_ranks(clique_counts(g), 10, p)
+    if p is None:
+        assert list(series_rank_lcs(g, 10).values) == want
+    else:
+        assert list(series_rank_restricted(g, p, 10).values) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: series_rank_restricted(g, 1, 4),
+    lambda g: series_rank_restricted(g, 4, 4),
+    lambda g: lambda_dims(g, 4, 4),
+    lambda g: series_rank_lcs(g, 0),
+    lambda g: series_rank_lcs(g, -3),
+    lambda g: series_rank_restricted(g, 3, 0),
+], ids=["restricted-p1", "restricted-p4", "lambda-p4", "upto0", "upto-3",
+        "restricted-upto0"])
+def test_series_ranks_reject_bad_input(call):
+    with pytest.raises(DomainError):
+        call(path_graph(3))
+
+
+def test_series_ranks_resource_bound(monkeypatch):
+    # the estimate is (1 + ... + upto) * bit_length(|V|) = 55 * 3 for C5
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    with pytest.raises(ResourceLimitError,
+                       match=r"\(coefficient bits\): 165 states"):
+        series_rank_restricted(cycle_graph(5), 2, 10)
 
 
 def test_bracket_route_matches_series_route():
@@ -48,11 +105,12 @@ def test_restricted_routes_agree():
 
 def test_restricted_is_sum_of_lcs_ranks():
     # d_n = sum of b_m over m * p^i = n
+    upto = 60
     for g in SUITE.values():
         for p in (2, 3, 5):
-            b = series_rank_lcs(g, UPTO).values
-            d = series_rank_restricted(g, p, UPTO).values
-            for n in range(1, UPTO + 1):
+            b = series_rank_lcs(g, upto).values
+            d = series_rank_restricted(g, p, upto).values
+            for n in range(1, upto + 1):
                 expect, m = 0, n
                 while True:
                     expect += b[m - 1]
