@@ -23,17 +23,24 @@ class Graph:
     __slots__ = ("vertices", "edges", "_index", "_adj", "_key")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
-            raise GraphError("duplicate vertex names")
+        verts = _sequence(vertices, "vertices")
         for v in verts:
             if not v or not isinstance(v, str) or not v.isascii():
                 raise GraphError(f"vertex name must be a nonempty ASCII string: {v!r}")
+            if v == "1" or "^" in v or v.split() != [v]:
+                # parse_word reads "1" as the identity, splits on whitespace
+                # and takes "^" as the exponent mark
+                raise GraphError(f"vertex name {v!r} cannot be read as a word token")
+        if len(set(verts)) != len(verts):
+            raise GraphError("duplicate vertex names")
         index = {v: i for i, v in enumerate(verts)}
         edge_set: set[frozenset[str]] = set()
-        for e in edges:
-            u, w = e
-            if u not in index or w not in index:
+        for e in _sequence(edges, "edges"):
+            pair = _sequence(e, "an edge")
+            if len(pair) != 2:
+                raise GraphError(f"edge {e!r} is not a pair of vertex names")
+            u, w = pair
+            if u not in verts or w not in verts:
                 raise GraphError(f"edge {e!r} has endpoint outside the vertex set")
             if u == w:
                 raise GraphError(f"self-loop at {u!r}")
@@ -104,7 +111,7 @@ class Graph:
             edges = data.get("edges", [])
         except (TypeError, KeyError) as exc:
             raise GraphError(f"bad graph object: {exc}") from exc
-        return cls(vertices, [tuple(e) for e in edges])
+        return cls(vertices, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
@@ -115,6 +122,16 @@ class Graph:
             "vertices": list(self.vertices),
             "edges": sorted(sorted(e) for e in self.edges),
         }
+
+
+def _sequence(items, what: str) -> tuple:
+    """The items of a JSON-style list; a string is not a list of names."""
+    if isinstance(items, (str, bytes)):
+        raise GraphError(f"{what} must be a list, not a string: {items!r}")
+    try:
+        return tuple(items)
+    except TypeError:
+        raise GraphError(f"{what} must be a list: {items!r}") from None
 
 
 # -- constructors ------------------------------------------------------

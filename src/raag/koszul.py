@@ -14,7 +14,7 @@ from typing import Mapping
 
 from raag.graph import Graph, enumerate_cliques
 from raag.series import Domain, DomainError
-from raag.words import Trace, canonicalize_trace, enumerate_traces
+from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
 BasisKey = tuple[tuple[str, ...], Trace]  # (ascending clique, canonical trace)
 
@@ -91,7 +91,7 @@ def differential(x: KoszulElement) -> KoszulElement:
         # c is ascending; the basis product is written in decreasing order,
         # so removing the j-th smallest vertex carries sign (-1)^j.
         for j, v in enumerate(c):
-            key = (c[:j] + c[j + 1:], canonicalize_trace((v,) + t, g))
+            key = (c[:j] + c[j + 1:], _concat((v,), t, g))
             val = d.mul(d.coerce((-1) ** j), coeff)
             acc[key] = d.add(acc.get(key, d.zero), val)
     return KoszulElement(g, d, x.order, acc)
@@ -156,10 +156,11 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
     degree < order; reports the first counterexample."""
     cliques = [c for c in enumerate_cliques(g) if len(c) < order]
+    traces = [enumerate_traces(g, n) for n in range(order)]
     checked = 0
     for c in cliques:
         for n in range(order - len(c)):
-            for t in enumerate_traces(g, n):
+            for t in traces[n]:
                 x = KoszulElement.basis(c, t, g, domain, order)
                 checked += 1
                 if not differential(differential(x)).is_zero():
@@ -174,10 +175,11 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
 def bigraded_ranks(g: Graph, order: int) -> dict[tuple[int, int], int]:
     """Rank of each (clique-degree, trace-degree) component with total
     degree < order."""
+    counts = [len(enumerate_traces(g, n)) for n in range(order)]
     out: dict[tuple[int, int], int] = {}
     for c in enumerate_cliques(g):
         if len(c) >= order:
             continue
         for n in range(order - len(c)):
-            out[(len(c), n)] = out.get((len(c), n), 0) + len(enumerate_traces(g, n))
+            out[(len(c), n)] = out.get((len(c), n), 0) + counts[n]
     return out

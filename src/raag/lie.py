@@ -13,7 +13,7 @@ from raag.errors import check_states
 from raag.graph import Graph, clique_counts
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_prime
-from raag.words import Trace, canonicalize_trace
+from raag.words import Trace, _concat
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class RankTable:
 
 
 # -- bracket expansions ------------------------------------------------
-
-
-def _concat(t1: Trace, t2: Trace, g: Graph) -> Trace:
-    return canonicalize_trace(t1 + t2, g)
 
 
 def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, int]:

@@ -4,42 +4,73 @@ Rows are dicts keyed by arbitrary hashable column labels with a total
 order supplied by a key function; elimination keeps a pivot row per
 column, reducing each incoming row against the pivots (deterministic:
 pivot on the least remaining column).
+
+Elimination is fraction-free.  Over Q each row is first cleared to
+integers; pivots are stored unnormalised, a row is reduced as
+r <- lead(piv) r - lead(r) piv (both leads divided by their gcd), and the
+gcd content of the row is divided out after each step, so entries stay
+small integers.  Over F_p the same step runs modulo p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable
 
 from raag.series import Domain, DomainError
+
+
+def _integer_row(row: dict, domain: Domain) -> dict:
+    """The nonzero entries of a row, as integers: reduced mod p over F_p,
+    scaled by the lcm of the denominators over Q."""
+    if domain.kind == "Fp":
+        coerce = domain.coerce
+        return {c: x for c, x in ((c, coerce(v)) for c, v in row.items()) if x}
+    vals = {c: v if type(v) is int else Fraction(v) for c, v in row.items()}
+    den = lcm(*(v.denominator for v in vals.values())) if vals else 1
+    return {c: int(v * den) for c, v in vals.items() if v}
 
 
 def rank_of_rows(rows: Iterable[dict], domain: Domain,
                  col_key: Callable[[Hashable], object] = lambda c: c) -> int:
     if domain.kind == "Z":
         raise DomainError("rank needs a field; use Q or F_p")
-    pivots: dict[Hashable, dict] = {}
+    p = domain.p
+    keys: dict[Hashable, object] = {}  # col_key of every column seen
+    key_of = keys.__getitem__
+    pivots: dict[Hashable, tuple[int, dict]] = {}  # col -> (lead, rest)
     rank = 0
     for row in rows:
-        r = {c: domain.coerce(v) for c, v in row.items() if domain.coerce(v) != domain.zero}
+        r = _integer_row(row, domain)
+        for c in r:
+            if c not in keys:
+                keys[c] = col_key(c)
         while r:
-            col = min(r, key=col_key)
+            col = min(r, key=key_of)
+            b = r.pop(col)
             piv = pivots.get(col)
             if piv is None:
-                inv = domain.inv(r[col])
-                pivots[col] = {c: domain.mul(inv, v) for c, v in r.items()}
+                pivots[col] = (b, r)
                 rank += 1
                 break
-            factor = r[col]
-            for c, v in piv.items():
-                new = domain.sub(r.get(c, domain.zero), domain.mul(factor, v))
-                if new == domain.zero:
-                    r.pop(c, None)
+            a, rest = piv
+            if p is None:
+                d = gcd(a, b)
+                a, b = a // d, b // d
+            if a != 1:
+                r = ({c: a * x for c, x in r.items()} if p is None
+                     else {c: a * x % p for c, x in r.items()})
+            for c, x in rest.items():
+                y = r.get(c, 0) - b * x
+                if p is not None:
+                    y %= p
+                if y:
+                    r[c] = y
                 else:
-                    r[c] = new
+                    del r[c]
+            if p is None and r:
+                d = gcd(*r.values())
+                if d != 1:
+                    r = {c: x // d for c, x in r.items()}
     return rank
-
-
-def in_row_span(rows: list[dict], probe: dict, domain: Domain,
-                col_key: Callable[[Hashable], object] = lambda c: c) -> bool:
-    base = rank_of_rows(rows, domain, col_key)
-    return rank_of_rows(rows + [probe], domain, col_key) == base

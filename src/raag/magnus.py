@@ -17,7 +17,7 @@ from math import comb
 from raag.errors import check_states
 from raag.graph import Graph
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, PCSeries, Z, invert_unit
+from raag.series import Domain, DomainError, PCSeries, Z, _is_prime, invert_unit
 from raag.words import GroupWord, Trace, ball, canonicalize_trace, enumerate_traces
 
 
@@ -91,6 +91,8 @@ def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
     """Least weight len(trace) + v_p(coefficient) among nonconstant terms of
     mu(w) - 1 over Z.  Exact whenever the result is below the truncation
     order, because hidden terms have trace length >= order."""
+    if not _is_prime(p):
+        raise DomainError(f"p-valuation needs a prime p, got {p}")
     x = magnus(w, g, Z, order) - PCSeries.one(g, Z, order)
     best = order
     for t, c in x.coeffs.items():

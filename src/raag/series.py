@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from raag.errors import RaagError
 from raag.graph import Graph, GraphMorphism
-from raag.words import Trace, canonicalize_trace
+from raag.words import Trace, _concat, canonicalize_trace
 
 
 class DomainError(RaagError, ValueError):
@@ -199,7 +199,7 @@ class PCSeries:
             for t2, c2 in other.coeffs.items():
                 if len(t1) + len(t2) >= self.order:
                     continue
-                t = canonicalize_trace(t1 + t2, self.graph)
+                t = _concat(t1, t2, self.graph)
                 acc[t] = d.add(acc.get(t, d.zero), d.mul(c1, c2))
         return PCSeries(self.graph, d, self.order, acc)
 
@@ -378,7 +378,7 @@ class TensorSeries:
             for (a2, b2), c2 in other.coeffs.items():
                 if len(a1) + len(a2) + len(b1) + len(b2) >= self.order:
                     continue
-                k = (canonicalize_trace(a1 + a2, g), canonicalize_trace(b1 + b2, g))
+                k = (_concat(a1, a2, g), _concat(b1, b2, g))
                 acc[k] = d.add(acc.get(k, d.zero), d.mul(c1, c2))
         return TensorSeries(self.graph, d, self.order, acc)
 

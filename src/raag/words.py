@@ -3,8 +3,11 @@
 A *trace* is an equivalence class of positive words over the vertex set,
 two words being identified when they differ by swaps of adjacent commuting
 letters (move M3).  We store the lexicographically least representative
-under the graph's vertex order; it is computed greedily by repeatedly
-pulling the least front-movable letter to the front.
+under the graph's vertex order (the lex-normal form).  It is built one
+letter at a time by a single insertion kernel, `_slot`: appending a letter
+to a lex-normal word keeps it lex-normal once the letter slides left past
+the letters it commutes with and then right to its place in vertex order
+(Anisimov & Knuth, *Inhomogeneous sorting*, 1979).
 
 A group element is stored as a syllable sequence (generator, nonzero
 exponent), reduced so that the syllable count is minimal (moves M1/M2/M3)
@@ -23,26 +26,41 @@ from raag.graph import Graph
 Trace = tuple[str, ...]
 
 
-def canonicalize_trace(letters: Iterable[str], g: Graph) -> Trace:
-    """Lexicographically least word reachable by commuting adjacent swaps.
+def _slot(word: Sequence[str], v: str, g: Graph) -> int:
+    """Where v goes when appended to the lex-normal `word` (vertex names).
 
-    Greedy fact about trace monoids: the first letter of the least
-    representative is the least letter whose whole prefix commutes with it,
-    and the tail is the least representative of what remains.
+    v commutes past the maximal suffix of letters adjacent to it; within
+    that suffix it lands before the first letter that follows it in vertex
+    order.  The result is the lex-normal form of word.v: a word is
+    lex-normal iff it has no factor b u a with a < b and a commuting with
+    every letter of b u, and the insertion creates no such factor.
     """
-    word = list(letters)
+    near = g._adj[v]
+    rank = g._index
+    i = len(word)
+    while i and word[i - 1] in near:
+        i -= 1
+    r = rank[v]
+    n = len(word)
+    while i < n and rank[word[i]] < r:
+        i += 1
+    return i
+
+
+def _concat(t1: Trace, letters: Iterable[str], g: Graph) -> Trace:
+    """Lex-normal form of t1 followed by `letters`, for a lex-normal t1."""
+    word = list(t1)
+    for v in letters:
+        word.insert(_slot(word, v, g), v)
+    return tuple(word)
+
+
+def canonicalize_trace(letters: Iterable[str], g: Graph) -> Trace:
+    """Lexicographically least word reachable by commuting adjacent swaps."""
+    word = tuple(letters)
     for v in word:
         g.index(v)  # raises UnknownGeneratorError
-    out: list[str] = []
-    while word:
-        best = None
-        best_pos = -1
-        for i, v in enumerate(word):
-            if all(g.adjacent(u, v) for u in word[:i]):
-                if best is None or g.index(v) < g.index(best):
-                    best, best_pos = v, i
-        out.append(word.pop(best_pos))  # type: ignore[arg-type]
-    return tuple(out)
+    return _concat((), word, g)
 
 
 @dataclass(frozen=True)
@@ -97,18 +115,14 @@ def _push(word: list[Syllable], gen: str, exp: int, g: Graph) -> bool:
 
 
 def _lex_min_syllables(word: list[Syllable], g: Graph) -> tuple[Syllable, ...]:
-    # Same greedy normal form as for traces, acting on whole syllables;
-    # two syllables commute exactly when their generators are adjacent.
+    # The trace kernel acting on whole syllables: two syllables commute
+    # exactly when their generators are adjacent.
     out: list[Syllable] = []
-    rest = list(word)
-    while rest:
-        best = None
-        best_pos = -1
-        for i, s in enumerate(rest):
-            if all(g.adjacent(t.generator, s.generator) for t in rest[:i]):
-                if best is None or g.index(s.generator) < g.index(best.generator):
-                    best, best_pos = s, i
-        out.append(rest.pop(best_pos))
+    gens: list[str] = []
+    for s in word:
+        i = _slot(gens, s.generator, g)
+        gens.insert(i, s.generator)
+        out.insert(i, s)
     return tuple(out)
 
 
@@ -176,18 +190,25 @@ def format_word(u: GroupWord) -> str:
 
 
 def enumerate_traces(g: Graph, n: int) -> list[Trace]:
-    """All canonical traces of length exactly n, sorted by vertex order."""
+    """All canonical traces of length exactly n, sorted by vertex order.
+
+    Prefixes of lex-normal words are lex-normal, so each trace arises once,
+    from its prefix, by a letter whose insertion lands at the end.  Each
+    layer is generated in sorted order from the sorted layer before it.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    layer: set[Trace] = {()}
+    layer: list[Trace] = [()]
     for _ in range(n):
-        nxt: set[Trace] = set()
+        nxt: list[Trace] = []
         for t in layer:
+            end = len(t)
             for v in g.vertices:
-                nxt.add(canonicalize_trace(t + (v,), g))
+                if _slot(t, v, g) == end:
+                    nxt.append(t + (v,))
             check_states(len(nxt), "enumerate_traces")
         layer = nxt
-    return sorted(layer, key=lambda t: tuple(g.index(v) for v in t))
+    return layer
 
 
 def ball(g: Graph, r: int) -> list[GroupWord]:

@@ -1,7 +1,9 @@
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,3 +35,13 @@ def suite_graph(request):
 def small_suite():
     """The suite members cheap enough for exhaustive BFS work."""
     return {k: g for k, g in SUITE.items() if len(g.vertices) <= 4}
+
+
+@st.composite
+def graphs_st(draw, max_vertices: int = 7):
+    """Random graphs on v0, v1, ... with at most `max_vertices` vertices."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    pairs = list(combinations(vertices, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(vertices, [e for e, k in zip(pairs, keep) if k])

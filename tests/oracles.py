@@ -180,3 +180,30 @@ def leading_monomial_bruteforce(w, g: Graph, p: int, order: int):
     ties = [r for r in scored if (r[0], r[1]) == (neg_k, deg)]
     assert len(ties) == 1, f"leading monomial not unique: {ties}"
     return t, c
+
+
+def fraction_rank(rows, domain) -> int:
+    """Rank of sparse rows by Gauss-Jordan elimination with normalised
+    pivots (Fraction arithmetic over Q), pivoting on the least column
+    under the natural order of the column labels."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        r = {c: domain.coerce(v) for c, v in row.items()
+             if domain.coerce(v) != domain.zero}
+        while r:
+            col = min(r)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = domain.inv(r[col])
+                pivots[col] = {c: domain.mul(inv, v) for c, v in r.items()}
+                rank += 1
+                break
+            factor = r[col]
+            for c, v in piv.items():
+                new = domain.sub(r.get(c, domain.zero), domain.mul(factor, v))
+                if new == domain.zero:
+                    r.pop(c, None)
+                else:
+                    r[c] = new
+    return rank

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,34 @@ def test_deterministic_output(graph_file, capsys):
     _, out1 = run(capsys, "--graph", graph_file, "verify-all")
     _, out2 = run(capsys, "--graph", graph_file, "verify-all")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_valuation_rejects_non_prime_p(graph_file, p):
+    # p = 1 used to loop forever in the p-adic valuation; run in a child
+    # process so that a hang fails the test instead of stalling the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "raag.cli", "--graph", graph_file,
+         "valuation", "a b", "--p", p],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "prime" in proc.stderr
+
+
+@pytest.mark.parametrize("graph", [
+    {"vertices": "abc"},
+    {"vertices": ["a", "b"], "edges": "ab"},
+    {"vertices": ["1", "a"]},
+    {"vertices": ["a b", "c"]},
+    {"vertices": ["a^2", "c"]},
+], ids=["string-vertices", "string-edges", "vertex-1", "vertex-space",
+        "vertex-caret"])
+def test_bad_graph_json_exit_code(tmp_path, capsys, graph):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(graph))
+    code, out = run(capsys, "--graph", str(f), "nf", "1")
+    assert code == 2
+    assert out == ""

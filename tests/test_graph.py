@@ -76,6 +76,39 @@ def test_graph_validation():
         Graph(["a", "b"], [("a", "c")])
 
 
+def test_string_vertices_rejected():
+    # a string would otherwise be read as one vertex per character
+    with pytest.raises(GraphError):
+        Graph.from_dict({"vertices": "abc"})
+    with pytest.raises(GraphError):
+        Graph("abc")
+
+
+def test_string_edges_rejected():
+    with pytest.raises(GraphError):
+        Graph.from_dict({"vertices": ["a", "b"], "edges": "ab"})
+    with pytest.raises(GraphError):
+        Graph.from_dict({"vertices": ["a", "b"], "edges": ["ab"]})
+
+
+def test_vertex_named_one_rejected():
+    # parse_word reads the token "1" as the identity
+    with pytest.raises(GraphError):
+        Graph.from_dict({"vertices": ["1", "a"]})
+
+
+def test_vertex_name_with_whitespace_rejected():
+    for name in ("a b", "a\tb", " a"):
+        with pytest.raises(GraphError):
+            Graph([name, "c"])
+
+
+def test_vertex_name_with_caret_rejected():
+    for name in ("a^2", "^", "a^"):
+        with pytest.raises(GraphError):
+            Graph([name, "c"])
+
+
 def test_graph_json_roundtrip():
     g = path_graph(3)
     assert Graph.from_dict(g.to_dict()) == g

@@ -1,6 +1,8 @@
 from math import comb
 
-from raag.graph import clique_counts, complete_graph, empty_graph, path_graph
+import raag.koszul
+from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
+                        path_graph)
 from raag.koszul import (KoszulElement, bigraded_ranks, contraction,
                          differential, epsilon, verify_resolution)
 from raag.series import Fp, Q
@@ -66,3 +68,18 @@ def test_euler_characteristic_vanishes():
             chi = sum((-1) ** k * ranks.get((k, n - k), 0)
                       for k in range(min(n, len(cc) - 1) + 1))
             assert chi == 0
+
+
+def test_verify_resolution_enumerates_each_degree_once(monkeypatch):
+    calls = []
+
+    def counting(g, n):
+        calls.append(n)
+        return enumerate_traces(g, n)
+
+    monkeypatch.setattr(raag.koszul, "enumerate_traces", counting)
+    assert verify_resolution(cycle_graph(5), 6, Q).ok
+    assert sorted(calls) == list(range(6))
+    calls.clear()
+    bigraded_ranks(cycle_graph(5), 6)
+    assert sorted(calls) == list(range(6))

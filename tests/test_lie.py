@@ -1,18 +1,16 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raag.errors import ResourceLimitError
-from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
-                        empty_graph, path_graph)
+from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
+                        path_graph)
 from raag.lie import (bracket_span_rank, lambda_dims, left_normed_brackets,
                       primitivity_check, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
 from raag.series import DomainError, Fp, Q
 
-from conftest import SUITE, small_suite
+from conftest import SUITE, graphs_st, small_suite
 from oracles import product_form_ranks, witt_rank
 
 UPTO = 4
@@ -39,15 +37,6 @@ def test_series_ranks_match_product_form_oracle():
         for p in (2, 3, 5):
             assert (list(series_rank_restricted(g, p, 12).values)
                     == product_form_ranks(counts, 12, p)), (name, p)
-
-
-@st.composite
-def graphs_st(draw):
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
-    pairs = list(combinations(vertices, 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
-                         max_size=len(pairs)))
-    return Graph(vertices, [e for e, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,6 +76,12 @@ def test_bracket_route_matches_series_route():
         series = series_rank_lcs(g, UPTO).values
         spans = tuple(bracket_span_rank(g, n, Q) for n in range(1, UPTO + 1))
         assert spans == series
+
+
+def test_bracket_route_matches_series_route_c5_degree_6():
+    g = cycle_graph(5)
+    spans = tuple(bracket_span_rank(g, n, Q) for n in range(1, 7))
+    assert spans == series_rank_lcs(g, 6).values == (5, 5, 15, 40, 124, 365)
 
 
 def test_e2_reference_values():

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raag.graph import complete_graph, empty_graph, path_graph
+from raag.growth import phi_R
 from raag.words import (IDENTITY, GroupWord, Syllable, ball,
                         canonicalize_trace, enumerate_traces, format_word,
                         invert, multiply, parse_word, reduce_word,
                         sphere_sizes, substitute_word, word_length)
 
-from conftest import SUITE, random5_graph
+from conftest import SUITE, graphs_st, random5_graph
 from oracles import m3_orbit, m_move_closure, piling_is_identity
 
 P3 = path_graph(3)
@@ -57,6 +58,37 @@ def test_canonical_trace_is_orbit_minimum():
         orbit = m3_orbit(trace, R5)
         key = lambda t: tuple(R5.index(v) for v in t)
         assert canonicalize_trace(trace, R5) == min(orbit, key=key)
+
+
+def _vertex_key(g):
+    return lambda t: tuple(g.index(v) for v in t)
+
+
+@st.composite
+def graph_and_word_st(draw):
+    g = draw(graphs_st())
+    word = draw(st.lists(st.sampled_from(g.vertices), max_size=7))
+    return g, tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_word_st())
+def test_canonical_trace_is_orbit_minimum_on_random_graphs(gw):
+    g, word = gw
+    assert canonicalize_trace(word, g) == min(m3_orbit(word, g),
+                                              key=_vertex_key(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(), st.integers(0, 4))
+def test_enumerate_traces_on_random_graphs(g, n):
+    traces = enumerate_traces(g, n)
+    key = _vertex_key(g)
+    assert traces == sorted(set(traces), key=key)  # sorted, no duplicates
+    for t in traces:
+        assert len(t) == n
+        assert t == min(m3_orbit(t, g), key=key)  # lex-normal
+    assert len(traces) == phi_R(g, n + 1).coeffs[n]
 
 
 @settings(max_examples=60, deadline=None)
