@@ -13,15 +13,15 @@ import sys
 
 from raag.errors import RaagError, ResourceLimitError
 from raag.graph import Graph, GraphError, clique_counts, enumerate_cliques
-from raag.growth import (ball_growth_oracle, phi_A, phi_A_ratfunc, phi_R,
-                         phi_R_ratfunc, phi_S)
+from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
 from raag.magnus import (dimension_subgroup_membership, magnus,
                          omega_p_valuation, omega_valuation)
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
-from raag.words import (format_word, multiply, parse_word, word_length)
+from raag.words import (format_word, multiply, parse_word, sphere_sizes,
+                        word_length)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--upto", type=int, default=6)
 
-    p = sub.add_parser("lambda", help="exponent-p quotient dimensions")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--upto", type=int, default=6)
-
     p = sub.add_parser("koszul", help="resolution certificate")
     p.add_argument("--upto", type=int, default=6)
     p.add_argument("--domain", choices=["Q", "Fp"], default="Q")
@@ -114,7 +110,7 @@ def run(args) -> int:
 
     if cmd == "cliques":
         _emit({
-            "cliques": ["".join(c) for c in enumerate_cliques(g)],
+            "cliques": [list(c) for c in enumerate_cliques(g)],
             "counts": clique_counts(g),
         })
     elif cmd == "nf":
@@ -131,7 +127,7 @@ def run(args) -> int:
             "closed_form": str(phi_A_ratfunc(g)),
         }
         if args.oracle is not None:
-            out["oracle"] = [str(c) for c in ball_growth_oracle(g, args.oracle)]
+            out["oracle"] = [str(c) for c in sphere_sizes(g, args.oracle)]
         _emit(out)
     elif cmd == "poincare":
         _emit({
@@ -168,8 +164,6 @@ def run(args) -> int:
         else:
             table = lambda_dims(g, args.p, args.upto)
         _emit(table.to_json_obj())
-    elif cmd == "lambda":
-        _emit(lambda_dims(g, args.p, args.upto).to_json_obj())
     elif cmd == "koszul":
         dom = Q if args.domain == "Q" else Fp(args.p)
         rep = verify_resolution(g, args.upto, dom)

@@ -10,38 +10,26 @@ decreasing order.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Mapping
 
-from raag.graph import Graph, clique_counts, enumerate_cliques
+from raag.graph import Graph
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Q
-from raag.useries import USeries
+from raag.series import Domain, DomainError, LinComb, Q
 
 CliqueKey = tuple[str, ...]  # sorted ascending in vertex order
 
 
-class ExtElement:
-    __slots__ = ("graph", "domain", "coeffs")
+class ExtElement(LinComb):
+    """Element of the signed clique algebra; the keys are cliques, sorted in
+    vertex order.  The algebra is finite-dimensional, so `order` is None."""
 
-    def __init__(self, graph: Graph, domain: Domain,
-                 coeffs: Mapping[CliqueKey, object] | None = None):
-        self.graph = graph
-        self.domain = domain
-        clean: dict[CliqueKey, object] = {}
-        if coeffs:
-            for c, x in coeffs.items():
-                key = graph.sort_vertices(c)
-                if not graph.is_clique(key):
-                    raise DomainError(f"{c!r} is not a clique")
-                x = domain.coerce(x)
-                if x != domain.zero:
-                    clean[key] = domain.add(clean.get(key, domain.zero), x) \
-                        if key in clean else x
-        self.coeffs = {k: v for k, v in clean.items() if v != domain.zero}
+    __slots__ = ()
 
     @classmethod
     def basis(cls, clique, graph: Graph, domain: Domain) -> "ExtElement":
-        return cls(graph, domain, {tuple(clique): 1})
+        key = graph.sort_vertices(clique)
+        if not graph.is_clique(key):
+            raise DomainError(f"{clique!r} is not a clique")
+        return cls(graph, domain, None, {key: 1})
 
     @classmethod
     def generator(cls, v: str, graph: Graph, domain: Domain) -> "ExtElement":
@@ -50,30 +38,6 @@ class ExtElement:
     @classmethod
     def one(cls, graph: Graph, domain: Domain) -> "ExtElement":
         return cls.basis((), graph, domain)
-
-    def _check(self, other: "ExtElement"):
-        if self.graph != other.graph or self.domain != other.domain:
-            raise DomainError("mismatched graph or domain")
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        self._check(other)
-        d = self.domain
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = d.add(acc.get(k, d.zero), c)
-        return ExtElement(self.graph, d, acc)
-
-    def __neg__(self) -> "ExtElement":
-        d = self.domain
-        return ExtElement(self.graph, d, {k: d.neg(c) for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
-    def scale(self, c) -> "ExtElement":
-        d = self.domain
-        c = d.coerce(c)
-        return ExtElement(self.graph, d, {k: d.mul(c, x) for k, x in self.coeffs.items()})
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
@@ -87,20 +51,7 @@ class ExtElement:
                 key, sign = res
                 val = d.mul(d.coerce(sign), d.mul(x1, x2))
                 acc[key] = d.add(acc.get(key, d.zero), val)
-        return ExtElement(self.graph, d, acc)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtElement) and self.graph == other.graph
-                and self.domain == other.domain and self.coeffs == other.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"clique": "".join(k), "coeff": str(self.coeffs[k])}
-            for k in sorted(self.coeffs, key=lambda c: (len(c), c))
-        ]
+        return ExtElement(self.graph, d, None, acc)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -124,16 +75,6 @@ def _basis_product(c1: CliqueKey, c2: CliqueKey, g: Graph):
             if desc[i] < desc[j]:  # out of order for the descending target
                 inv += 1
     return union, (-1) ** inv
-
-
-def ext_mul(x: ExtElement, y: ExtElement) -> ExtElement:
-    return x * y
-
-
-def poincare_poly(g: Graph) -> USeries:
-    """Clique polynomial: the coefficient of t^n counts the n-cliques."""
-    counts = clique_counts(g)
-    return USeries(counts, len(counts))
 
 
 def quadratic_dual_check(g: Graph) -> bool:

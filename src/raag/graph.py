@@ -76,10 +76,6 @@ class Graph:
     def adjacent(self, u: str, v: str) -> bool:
         return v in self._adj[u]
 
-    def commute(self, u: str, v: str) -> bool:
-        """Whether the generators u, v commute in the group: equal or adjacent."""
-        return u == v or v in self._adj[u]
-
     def is_clique(self, members: Iterable[str]) -> bool:
         ms = list(members)
         for i, u in enumerate(ms):

@@ -4,19 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from raag.exterior import poincare_poly
 from raag.graph import Graph, clique_counts
-from raag.useries import RatFunc, USeries
-from raag.words import sphere_sizes
+from raag.useries import RatFunc, USeries, _poly_mul
 
 
 def phi_S(g: Graph) -> USeries:
-    """Clique polynomial (Poincare series of the signed clique algebra)."""
-    return poincare_poly(g)
-
-
-def phi_S_ratfunc(g: Graph) -> RatFunc:
-    return RatFunc(clique_counts(g))
+    """Clique polynomial (Poincare series of the signed clique algebra):
+    the coefficient of t^n counts the n-cliques."""
+    counts = clique_counts(g)
+    return USeries(counts, len(counts))
 
 
 def phi_R(g: Graph, order: int) -> USeries:
@@ -44,19 +40,11 @@ def phi_A_ratfunc(g: Graph) -> RatFunc:
     deg = len(counts) - 1
     den = [0] * (deg + 1)
     for k, c in enumerate(counts):
-        term = _poly_scale(_poly_mul(_poly_pow([0, -2], k), _poly_pow([1, 1], deg - k)), c)
+        term = _poly_mul(_poly_pow([0, -2], k), _poly_pow([1, 1], deg - k))
         for i, x in enumerate(term):
             if i <= deg:
-                den[i] += x
+                den[i] += c * x
     return RatFunc(_poly_pow([1, 1], deg), den)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _poly_pow(a, k):
@@ -64,15 +52,6 @@ def _poly_pow(a, k):
     for _ in range(k):
         out = _poly_mul(out, a)
     return out
-
-
-def _poly_scale(a, c):
-    return [c * x for x in a]
-
-
-def ball_growth_oracle(g: Graph, r: int) -> list[int]:
-    """Exact sphere sizes 0..r by breadth-first search."""
-    return sphere_sizes(g, r)
 
 
 @dataclass(frozen=True)

@@ -10,32 +10,20 @@ moves the least eligible front letter of the trace into the clique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from raag.graph import Graph, enumerate_cliques
-from raag.series import Domain, DomainError
+from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
 BasisKey = tuple[tuple[str, ...], Trace]  # (ascending clique, canonical trace)
 
 
-class KoszulElement:
-    __slots__ = ("graph", "domain", "order", "coeffs")
+class KoszulElement(LinComb):
+    """Element of the resolution; the keys are (clique, trace) pairs and the
+    degree of a key is the total degree."""
 
-    def __init__(self, graph: Graph, domain: Domain, order: int,
-                 coeffs: Mapping[BasisKey, object] | None = None):
-        self.graph = graph
-        self.domain = domain
-        self.order = order
-        clean: dict[BasisKey, object] = {}
-        if coeffs:
-            for (c, t), x in coeffs.items():
-                if len(c) + len(t) >= order:
-                    continue
-                x = domain.coerce(x)
-                if x != domain.zero:
-                    clean[(c, t)] = x
-        self.coeffs = clean
+    __slots__ = ()
+    _degree = staticmethod(_pair_degree)
 
     @classmethod
     def basis(cls, clique, trace, graph: Graph, domain: Domain,
@@ -45,35 +33,6 @@ class KoszulElement:
             raise DomainError(f"{clique!r} is not a clique")
         t = canonicalize_trace(trace, graph)
         return cls(graph, domain, order, {(c, t): 1})
-
-    def _check(self, other: "KoszulElement"):
-        if (self.graph != other.graph or self.domain != other.domain
-                or self.order != other.order):
-            raise DomainError("mismatched graph, domain, or order")
-
-    def __add__(self, other: "KoszulElement") -> "KoszulElement":
-        self._check(other)
-        d = self.domain
-        acc = dict(self.coeffs)
-        for k, x in other.coeffs.items():
-            acc[k] = d.add(acc.get(k, d.zero), x)
-        return KoszulElement(self.graph, d, self.order, acc)
-
-    def __neg__(self) -> "KoszulElement":
-        d = self.domain
-        return KoszulElement(self.graph, d, self.order,
-                             {k: d.neg(x) for k, x in self.coeffs.items()})
-
-    def __sub__(self, other: "KoszulElement") -> "KoszulElement":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, KoszulElement)
-                and self.graph == other.graph and self.domain == other.domain
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -145,8 +104,8 @@ class ResolutionReport:
         out: dict = {"ok": self.ok, "checked": self.checked}
         if not self.ok:
             out["counterexample"] = {
-                "clique": "".join(self.counterexample[0]),
-                "trace": "".join(self.counterexample[1]),
+                "clique": list(self.counterexample[0]),
+                "trace": list(self.counterexample[1]),
             }
             out["reason"] = self.reason
         return out

@@ -10,15 +10,14 @@ exponent-p series (for p >= 3).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 
 from raag.errors import check_states
 from raag.graph import Graph
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, PCSeries, Z, _is_prime, invert_unit
-from raag.words import GroupWord, Trace, ball, canonicalize_trace, enumerate_traces
+from raag.series import Domain, DomainError, PCSeries, Z, _is_prime
+from raag.words import GroupWord, Trace, ball, canonicalize_trace
 
 
 def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCSeries:
@@ -66,9 +65,6 @@ class Valuation:
 
     value: int
     decided: bool
-
-    def at_least(self, n: int) -> bool:
-        return self.value >= n
 
 
 def omega_valuation(w: GroupWord, g: Graph, domain: Domain, order: int) -> Valuation:
@@ -146,22 +142,17 @@ def leading_monomial_char_p(w: GroupWord, g: Graph, p: int) -> LeadingMonomial:
 # -- graded span ranks -------------------------------------------------
 
 
-def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain,
-                     samples: int = 20, seed: int = 0) -> list[int]:
+def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain) -> list[int]:
     """For n = 1..order-1, the rank over `domain` of the span of degree-n
-    components of n-fold products of (mu(g_i) - 1) with g_i in the ball of
-    radius r.  All generator-only tuples are included (they already realize
-    every trace once r >= 1); a deterministic sample of general ball tuples
-    is added on top.
+    components of n-fold products of (mu(v) - 1) with v a generator in the
+    ball of radius r.  Since mu(v) - 1 = v, once r >= 1 every degree-n
+    trace is such a component.
     """
     if domain.kind == "Z":
         raise DomainError("span rank needs a field domain")
-    elements = [b for b in ball(g, r) if b.syllables]
-    images = {b: magnus(b, g, domain, order) for b in elements}
     one = PCSeries.one(g, domain, order)
-    gens = [b for b in elements if len(b.syllables) == 1
-            and b.syllables[0].exponent == 1]
-    rng = random.Random(seed)
+    gens = [magnus(b, g, domain, order) - one for b in ball(g, r)
+            if len(b.syllables) == 1 and b.syllables[0].exponent == 1]
     ranks: list[int] = []
     for n in range(1, order):
         rows: list[dict] = []
@@ -174,19 +165,11 @@ def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain,
                 if part:
                     rows.append(part)
                 continue
-            for b in gens:
-                nxt = acc * (images[b] - one)
+            for x in gens:
+                nxt = acc * x
                 if nxt.coeffs:
                     stack.append((depth + 1, nxt))
             check_states(len(rows), "magnus_span_rank")
-        # sampled products of general ball elements
-        for _ in range(samples):
-            acc = one
-            for _ in range(n):
-                acc = acc * (images[rng.choice(elements)] - one)
-            part = acc.homogeneous_part(n)
-            if part:
-                rows.append(part)
         ranks.append(rank_of_rows(rows, domain,
                                   col_key=lambda t: tuple(g.index(v) for v in t)))
     return ranks

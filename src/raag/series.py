@@ -2,7 +2,9 @@
 
 Elements are finite maps from canonical traces of length < N to nonzero
 coefficients, over Z, Q, or F_p.  All arithmetic is exact; binary
-operations insist on equal graph, domain and truncation order.
+operations insist on equal graph, domain and truncation order.  The
+shared sparse arithmetic lives in `LinComb`, which the tensor square, the
+clique algebra and the Koszul complex use as well.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from raag.errors import RaagError
-from raag.graph import Graph, GraphMorphism
+from raag.graph import Graph
 from raag.words import Trace, _concat, canonicalize_trace
 
 
@@ -108,33 +110,85 @@ def Fp(p: int) -> Domain:
     return Domain("Fp", p)
 
 
-def _check_compatible(x: "PCSeries | TensorSeries", y: "PCSeries | TensorSeries"):
-    if x.graph != y.graph or x.domain != y.domain or x.order != y.order:
-        raise DomainError("mismatched graph, domain, or truncation order")
+def _pair_degree(key) -> int:
+    a, b = key
+    return len(a) + len(b)
 
 
-class PCSeries:
-    """Element of the series ring, truncated below degree `order`."""
+class LinComb:
+    """Finitely supported linear combination of basis keys over a `Domain`,
+    truncated below degree `order` (no truncation when `order` is None).
+
+    Subclasses name the degree of a key (`_degree`) and add the product;
+    binary operations insist on equal class, graph, domain and order.
+    """
 
     __slots__ = ("graph", "domain", "order", "coeffs")
+    _degree = len
 
-    def __init__(self, graph: Graph, domain: Domain, order: int,
-                 coeffs: Mapping[Trace, object] | None = None):
-        if order < 1:
+    def __init__(self, graph: Graph, domain: Domain, order: int | None,
+                 coeffs: Mapping | None = None):
+        if order is not None and order < 1:
             raise DomainError("truncation order must be >= 1")
         self.graph = graph
         self.domain = domain
         self.order = order
-        clean: dict[Trace, object] = {}
+        clean = {}
         if coeffs:
-            zero = domain.zero
-            for t, c in coeffs.items():
-                if len(t) >= order:
+            zero, coerce, degree = domain.zero, domain.coerce, self._degree
+            bound = float("inf") if order is None else order
+            for k, c in coeffs.items():
+                if degree(k) >= bound:
                     continue
-                c = domain.coerce(c)
+                c = coerce(c)
                 if c != zero:
-                    clean[t] = c
+                    clean[k] = c
         self.coeffs = clean
+
+    def _check(self, other: "LinComb"):
+        if (type(self) is not type(other) or self.graph != other.graph
+                or self.domain != other.domain or self.order != other.order):
+            raise DomainError("mismatched graph, domain, or truncation order")
+
+    def _like(self, coeffs: Mapping):
+        return type(self)(self.graph, self.domain, self.order, coeffs)
+
+    def __add__(self, other):
+        self._check(other)
+        d = self.domain
+        acc = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc[k] = d.add(acc.get(k, d.zero), c)
+        return self._like(acc)
+
+    def __neg__(self):
+        d = self.domain
+        return self._like({k: d.neg(c) for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        d = self.domain
+        c = d.coerce(c)
+        return self._like({k: d.mul(c, x) for k, x in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(self) is type(other)
+                and self.graph == other.graph
+                and self.domain == other.domain
+                and self.order == other.order
+                and self.coeffs == other.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+
+class PCSeries(LinComb):
+    """Element of the series ring, truncated below degree `order`; the keys
+    are canonical traces."""
+
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------
 
@@ -169,30 +223,8 @@ class PCSeries:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: "PCSeries") -> "PCSeries":
-        _check_compatible(self, other)
-        acc = dict(self.coeffs)
-        d = self.domain
-        for t, c in other.coeffs.items():
-            acc[t] = d.add(acc.get(t, d.zero), c)
-        return PCSeries(self.graph, d, self.order, acc)
-
-    def __sub__(self, other: "PCSeries") -> "PCSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "PCSeries":
-        d = self.domain
-        return PCSeries(self.graph, d, self.order,
-                        {t: d.neg(c) for t, c in self.coeffs.items()})
-
-    def scale(self, c) -> "PCSeries":
-        d = self.domain
-        c = d.coerce(c)
-        return PCSeries(self.graph, d, self.order,
-                        {t: d.mul(c, x) for t, x in self.coeffs.items()})
-
     def __mul__(self, other: "PCSeries") -> "PCSeries":
-        _check_compatible(self, other)
+        self._check(other)
         d = self.domain
         acc: dict[Trace, object] = {}
         for t1, c1 in self.coeffs.items():
@@ -210,13 +242,6 @@ class PCSeries:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PCSeries)
-                and self.graph == other.graph
-                and self.domain == other.domain
-                and self.order == other.order
-                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.domain, self.order, frozenset(self.coeffs.items())))
@@ -247,8 +272,10 @@ class PCSeries:
         )
 
     def to_json_obj(self) -> list[dict]:
+        # a trace is a list of vertex names: joining them is ambiguous
+        # once a name is the concatenation of others
         return [
-            {"trace": "".join(t), "coeff": str(c)} for t, c in self.sorted_terms()
+            {"trace": list(t), "coeff": str(c)} for t, c in self.sorted_terms()
         ]
 
     def __repr__(self) -> str:
@@ -333,45 +360,15 @@ def antipode(x: PCSeries) -> PCSeries:
     return PCSeries(x.graph, d, x.order, acc)
 
 
-class TensorSeries:
-    """Element of the (truncated) tensor square of the series ring."""
+class TensorSeries(LinComb):
+    """Element of the (truncated) tensor square of the series ring; the keys
+    are pairs of canonical traces."""
 
-    __slots__ = ("graph", "domain", "order", "coeffs")
-
-    def __init__(self, graph: Graph, domain: Domain, order: int,
-                 coeffs: Mapping[tuple[Trace, Trace], object] | None = None):
-        self.graph = graph
-        self.domain = domain
-        self.order = order
-        clean: dict[tuple[Trace, Trace], object] = {}
-        if coeffs:
-            zero = domain.zero
-            for (t1, t2), c in coeffs.items():
-                if len(t1) + len(t2) >= order:
-                    continue
-                c = domain.coerce(c)
-                if c != zero:
-                    clean[(t1, t2)] = c
-        self.coeffs = clean
-
-    def __add__(self, other: "TensorSeries") -> "TensorSeries":
-        _check_compatible(self, other)
-        d = self.domain
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = d.add(acc.get(k, d.zero), c)
-        return TensorSeries(self.graph, d, self.order, acc)
-
-    def __neg__(self) -> "TensorSeries":
-        d = self.domain
-        return TensorSeries(self.graph, d, self.order,
-                            {k: d.neg(c) for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        return self + (-other)
+    __slots__ = ()
+    _degree = staticmethod(_pair_degree)
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
-        _check_compatible(self, other)
+        self._check(other)
         d, g = self.domain, self.graph
         acc: dict[tuple[Trace, Trace], object] = {}
         for (a1, b1), c1 in self.coeffs.items():
@@ -381,13 +378,6 @@ class TensorSeries:
                 k = (_concat(a1, a2, g), _concat(b1, b2, g))
                 acc[k] = d.add(acc.get(k, d.zero), d.mul(c1, c2))
         return TensorSeries(self.graph, d, self.order, acc)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorSeries)
-                and self.graph == other.graph
-                and self.domain == other.domain
-                and self.order == other.order
-                and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -399,7 +389,7 @@ class TensorSeries:
 
 
 def tensor(x: PCSeries, y: PCSeries) -> TensorSeries:
-    _check_compatible(x, y)
+    x._check(y)
     d = x.domain
     acc: dict[tuple[Trace, Trace], object] = {}
     for t1, c1 in x.coeffs.items():
@@ -436,12 +426,3 @@ def is_primitive(x: PCSeries) -> bool:
 def is_grouplike(x: PCSeries) -> bool:
     return x.constant_term() == x.domain.one and coproduct(x) == tensor(x, x)
 
-
-def induced_ring_map(m: GraphMorphism, x: PCSeries) -> PCSeries:
-    """Letter substitution along a graph morphism, recanonicalized."""
-    if m.source != x.graph:
-        raise DomainError("series does not live over the morphism's source")
-    return PCSeries.from_terms(
-        ((tuple(m(v) for v in t), c) for t, c in x.coeffs.items()),
-        m.target, x.domain, x.order,
-    )

@@ -9,16 +9,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from raag.exterior import poincare_poly, quadratic_dual_check
+from raag.exterior import quadratic_dual_check
 from raag.graph import Graph, clique_counts
-from raag.growth import ball_growth_oracle, phi_A, phi_R, phi_S
+from raag.growth import phi_A, phi_R, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
-from raag.magnus import injectivity_witness, magnus_span_rank
-from raag.series import Fp, Q
+from raag.linalg import rank_of_rows
+from raag.magnus import _syllable_image, injectivity_witness
+from raag.series import Fp, PCSeries, Q, Z
 from raag.useries import USeries
-from raag.words import enumerate_traces
+from raag.words import enumerate_traces, sphere_sizes
+
+# Desk-scale sizes of the checks.
+SERIES_ORDER = 8
+TRACE_DEGREE = 4
+LIE_DEGREE = 4
+BALL_RADIUS = 3
+KOSZUL_ORDER = 5
+COMMUTATOR_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -34,9 +43,37 @@ class CheckResult:
         return out
 
 
-def verify_all(g: Graph, *, series_order: int = 8, trace_degree: int = 4,
-               lie_degree: int = 4, ball_radius: int = 3,
-               koszul_order: int = 5, p: int = 3) -> list[CheckResult]:
+def _commutator_parts(g: Graph) -> tuple[bool, list[list[dict]]]:
+    """Magnus images of the left-normed commutators [v1,[v2,...,vn]] of
+    generators, n = 1..COMMUTATOR_DEGREE, over Z: whether every mu(c) - 1
+    starts in degree >= n, and the degree-n parts, degree by degree.
+
+    mu(c^-1) is the image of the inverse word, [x, y]^-1 = y x y^-1 x^-1,
+    so no series is inverted.
+    """
+    order = COMMUTATOR_DEGREE + 1
+    gens = [(_syllable_image(v, 1, g, Z, order),
+             _syllable_image(v, -1, g, Z, order)) for v in g.vertices]
+    one = PCSeries.one(g, Z, order)
+    layer = gens  # (mu(c), mu(c^-1)) for each commutator c of weight n
+    ok = True
+    parts: list[list[dict]] = []
+    for n in range(1, COMMUTATOR_DEGREE + 1):
+        if n > 1:
+            layer = [(x * y * xi * yi, y * x * yi * xi)
+                     for y, yi in layer for x, xi in gens]
+        rows = []
+        for image, _ in layer:
+            lead = image - one
+            ok = ok and lead.min_degree() >= n
+            part = lead.homogeneous_part(n)
+            if part:
+                rows.append(part)
+        parts.append(rows)
+    return ok, parts
+
+
+def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -48,18 +85,18 @@ def verify_all(g: Graph, *, series_order: int = 8, trace_degree: int = 4,
           phi_S(g).as_ints() == counts, f"counts={counts}")
 
     # reciprocity
-    prod = phi_R(g, series_order) * phi_S(g).truncate(series_order).substitute_neg()
-    check("Phi_R(t) * Phi_S(-t) = 1", prod == USeries.one(series_order))
+    prod = phi_R(g, SERIES_ORDER) * phi_S(g).truncate(SERIES_ORDER).substitute_neg()
+    check("Phi_R(t) * Phi_S(-t) = 1", prod == USeries.one(SERIES_ORDER))
 
     # trace counts vs Phi_R
-    pr = phi_R(g, trace_degree + 1)
-    tc = [len(enumerate_traces(g, n)) for n in range(trace_degree + 1)]
+    pr = phi_R(g, TRACE_DEGREE + 1)
+    tc = [len(enumerate_traces(g, n)) for n in range(TRACE_DEGREE + 1)]
     check("trace counts match Phi_R coefficients",
           pr.as_ints() == tc, f"counts={tc}")
 
     # growth oracle
-    spheres = ball_growth_oracle(g, ball_radius)
-    pa = phi_A(g, ball_radius + 1)
+    spheres = sphere_sizes(g, BALL_RADIUS)
+    pa = phi_A(g, BALL_RADIUS + 1)
     check("sphere sizes match Phi_A coefficients",
           pa.as_ints() == spheres, f"spheres={spheres}")
 
@@ -67,33 +104,36 @@ def verify_all(g: Graph, *, series_order: int = 8, trace_degree: int = 4,
     check("quadratic relation spaces are dual", quadratic_dual_check(g))
 
     # Lie ranks, both routes
-    b_series = series_rank_lcs(g, lie_degree).values
-    b_span = tuple(bracket_span_rank(g, n, Q) for n in range(1, lie_degree + 1))
+    b_series = series_rank_lcs(g, LIE_DEGREE).values
+    b_span = tuple(bracket_span_rank(g, n, Q) for n in range(1, LIE_DEGREE + 1))
     check("lower-central ranks: series recursion = bracket span",
           b_series == b_span, f"values={b_series}")
-    d_series = series_rank_restricted(g, p, lie_degree).values
-    d_span = tuple(restricted_span_rank(g, n, p) for n in range(1, lie_degree + 1))
+    d_series = series_rank_restricted(g, p, LIE_DEGREE).values
+    d_span = tuple(restricted_span_rank(g, n, p) for n in range(1, LIE_DEGREE + 1))
     check(f"restricted ranks agree at p={p}",
           d_series == d_span, f"values={d_series}")
-    lam = lambda_dims(g, p, lie_degree).values
-    partial = tuple(sum(b_series[:n + 1]) for n in range(lie_degree))
+    lam = lambda_dims(g, p, LIE_DEGREE).values
+    partial = tuple(sum(b_series[:n + 1]) for n in range(LIE_DEGREE))
     check("exponent-p dims are partial sums of lower-central ranks",
           lam == partial, f"values={lam}")
 
-    # Magnus span ranks reach the trace counts
+    # group commutators of weight n: mu(c) - 1 starts in degree n, and the
+    # degree-n parts span a space of rank b_n (a third route to b_n)
+    in_filtration, parts = _commutator_parts(g)
     for dom, name in ((Q, "Q"), (Fp(2), "F2")):
-        ranks = magnus_span_rank(g, 2, trace_degree + 1, dom)
-        check(f"augmentation-power span ranks over {name} match trace counts",
-              ranks == tc[1:], f"ranks={ranks}")
+        ranks = tuple(rank_of_rows(rows, dom) for rows in parts)
+        check(f"commutator images over {name} have rank b_n in degree n",
+              in_filtration and ranks == b_series[:COMMUTATOR_DEGREE],
+              f"ranks={ranks}")
 
     # injectivity at truncation
-    wit = injectivity_witness(g, ball_radius, series_order - 1, Fp(2))
+    wit = injectivity_witness(g, BALL_RADIUS, SERIES_ORDER - 1, Fp(2))
     check("truncated images pairwise distinct on the ball",
           wit is None, "" if wit is None else f"collision: {wit}")
 
     # Koszul certificate
     for dom, name in ((Q, "Q"), (Fp(2), "F2")):
-        rep = verify_resolution(g, koszul_order, dom)
+        rep = verify_resolution(g, KOSZUL_ORDER, dom)
         check(f"Koszul contraction identity over {name}",
               rep.ok, f"checked={rep.checked}")
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from raag.errors import ResourceLimitError, UnknownGeneratorError, check_states
+from raag.errors import UnknownGeneratorError, check_states
 from raag.graph import Graph
 
 Trace = tuple[str, ...]

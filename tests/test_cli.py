@@ -29,6 +29,34 @@ def test_cliques(graph_file, capsys):
     assert obj["counts"] == [1, 3, 2, 0]
 
 
+def _ambiguous_names_graph(tmp_path, edges):
+    # the vertex "ab" is spelled like the product of the vertices a and b
+    f = tmp_path / "ab.json"
+    f.write_text(json.dumps({"vertices": ["a", "b", "ab"], "edges": edges}))
+    return str(f)
+
+
+def test_magnus_traces_are_name_lists(tmp_path, capsys):
+    f = _ambiguous_names_graph(tmp_path, [])
+    code, out = run(capsys, "--graph", f, "magnus", "a b ab", "--order", "3")
+    assert code == 0
+    traces = [tuple(t["trace"]) for t in json.loads(out)["series"]]
+    assert len(set(traces)) == len(traces) == 7
+    assert ("a", "b") in traces and ("ab",) in traces
+
+
+def test_cliques_are_name_lists(tmp_path, capsys):
+    f = _ambiguous_names_graph(tmp_path, [["a", "b"]])
+    code, out = run(capsys, "--graph", f, "cliques")
+    assert code == 0
+    assert json.loads(out)["cliques"] == [[], ["a"], ["b"], ["ab"], ["a", "b"]]
+
+
+def test_lambda_subcommand_is_gone(graph_file, capsys):
+    # exponent-p dimensions are `ranks --kind lambda`
+    assert main(["--graph", graph_file, "lambda"]) == 2
+
+
 def test_nf(graph_file, capsys):
     code, out = run(capsys, "--graph", graph_file, "nf", "b a b^-1 c")
     assert code == 0

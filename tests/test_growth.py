@@ -2,8 +2,7 @@ from fractions import Fraction
 
 from raag.graph import (complete_graph, cycle_graph, disjoint_union,
                         empty_graph, join, path_graph)
-from raag.growth import (ball_growth_oracle, phi_A, phi_A_ratfunc, phi_R,
-                         phi_R_ratfunc, phi_S, phi_S_ratfunc,
+from raag.growth import (phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S,
                          union_join_identities)
 from raag.useries import USeries
 from raag.words import enumerate_traces, sphere_sizes
@@ -48,14 +47,8 @@ def test_phi_A_matches_bfs():
         assert phi_A(g, 5).as_ints()[:5] == spheres
 
 
-def test_ball_growth_oracle_consistency():
-    g = path_graph(3)
-    assert ball_growth_oracle(g, 3) == sphere_sizes(g, 3)
-
-
 def test_ratfunc_forms_expand_to_series():
     for g in SUITE.values():
-        assert phi_S_ratfunc(g).series(ORDER) == phi_S(g).truncate(ORDER)
         assert phi_R_ratfunc(g).series(ORDER) == phi_R(g, ORDER)
         assert phi_A_ratfunc(g).series(ORDER) == phi_A(g, ORDER)
 

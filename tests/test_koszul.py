@@ -3,8 +3,9 @@ from math import comb
 import raag.koszul
 from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
                         path_graph)
-from raag.koszul import (KoszulElement, bigraded_ranks, contraction,
-                         differential, epsilon, verify_resolution)
+from raag.koszul import (KoszulElement, ResolutionReport, bigraded_ranks,
+                         contraction, differential, epsilon,
+                         verify_resolution)
 from raag.series import Fp, Q
 from raag.words import enumerate_traces
 
@@ -83,3 +84,9 @@ def test_verify_resolution_enumerates_each_degree_once(monkeypatch):
     calls.clear()
     bigraded_ranks(cycle_graph(5), 6)
     assert sorted(calls) == list(range(6))
+
+
+def test_counterexample_json_lists_names():
+    rep = ResolutionReport(False, 1, (("a", "b"), ("ab",)), "d^2 != 0")
+    assert rep.to_json_obj()["counterexample"] == {"clique": ["a", "b"],
+                                                   "trace": ["ab"]}

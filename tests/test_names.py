@@ -1,0 +1,53 @@
+"""Every public name of the package is used somewhere else.
+
+A public top-level function or class, or a public method, of a module in
+src/raag must occur as a whole word in src/, tests/ or scripts/ outside
+its own definition; a name that occurs nowhere else is dead code.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "raag"
+
+
+def _sources() -> dict[Path, list[str]]:
+    files = [p for d in ("src", "tests", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    return {p: p.read_text(encoding="utf-8").splitlines() for p in files}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, bare name, first line, last line) of each public
+    top-level function or class and each public method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield (f"{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def test_every_public_name_is_used():
+    sources = _sources()
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = sources[path]
+        for qualname, name, first, last in _public_definitions(
+                ast.parse("\n".join(lines))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            used = any(
+                word.search(line)
+                for p, text in sources.items()
+                for i, line in enumerate(text, 1)
+                if not (p == path and first <= i <= last)
+            )
+            if not used:
+                dead.append(f"{path.name}: {qualname}")
+    assert dead == []
