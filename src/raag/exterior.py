@@ -29,11 +29,7 @@ class ExtElement(LinComb):
         key = graph.sort_vertices(clique)
         if not graph.is_clique(key):
             raise DomainError(f"{clique!r} is not a clique")
-        return cls(graph, domain, None, {key: 1})
-
-    @classmethod
-    def generator(cls, v: str, graph: Graph, domain: Domain) -> "ExtElement":
-        return cls.basis((v,), graph, domain)
+        return cls(graph, domain, None, [(key, 1)])
 
     @classmethod
     def one(cls, graph: Graph, domain: Domain) -> "ExtElement":
@@ -41,17 +37,12 @@ class ExtElement(LinComb):
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
-        d, g = self.domain, self.graph
-        acc: dict[CliqueKey, object] = {}
-        for c1, x1 in self.coeffs.items():
-            for c2, x2 in other.coeffs.items():
-                res = _basis_product(c1, c2, g)
-                if res is None:
-                    continue
-                key, sign = res
-                val = d.mul(d.coerce(sign), d.mul(x1, x2))
-                acc[key] = d.add(acc.get(key, d.zero), val)
-        return ExtElement(self.graph, d, None, acc)
+        g = self.graph
+        return self._like(
+            (res[0], res[1] * x1 * x2)
+            for c1, x1 in self.coeffs.items()
+            for c2, x2 in other.coeffs.items()
+            if (res := _basis_product(c1, c2, g)) is not None)
 
     def __repr__(self) -> str:
         if not self.coeffs:

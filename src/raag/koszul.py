@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from raag.errors import check_states
 from raag.graph import Graph, enumerate_cliques
+from raag.growth import phi_R
 from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
@@ -32,7 +34,7 @@ class KoszulElement(LinComb):
         if not graph.is_clique(c):
             raise DomainError(f"{clique!r} is not a clique")
         t = canonicalize_trace(trace, graph)
-        return cls(graph, domain, order, {(c, t): 1})
+        return cls(graph, domain, order, [((c, t), 1)])
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -44,16 +46,13 @@ class KoszulElement(LinComb):
 
 
 def differential(x: KoszulElement) -> KoszulElement:
-    g, d = x.graph, x.domain
-    acc: dict[BasisKey, object] = {}
-    for (c, t), coeff in x.coeffs.items():
-        # c is ascending; the basis product is written in decreasing order,
-        # so removing the j-th smallest vertex carries sign (-1)^j.
-        for j, v in enumerate(c):
-            key = (c[:j] + c[j + 1:], _concat((v,), t, g))
-            val = d.mul(d.coerce((-1) ** j), coeff)
-            acc[key] = d.add(acc.get(key, d.zero), val)
-    return KoszulElement(g, d, x.order, acc)
+    g = x.graph
+    # c is ascending; the basis product is written in decreasing order,
+    # so removing the j-th smallest vertex carries sign (-1)^j.
+    return KoszulElement(g, x.domain, x.order, (
+        ((c[:j] + c[j + 1:], _concat((v,), t, g)), -coeff if j % 2 else coeff)
+        for (c, t), coeff in x.coeffs.items()
+        for j, v in enumerate(c)))
 
 
 def _front_movable(t: Trace, g: Graph) -> list[tuple[str, int]]:
@@ -67,8 +66,8 @@ def _front_movable(t: Trace, g: Graph) -> list[tuple[str, int]]:
 
 
 def contraction(x: KoszulElement) -> KoszulElement:
-    g, d = x.graph, x.domain
-    acc: dict[BasisKey, object] = {}
+    g = x.graph
+    terms = []
     for (c, t), coeff in x.coeffs.items():
         bound = min((g.index(u) for u in c), default=len(g.vertices))
         best = None
@@ -81,16 +80,15 @@ def contraction(x: KoszulElement) -> KoszulElement:
         v, i = best
         key = (g.sort_vertices(c + (v,)),
                canonicalize_trace(t[:i] + t[i + 1:], g))
-        acc[key] = d.add(acc.get(key, d.zero), coeff)
-    return KoszulElement(g, d, x.order, acc)
+        terms.append((key, coeff))
+    return KoszulElement(g, x.domain, x.order, terms)
 
 
 def epsilon(x: KoszulElement) -> KoszulElement:
     """Projection onto the bidegree-(0, 0) summand."""
     key = ((), ())
-    if key in x.coeffs:
-        return KoszulElement(x.graph, x.domain, x.order, {key: x.coeffs[key]})
-    return KoszulElement(x.graph, x.domain, x.order)
+    return KoszulElement(x.graph, x.domain, x.order,
+                         [(key, x.coeffs[key])] if key in x.coeffs else [])
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,10 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
     degree < order; reports the first counterexample."""
     cliques = [c for c in enumerate_cliques(g) if len(c) < order]
+    # the basis size is known before enumerating: the coefficient r_n of
+    # Phi_R counts the degree-n traces (there are no cliques when order < 1)
+    r = phi_R(g, max(order, 1)).as_ints()
+    check_states(sum(sum(r[:order - len(c)]) for c in cliques), "koszul basis")
     traces = [enumerate_traces(g, n) for n in range(order)]
     checked = 0
     for c in cliques:

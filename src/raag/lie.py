@@ -78,21 +78,10 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
                         col_key=lambda t: tuple(g.index(v) for v in t))
 
 
-def _power(x: dict[Trace, int], k: int, g: Graph, p: int) -> dict[Trace, int]:
-    out: dict[Trace, int] = {(): 1}
-    for _ in range(k):
-        acc: dict[Trace, int] = {}
-        for t1, c1 in out.items():
-            for t2, c2 in x.items():
-                key = _concat(t1, t2, g)
-                acc[key] = (acc.get(key, 0) + c1 * c2) % p
-        out = {t: c for t, c in acc.items() if c}
-    return out
-
-
 def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     """Rank over F_p of brackets of degree n together with p^i-th powers of
     lower-degree brackets with m * p^i = n."""
+    domain = Fp(p)
     rows = [dict(e) for e in left_normed_brackets(g, n)]
     m = n
     i = 0
@@ -100,10 +89,10 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
         m //= p
         i += 1
         for e in left_normed_brackets(g, m):
-            pw = _power(e, p**i, g, p)
+            pw = (PCSeries(g, domain, n + 1, e.items()) ** p**i).coeffs
             if pw:
                 rows.append(pw)
-    return rank_of_rows(rows, Fp(p),
+    return rank_of_rows(rows, domain,
                         col_key=lambda t: tuple(g.index(v) for v in t))
 
 
@@ -188,7 +177,7 @@ def primitivity_check(g: Graph, n: int, order: int):
     if order <= n:
         raise DomainError("truncation order must exceed the degree")
     for e in left_normed_brackets(g, n):
-        x = PCSeries(g, Q, order, e)
+        x = PCSeries(g, Q, order, e.items())
         if not is_primitive(x):
             return x
     return None

@@ -23,13 +23,13 @@ from raag.words import GroupWord, Trace, ball, canonicalize_trace
 def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCSeries:
     # (1+v)^e truncated; for e < 0 the generalized binomial coefficients
     # comb(e, k) = (-1)^k * comb(-e+k-1, k) are still integers.
-    coeffs: dict[Trace, object] = {}
+    terms = []
     for k in range(order):
         if e >= 0 and k > e:
             break
         c = comb(e, k) if e >= 0 else (-1) ** k * comb(-e + k - 1, k)
-        coeffs[(v,) * k] = c
-    return PCSeries(g, domain, order, coeffs)
+        terms.append(((v,) * k, c))
+    return PCSeries(g, domain, order, terms)
 
 
 def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable
 
 from raag.errors import RaagError
 from raag.graph import Graph
@@ -65,18 +66,6 @@ class Domain:
             return (num * pow(den, -1, self.p)) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
             return a in (1, -1)
@@ -121,27 +110,38 @@ class LinComb:
 
     Subclasses name the degree of a key (`_degree`) and add the product;
     binary operations insist on equal class, graph, domain and order.
+
+    The constructor is the one place where coefficients are summed and
+    reduced: it takes (key, coefficient) terms whose keys may repeat, sums
+    the repeats as plain Python numbers, drops keys of degree >= `order`,
+    and coerces each sum once into the domain, dropping zeros.  Reduction
+    Z -> F_p is a ring map, so reducing once at the end gives the same
+    element as reducing every partial sum and product.
     """
 
     __slots__ = ("graph", "domain", "order", "coeffs")
     _degree = len
 
     def __init__(self, graph: Graph, domain: Domain, order: int | None,
-                 coeffs: Mapping | None = None):
+                 terms: Iterable[tuple[Hashable, object]] = ()):
         if order is not None and order < 1:
             raise DomainError("truncation order must be >= 1")
         self.graph = graph
         self.domain = domain
         self.order = order
+        acc = {}
+        for k, c in terms:
+            if k in acc:
+                acc[k] += c
+            else:
+                acc[k] = c
+        coerce, degree = domain.coerce, self._degree
+        bound = float("inf") if order is None else order
         clean = {}
-        if coeffs:
-            zero, coerce, degree = domain.zero, domain.coerce, self._degree
-            bound = float("inf") if order is None else order
-            for k, c in coeffs.items():
-                if degree(k) >= bound:
-                    continue
+        for k, c in acc.items():
+            if degree(k) < bound:
                 c = coerce(c)
-                if c != zero:
+                if c:
                     clean[k] = c
         self.coeffs = clean
 
@@ -150,28 +150,22 @@ class LinComb:
                 or self.domain != other.domain or self.order != other.order):
             raise DomainError("mismatched graph, domain, or truncation order")
 
-    def _like(self, coeffs: Mapping):
-        return type(self)(self.graph, self.domain, self.order, coeffs)
+    def _like(self, terms: Iterable[tuple[Hashable, object]]):
+        return type(self)(self.graph, self.domain, self.order, terms)
 
     def __add__(self, other):
         self._check(other)
-        d = self.domain
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc[k] = d.add(acc.get(k, d.zero), c)
-        return self._like(acc)
+        return self._like(chain(self.coeffs.items(), other.coeffs.items()))
 
     def __neg__(self):
-        d = self.domain
-        return self._like({k: d.neg(c) for k, c in self.coeffs.items()})
+        return self._like((k, -c) for k, c in self.coeffs.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        d = self.domain
-        c = d.coerce(c)
-        return self._like({k: d.mul(c, x) for k, x in self.coeffs.items()})
+        c = self.domain.coerce(c)
+        return self._like((k, c * x) for k, x in self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         return (type(self) is type(other)
@@ -198,7 +192,7 @@ class PCSeries(LinComb):
 
     @classmethod
     def constant(cls, c, graph: Graph, domain: Domain, order: int) -> "PCSeries":
-        return cls(graph, domain, order, {(): c})
+        return cls(graph, domain, order, [((), c)])
 
     @classmethod
     def one(cls, graph: Graph, domain: Domain, order: int) -> "PCSeries":
@@ -207,33 +201,25 @@ class PCSeries(LinComb):
     @classmethod
     def generator(cls, v: str, graph: Graph, domain: Domain, order: int) -> "PCSeries":
         graph.index(v)
-        return cls(graph, domain, order, {(v,): 1})
+        return cls(graph, domain, order, [((v,), 1)])
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Iterable[str], object]],
                    graph: Graph, domain: Domain, order: int) -> "PCSeries":
         """Build from (letters, coefficient) pairs; letters need not be canonical."""
-        acc: dict[Trace, object] = {}
-        for letters, c in terms:
-            t = canonicalize_trace(letters, graph)
-            if len(t) >= order:
-                continue
-            acc[t] = domain.add(acc.get(t, domain.zero), domain.coerce(c))
-        return cls(graph, domain, order, acc)
+        return cls(graph, domain, order,
+                   ((canonicalize_trace(letters, graph), c) for letters, c in terms))
 
     # -- ring operations -----------------------------------------------
 
     def __mul__(self, other: "PCSeries") -> "PCSeries":
         self._check(other)
-        d = self.domain
-        acc: dict[Trace, object] = {}
-        for t1, c1 in self.coeffs.items():
-            for t2, c2 in other.coeffs.items():
-                if len(t1) + len(t2) >= self.order:
-                    continue
-                t = _concat(t1, t2, self.graph)
-                acc[t] = d.add(acc.get(t, d.zero), d.mul(c1, c2))
-        return PCSeries(self.graph, d, self.order, acc)
+        g, order = self.graph, self.order
+        return self._like(
+            (_concat(t1, t2, g), c1 * c2)
+            for t1, c1 in self.coeffs.items()
+            for t2, c2 in other.coeffs.items()
+            if len(t1) + len(t2) < order)
 
     def __pow__(self, n: int) -> "PCSeries":
         if n < 0:
@@ -242,9 +228,6 @@ class PCSeries(LinComb):
         for _ in range(n):
             out = out * self
         return out
-
-    def __hash__(self):
-        return hash((self.domain, self.order, frozenset(self.coeffs.items())))
 
     # -- views ---------------------------------------------------------
 
@@ -286,8 +269,7 @@ class PCSeries(LinComb):
 
     def map_domain(self, domain: Domain) -> "PCSeries":
         """Reinterpret coefficients in another domain (Z -> Q or Z -> F_p)."""
-        return PCSeries(self.graph, domain, self.order,
-                        {t: domain.coerce(c) for t, c in self.coeffs.items()})
+        return PCSeries(self.graph, domain, self.order, self.coeffs.items())
 
 
 # -- module-level operations ------------------------------------------
@@ -345,19 +327,11 @@ def log_series(y: PCSeries) -> PCSeries:
     return out
 
 
-def augmentation(x: PCSeries):
-    return x.constant_term()
-
-
 def antipode(x: PCSeries) -> PCSeries:
     """The anti-automorphism sending each generator v to -v."""
-    d = x.domain
-    acc: dict[Trace, object] = {}
-    for t, c in x.coeffs.items():
-        rt = canonicalize_trace(tuple(reversed(t)), x.graph)
-        val = d.mul(d.coerce((-1) ** len(t)), c)
-        acc[rt] = d.add(acc.get(rt, d.zero), val)
-    return PCSeries(x.graph, d, x.order, acc)
+    g = x.graph
+    return x._like((canonicalize_trace(t[::-1], g), -c if len(t) % 2 else c)
+                   for t, c in x.coeffs.items())
 
 
 class TensorSeries(LinComb):
@@ -369,15 +343,12 @@ class TensorSeries(LinComb):
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
         self._check(other)
-        d, g = self.domain, self.graph
-        acc: dict[tuple[Trace, Trace], object] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                if len(a1) + len(a2) + len(b1) + len(b2) >= self.order:
-                    continue
-                k = (_concat(a1, a2, g), _concat(b1, b2, g))
-                acc[k] = d.add(acc.get(k, d.zero), d.mul(c1, c2))
-        return TensorSeries(self.graph, d, self.order, acc)
+        g, order = self.graph, self.order
+        return self._like(
+            ((_concat(a1, a2, g), _concat(b1, b2, g)), c1 * c2)
+            for (a1, b1), c1 in self.coeffs.items()
+            for (a2, b2), c2 in other.coeffs.items()
+            if len(a1) + len(a2) + len(b1) + len(b2) < order)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -390,14 +361,10 @@ class TensorSeries(LinComb):
 
 def tensor(x: PCSeries, y: PCSeries) -> TensorSeries:
     x._check(y)
-    d = x.domain
-    acc: dict[tuple[Trace, Trace], object] = {}
-    for t1, c1 in x.coeffs.items():
-        for t2, c2 in y.coeffs.items():
-            if len(t1) + len(t2) >= x.order:
-                continue
-            acc[(t1, t2)] = d.mul(c1, c2)
-    return TensorSeries(x.graph, d, x.order, acc)
+    return TensorSeries(x.graph, x.domain, x.order,
+                        (((t1, t2), c1 * c2)
+                         for t1, c1 in x.coeffs.items()
+                         for t2, c2 in y.coeffs.items()))
 
 
 def coproduct(x: PCSeries) -> TensorSeries:
@@ -406,16 +373,16 @@ def coproduct(x: PCSeries) -> TensorSeries:
     On a trace it expands as a sum over subsets of letter positions, the
     chosen letters going left and the rest right.
     """
-    d, g = x.domain, x.graph
-    acc: dict[tuple[Trace, Trace], object] = {}
+    g = x.graph
+    terms = []
     for t, c in x.coeffs.items():
         k = len(t)
         for mask in range(1 << k):
             left = tuple(t[i] for i in range(k) if mask >> i & 1)
             right = tuple(t[i] for i in range(k) if not mask >> i & 1)
-            key = (canonicalize_trace(left, g), canonicalize_trace(right, g))
-            acc[key] = d.add(acc.get(key, d.zero), c)
-    return TensorSeries(x.graph, d, x.order, acc)
+            terms.append(((canonicalize_trace(left, g),
+                           canonicalize_trace(right, g)), c))
+    return TensorSeries(g, x.domain, x.order, terms)
 
 
 def is_primitive(x: PCSeries) -> bool:

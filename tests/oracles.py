@@ -196,12 +196,12 @@ def fraction_rank(rows, domain) -> int:
             piv = pivots.get(col)
             if piv is None:
                 inv = domain.inv(r[col])
-                pivots[col] = {c: domain.mul(inv, v) for c, v in r.items()}
+                pivots[col] = {c: domain.coerce(inv * v) for c, v in r.items()}
                 rank += 1
                 break
             factor = r[col]
             for c, v in piv.items():
-                new = domain.sub(r.get(c, domain.zero), domain.mul(factor, v))
+                new = domain.coerce(r.get(c, 0) - factor * v)
                 if new == domain.zero:
                     r.pop(c, None)
                 else:

@@ -135,6 +135,20 @@ def test_koszul(graph_file, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_koszul_resource_limit(tmp_path, capsys, monkeypatch):
+    # the basis size comes from the clique counts and Phi_R, so the limit
+    # is hit before any trace is enumerated
+    f = tmp_path / "c5.json"
+    f.write_text(json.dumps(cycle_graph(5).to_dict()))
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    assert main(["--graph", str(f), "koszul", "--upto", "30"]) == 3
+    err = capsys.readouterr().err
+    assert "koszul basis: 96988220214843761 states" in err
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    assert main(["--graph", str(f), "koszul", "--upto", "4"]) == 3
+    assert "koszul basis: 261 states" in capsys.readouterr().err
+
+
 def test_verify_all(graph_file, capsys):
     code, out = run(capsys, "--graph", graph_file, "verify-all")
     assert code == 0

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag.graph import complete_graph, empty_graph, path_graph
-from raag.series import (Fp, PCSeries, Q, Z, antipode, augmentation,
-                         coproduct, exp_series, invert_unit, is_grouplike,
-                         is_primitive, log_series, tensor)
+from raag.exterior import ExtElement
+from raag.graph import complete_graph, empty_graph, enumerate_cliques, path_graph
+from raag.koszul import KoszulElement, differential
+from raag.series import (Fp, PCSeries, Q, Z, antipode, coproduct,
+                         exp_series, invert_unit, is_grouplike, is_primitive,
+                         log_series, tensor)
+from raag.words import canonicalize_trace
 
-from conftest import random5_graph
+from conftest import graphs_st, random5_graph
 
 P3 = path_graph(3)
 R5 = random5_graph()
@@ -96,7 +99,7 @@ def test_augmentation_and_antipode():
     a, c = gen("a", dom=Q, order=4), gen("c", dom=Q, order=4)
     one = PCSeries.one(P3, Q, 4)
     x = one + a * c
-    assert augmentation(x) == 1
+    assert x.constant_term() == 1
     assert antipode(a) == -a
     assert antipode(a * c).coefficient(("c", "a")) == 1
     # S inverts grouplikes: S(exp a)·exp a = 1
@@ -155,3 +158,63 @@ def test_domain_validation():
         Domain("Fp", 6)
     with pytest.raises(DomainError):
         Domain("weird")
+
+
+def reduce_to(x, domain):
+    """The integer element x with its coefficients read in `domain`."""
+    return type(x)(x.graph, domain, x.order, x.coeffs.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=4), st.sampled_from([2, 3, 5]), st.data())
+def test_reduction_commutes_with_operations(g, p, data):
+    # Z -> F_p and Z -> Q are ring maps, so reducing the coefficients once,
+    # in the constructor, must agree with reducing the operands first
+    order = 4
+    coeff = st.integers(min_value=-12, max_value=12)
+    letters = st.lists(st.sampled_from(g.vertices), max_size=order - 1)
+    series = st.lists(st.tuples(letters, coeff), max_size=6).map(
+        lambda terms: PCSeries.from_terms(terms, g, Z, order))
+    x, y = data.draw(series), data.draw(series)
+    k = data.draw(coeff)
+    cliques = enumerate_cliques(g)
+    ext = st.lists(st.tuples(st.sampled_from(cliques), coeff), max_size=4).map(
+        lambda terms: ExtElement(g, Z, None, terms))
+    a, b = data.draw(ext), data.draw(ext)
+    koszul = st.lists(
+        st.tuples(st.tuples(st.sampled_from(cliques),
+                            letters.map(lambda t: canonicalize_trace(t, g))),
+                  coeff),
+        max_size=4).map(lambda terms: KoszulElement(g, Z, order, terms))
+    z = data.draw(koszul)
+    for dom in (Fp(p), Q):
+        xd, yd = x.map_domain(dom), y.map_domain(dom)
+        assert (x + y).map_domain(dom) == xd + yd
+        assert (x - y).map_domain(dom) == xd - yd
+        assert x.scale(k).map_domain(dom) == xd.scale(k)
+        assert (x * y).map_domain(dom) == xd * yd
+        assert reduce_to(coproduct(x), dom) == coproduct(xd)
+        assert reduce_to(a * b, dom) == reduce_to(a, dom) * reduce_to(b, dom)
+        assert reduce_to(differential(z), dom) == differential(reduce_to(z, dom))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=4), st.sampled_from([2, 3, 5]), st.data())
+def test_constructor_sums_repeats_and_truncates(g, p, data):
+    order = 3
+    t = canonicalize_trace(
+        data.draw(st.lists(st.sampled_from(g.vertices), max_size=order - 1)), g)
+    a = data.draw(st.integers(min_value=-20, max_value=20))
+    m = data.draw(st.integers(min_value=-3, max_value=3))
+    # repeated keys whose sum is a multiple of p vanish over F_p only
+    repeats = [(t, a), (t, m * p - a)]
+    assert PCSeries(g, Fp(p), order, repeats).is_zero()
+    assert PCSeries(g, Z, order, repeats).coeffs == ({t: m * p} if m else {})
+    b = data.draw(st.integers(min_value=-20, max_value=20))
+    assert PCSeries(g, Fp(p), order, [(t, a), (t, b)]).coefficient(t) == (a + b) % p
+    # keys of degree >= order are dropped, whatever their coefficient
+    long = canonicalize_trace(
+        data.draw(st.lists(st.sampled_from(g.vertices), min_size=order,
+                           max_size=order + 2)), g)
+    x = PCSeries(g, Q, order, [(long, 1), (t, Fraction(1, 2))])
+    assert x.coeffs == {t: Fraction(1, 2)}

@@ -99,14 +99,19 @@ def test_inverse_cancels(sylls):
     assert multiply(invert(w, R5), w, R5) == IDENTITY
 
 
-@settings(max_examples=60, deadline=None)
-@given(syllables_st, syllables_st)
-def test_multiply_matches_piling_oracle(s1, s2):
-    prod = multiply(reduce_word(s1, R5), reduce_word(s2, R5), R5)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(R5), graphs_st()), st.data())
+def test_multiply_matches_piling_oracle(g, data):
+    sylls = st.lists(
+        st.tuples(st.sampled_from(g.vertices),
+                  st.integers(min_value=-2, max_value=2).filter(lambda e: e != 0)),
+        max_size=5)
+    s1, s2 = data.draw(sylls), data.draw(sylls)
+    prod = multiply(reduce_word(s1, g), reduce_word(s2, g), g)
     flat = []
     for v, e in s1 + s2:
         flat.extend([(v, 1 if e > 0 else -1)] * abs(e))
-    assert (prod == IDENTITY) == piling_is_identity(flat, R5)
+    assert (prod == IDENTITY) == piling_is_identity(flat, g)
 
 
 @settings(max_examples=40, deadline=None)
