@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from raag.errors import check_states
-from raag.graph import Graph, enumerate_cliques
-from raag.growth import phi_R
+from raag.graph import Graph, clique_counts, enumerate_cliques
 from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
@@ -112,11 +111,18 @@ class ResolutionReport:
 def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
     degree < order; reports the first counterexample."""
+    # count the basis before enumerating it: the degree-n traces number
+    # r_n = sum_{k>=1} (-1)^(k+1) c_k r_{n-k} (Phi_R is the reciprocal of the
+    # clique polynomial at -t) and pair with the cliques of size < order - n;
+    # the count only grows with n, so stop at the first n past the cap
+    counts, r, total = clique_counts(g), [1], 0
+    for n in range(order):
+        if n:
+            r.append(sum((-1) ** (k + 1) * counts[k] * r[n - k]
+                         for k in range(1, min(n + 1, len(counts)))))
+        total += r[n] * sum(counts[:order - n])
+        check_states(total, f"koszul basis up to trace degree {n}")
     cliques = [c for c in enumerate_cliques(g) if len(c) < order]
-    # the basis size is known before enumerating: the coefficient r_n of
-    # Phi_R counts the degree-n traces (there are no cliques when order < 1)
-    r = phi_R(g, max(order, 1)).as_ints()
-    check_states(sum(sum(r[:order - len(c)]) for c in cliques), "koszul basis")
     traces = [enumerate_traces(g, n) for n in range(order)]
     checked = 0
     for c in cliques:

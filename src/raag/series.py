@@ -167,6 +167,10 @@ class LinComb:
         c = self.domain.coerce(c)
         return self._like((k, c * x) for k, x in self.coeffs.items())
 
+    def map_domain(self, domain: Domain):
+        """Reinterpret coefficients in another domain (Z -> Q or Z -> F_p)."""
+        return type(self)(self.graph, domain, self.order, self.coeffs.items())
+
     def __eq__(self, other) -> bool:
         return (type(self) is type(other)
                 and self.graph == other.graph
@@ -266,10 +270,6 @@ class PCSeries(LinComb):
         if not terms:
             return "0"
         return " + ".join(f"{c}*{''.join(t) or '1'}" for t, c in terms)
-
-    def map_domain(self, domain: Domain) -> "PCSeries":
-        """Reinterpret coefficients in another domain (Z -> Q or Z -> F_p)."""
-        return PCSeries(self.graph, domain, self.order, self.coeffs.items())
 
 
 # -- module-level operations ------------------------------------------

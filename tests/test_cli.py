@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,17 +137,22 @@ def test_koszul(graph_file, capsys):
 
 
 def test_koszul_resource_limit(tmp_path, capsys, monkeypatch):
-    # the basis size comes from the clique counts and Phi_R, so the limit
-    # is hit before any trace is enumerated
+    # the basis is counted from the clique counts, trace degree by trace
+    # degree, so the limit is hit before any trace is enumerated and after
+    # work that does not depend on --upto
     f = tmp_path / "c5.json"
     f.write_text(json.dumps(cycle_graph(5).to_dict()))
     monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
-    assert main(["--graph", str(f), "koszul", "--upto", "30"]) == 3
-    err = capsys.readouterr().err
-    assert "koszul basis: 96988220214843761 states" in err
+    for upto in ("30", "100000"):
+        start = time.perf_counter()
+        assert main(["--graph", str(f), "koszul", "--upto", upto]) == 3
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "koszul basis up to trace degree 10: 9453136 states" in err
+    # C5 has 11 cliques of size < 4, 6 of size < 3: 11 * (1 + 5) + 6 * 20
     monkeypatch.setenv("RAAG_MAX_STATES", "100")
     assert main(["--graph", str(f), "koszul", "--upto", "4"]) == 3
-    assert "koszul basis: 261 states" in capsys.readouterr().err
+    assert "koszul basis up to trace degree 2: 186 states" in capsys.readouterr().err
 
 
 def test_verify_all(graph_file, capsys):
