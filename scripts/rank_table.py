@@ -1,6 +1,17 @@
 #!/usr/bin/env python3
 """Tabulate graded Lie algebra ranks for a graph by both independent
-routes (bracket spans and series recursion) and report any disagreement."""
+routes and report any disagreement.
+
+The series route solves the product forms of Phi_R by Moebius inversion.
+The span route eliminates, at each degree n, the standard bracketings of
+the b_n Lyndon traces (independent by their leading traces) together with
+the closure rows [v, P(l)] for every vertex v and Lyndon trace l of degree
+n - 1, and for d_n also the p^i-th powers of lower Lyndon brackets.
+
+    PYTHONPATH=src python3 scripts/rank_table.py GRAPH.json --upto 8 --p 2
+
+Exits 0 when the routes agree and 1 otherwise.
+"""
 
 import argparse
 import sys

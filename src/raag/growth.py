@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from raag.graph import Graph, clique_counts
+from raag.series import DomainError
 from raag.useries import RatFunc, USeries, _poly_mul
 
 
@@ -18,7 +19,13 @@ def phi_S(g: Graph) -> USeries:
 def phi_R(g: Graph, order: int) -> USeries:
     """Poincare series of the polynomial ring: the reciprocal of the clique
     polynomial evaluated at -t."""
+    _check_order(order)
     return phi_R_ratfunc(g).series(order)
+
+
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise DomainError(f"truncation order must be >= 1, got {order}")
 
 
 def phi_R_ratfunc(g: Graph) -> RatFunc:
@@ -29,6 +36,7 @@ def phi_R_ratfunc(g: Graph) -> RatFunc:
 
 def phi_A(g: Graph, order: int) -> USeries:
     """Growth series of the group: phi_R composed with 2t/(1+t)."""
+    _check_order(order)
     inner = RatFunc([0, 2], [1, 1]).series(order)
     return phi_R(g, order).compose(inner)
 

@@ -1,7 +1,8 @@
 """Graded ranks of the Lie algebras attached to the graph, by two
-independent routes: spans of left-normed bracket expansions inside the
-partially commuting polynomial ring, and Moebius inversion of the
-logarithmic derivative of the Poincare series.
+independent routes: spans of bracket expansions (on the Lyndon-trace
+basis, closed under bracketing with the generators) inside the partially
+commuting polynomial ring, and Moebius inversion of the logarithmic
+derivative of the Poincare series.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from raag.errors import check_states
 from raag.graph import Graph, clique_counts
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_prime
-from raag.words import Trace, _concat
+from raag.words import Trace, _concat, _slot
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,20 @@ class RankTable:
 
 
 # -- bracket expansions ------------------------------------------------
+#
+# The span route works on a basis: the standard bracketings of the Lyndon
+# traces (Lalonde, *Bases de Lyndon des algebres de Lie libres partiellement
+# commutatives*, TCS 117, 1993; Duchamp & Krob, Semigroup Forum 45, 1992).
+# Traces are compared by K(t), their lex-normal forms with the letters
+# ranked in reverse vertex order.  A right factor of a trace t is a trace v
+# with t = uv; the principal ones are the up-closures of single positions
+# of t in its heap (the position and every later letter linked to it by a
+# chain of non-commuting letters).  t is Lyndon iff its letters are
+# connected in the non-commutation graph and K(t) < K(v) for every
+# principal proper right factor v.  Its standard bracketing is
+# P(t) = [P(u), P(v)] with v the K-least principal proper right factor;
+# the K-least term of P(t) is t, with coefficient +1 or -1, so the P(t)
+# are independent by their leading traces.
 
 
 def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, int]:
@@ -48,52 +63,136 @@ def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, 
     return {t: c for t, c in out.items() if c != 0}
 
 
+def _lyndon_key(g: Graph):
+    """K: a trace's lex-normal form with letters ranked in reverse order."""
+    rank = g._index
+    return lambda t: tuple(-rank[v] for v in t)
+
+
 @lru_cache(maxsize=256)
-def left_normed_brackets(g: Graph, n: int) -> tuple[dict[Trace, int], ...]:
-    """Expansions of [v1,[v2,[...,vn]]] over all generator tuples, with
-    suffix sharing; degree-1 "brackets" are the generators themselves."""
+def _pyramids(g: Graph, order: tuple[str, ...], n: int) -> tuple[Trace, ...]:
+    """Lex-normal traces of length n whose first letter has the highest
+    index among their letters.
+
+    These are the traces with a single minimal letter, that letter being
+    the highest-index one: a later letter with no letter below it in the
+    heap would commute with everything before it and precede the first
+    letter in vertex order, so it would not stay behind in the lex-normal
+    form.  Prefixes keep the property, so each candidate of length n is one
+    of length n - 1 extended by a letter, of index at most its first
+    letter's, whose insertion lands at the end.  `order` is g.vertices:
+    graphs that differ only in vertex order are equal, so the caches are
+    keyed by the order as well.
+    """
+    if n == 1:
+        return tuple((v,) for v in order)
+    rank = g._index
+    out: list[Trace] = []
+    for t in _pyramids(g, order, n - 1):
+        for v in order[:rank[t[0]] + 1]:
+            if _slot(t, v, g) == n - 1:
+                out.append(t + (v,))
+        check_states(len(out), "lyndon candidates")
+    return tuple(out)
+
+
+def _principal_factors(t: Trace, g: Graph):
+    """(u, v) with t = uv and v the up-closure of position j, both in
+    lex-normal form, for the positions j >= 1 whose letter has the highest
+    index among t[1:].  t[j] is the only minimal letter of its up-closure,
+    so K of that factor starts with -index(t[j]): the factors left out
+    are K-greater than both t and the factors yielded."""
+    rank = g._index
+    top = max(rank[x] for x in t[1:])
+    adj = g._adj
+    n = len(t)
+    for j in range(1, n):
+        if rank[t[j]] != top:
+            continue
+        up = [j]
+        for i in range(j + 1, n):
+            x = t[i]
+            if any(x not in adj[t[k]] for k in up):
+                up.append(i)
+        down = [t[i] for i in range(n) if i not in up]
+        yield (_concat((), down, g), _concat((), (t[i] for i in up), g))
+
+
+def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
+    """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
+    by t in candidate order; built from the lower degrees and cached, so
+    the caller must not modify the result."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    layer: dict[tuple[str, ...], dict[Trace, int]] = {
-        (v,): {(v,): 1} for v in g.vertices
-    }
-    for _ in range(n - 1):
-        nxt: dict[tuple[str, ...], dict[Trace, int]] = {}
-        for tail, expansion in layer.items():
-            for v in g.vertices:
-                nxt[(v,) + tail] = _bracket({(v,): 1}, expansion, g)
-        check_states(len(nxt), "left_normed_brackets")
-        layer = nxt
-    return tuple(e for e in layer.values() if e)
+    return _lyndon_brackets(g, g.vertices, n)
+
+
+@lru_cache(maxsize=256)
+def _lyndon_brackets(g: Graph, order: tuple[str, ...],
+                     n: int) -> dict[Trace, dict[Trace, int]]:
+    if n == 1:
+        return {(v,): {(v,): 1} for v in order}
+    key = _lyndon_key(g)
+    out: dict[Trace, dict[Trace, int]] = {}
+    for t in _pyramids(g, order, n):
+        kt = key(t)
+        best = None
+        for u, v in _principal_factors(t, g):
+            kv = key(v)
+            if kv <= kt:  # t is not Lyndon
+                break
+            if best is None or kv < best[0]:
+                best = (kv, u, v)
+        else:
+            _, u, v = best
+            out[t] = _bracket(_lyndon_brackets(g, order, len(u))[u],
+                              _lyndon_brackets(g, order, len(v))[v], g)
+    return out
+
+
+def _span_rows(g: Graph, n: int) -> list[dict[Trace, int]]:
+    """The Lyndon rows P(t) of degree n, then the closure rows [v, P(l)]
+    for every vertex v and Lyndon trace l of degree n - 1."""
+    rows = list(lyndon_brackets(g, n).values())
+    if n > 1:
+        rows += [_bracket({(v,): 1}, e, g)
+                 for e in lyndon_brackets(g, n - 1).values()
+                 for v in g.vertices]
+    return rows
 
 
 def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
-    """Rank of the span of degree-n left-normed brackets inside the degree-n
-    component of the polynomial ring; equals the degree-n rank of the
-    associated graded Lie algebra."""
+    """Rank of the span of all degree-n brackets of generators inside the
+    degree-n component of the polynomial ring; equals the degree-n rank of
+    the associated graded Lie algebra.
+
+    The Lyndon rows are independent by their leading traces, so each
+    becomes a pivot unreduced.  The closure rows span L_n = [V, L_{n-1}]
+    as long as the Lyndon brackets of degree n - 1 span L_{n-1}, that is,
+    as long as the closure rows added no rank at degree n - 1 and below.
+    So the rank does not rest on the Lyndon basis theorem: taken over the
+    degrees 1..n, each degree checks the basis the next one builds on.
+    """
     if domain.kind not in ("Q", "Fp"):
         raise DomainError("span rank needs a field domain")
-    rows = [dict(e) for e in left_normed_brackets(g, n)]
-    return rank_of_rows(rows, domain,
-                        col_key=lambda t: tuple(g.index(v) for v in t))
+    return rank_of_rows(_span_rows(g, n), domain, col_key=_lyndon_key(g))
 
 
 def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     """Rank over F_p of brackets of degree n together with p^i-th powers of
-    lower-degree brackets with m * p^i = n."""
+    the Lyndon brackets of degree m with m * p^i = n."""
     domain = Fp(p)
-    rows = [dict(e) for e in left_normed_brackets(g, n)]
+    rows = _span_rows(g, n)
     m = n
     i = 0
     while m % p == 0:
         m //= p
         i += 1
-        for e in left_normed_brackets(g, m):
+        for e in lyndon_brackets(g, m).values():
             pw = (PCSeries(g, domain, n + 1, e.items()) ** p**i).coeffs
             if pw:
                 rows.append(pw)
-    return rank_of_rows(rows, domain,
-                        col_key=lambda t: tuple(g.index(v) for v in t))
+    return rank_of_rows(rows, domain, col_key=_lyndon_key(g))
 
 
 # -- series recursions -------------------------------------------------
@@ -176,7 +275,7 @@ def primitivity_check(g: Graph, n: int, order: int):
 
     if order <= n:
         raise DomainError("truncation order must exceed the degree")
-    for e in left_normed_brackets(g, n):
+    for e in lyndon_brackets(g, n).values():
         x = PCSeries(g, Q, order, e.items())
         if not is_primitive(x):
             return x

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
 from raag.graph import Graph
+from raag.linalg import rank_of_rows
+from raag.series import Fp, PCSeries
+from raag.words import canonicalize_trace, enumerate_traces
 
 
 def subset_cliques(g: Graph) -> list[tuple[str, ...]]:
@@ -207,3 +211,114 @@ def fraction_rank(rows, domain) -> int:
                 else:
                     r[c] = new
     return rank
+
+
+def left_normed_brackets(g: Graph, n: int) -> tuple[dict, ...]:
+    """Expansions of [v1,[v2,[...,vn]]] over all |V|^n generator tuples
+    (the nonzero ones), each product recanonicalised from scratch."""
+    # graphs equal up to vertex order hash alike, so the order is in the key
+    return _left_normed_brackets(g, g.vertices, n)
+
+
+@lru_cache(maxsize=64)
+def _left_normed_brackets(g: Graph, order, n: int) -> tuple[dict, ...]:
+    layer = [{(v,): 1} for v in order]
+    for _ in range(n - 1):
+        nxt = []
+        for e in layer:
+            for v in order:
+                out = Counter()
+                for t, c in e.items():
+                    out[canonicalize_trace((v,) + t, g)] += c
+                    out[canonicalize_trace(t + (v,), g)] -= c
+                nxt.append({t: c for t, c in out.items() if c})
+        layer = nxt
+    return tuple(e for e in layer if e)
+
+
+def left_normed_span_rank(g: Graph, n: int, domain, p: int | None = None) -> int:
+    """Rank of the degree-n left-normed brackets, with the p^i-th powers of
+    the degree-m ones for m * p^i = n when p is given (over F_p), pivoting
+    on columns in their natural order."""
+    rows = list(left_normed_brackets(g, n))
+    m, i = n, 0
+    while p is not None and m % p == 0:
+        m, i = m // p, i + 1
+        for e in left_normed_brackets(g, m):
+            rows.append((PCSeries(g, Fp(p), n + 1, e.items()) ** p**i).coeffs)
+    return rank_of_rows(rows, domain)
+
+
+def reverse_rank_key(g: Graph):
+    """K: a lex-normal trace with its letters ranked in reverse order."""
+    return lambda t: tuple(-g.index(v) for v in t)
+
+
+def lyndon_traces_bruteforce(g: Graph, n: int) -> list[tuple[str, ...]]:
+    """Traces of length n whose letters are connected in the non-commutation
+    graph and with K(t) < K(v) for every proper right factor v: every
+    nonempty proper set of positions closed under later non-commuting
+    letters, read in order and canonicalised."""
+    key = reverse_rank_key(g)
+    out = []
+    for t in enumerate_traces(g, n):
+        letters = set(t)
+        reached, todo = set(), [t[0]]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo += [y for y in letters if not g.adjacent(x, y)]
+        if reached != letters:
+            continue
+        for mask in range(1, 2**n - 1):
+            if any(mask >> i & 1 and not mask >> j & 1
+                   and not g.adjacent(t[i], t[j])
+                   for i in range(n) for j in range(i + 1, n)):
+                continue  # not a right factor
+            v = canonicalize_trace([t[i] for i in range(n) if mask >> i & 1], g)
+            if not key(t) < key(v):
+                break
+        else:
+            out.append(t)
+    return out
+
+
+def multigraded_ranks(g: Graph, upto: int) -> dict[tuple[int, ...], int]:
+    """The nonzero exponents b_alpha, |alpha| <= upto, of
+    prod_alpha (1 - x^alpha)^(-b_alpha) = 1 / sum_C (-1)^|C| x^C, the sum
+    over the cliques C of g and alpha in N^V: invert the clique polynomial
+    and divide out the factors one total degree at a time."""
+    k = len(g.vertices)
+    den = {tuple(int(v in c) for v in g.vertices): (-1) ** len(c)
+           for c in subset_cliques(g)}
+    monos = sorted((a for a in product(range(upto + 1), repeat=k)
+                    if sum(a) <= upto), key=sum)
+
+    def mul(a, b):
+        out = Counter()
+        for x, c in a.items():
+            for y, d in b.items():
+                z = tuple(i + j for i, j in zip(x, y))
+                if sum(z) <= upto:
+                    out[z] += c * d
+        return {z: c for z, c in out.items() if c}
+
+    residual = {}
+    for a in monos:
+        r = 1 if not any(a) else 0
+        for b, c in den.items():
+            if any(b) and all(i <= j for i, j in zip(b, a)):
+                r -= c * residual.get(tuple(j - i for i, j in zip(b, a)), 0)
+        if r:
+            residual[a] = r
+    ranks = {}
+    for d in range(1, upto + 1):
+        layer = {a: residual[a] for a in monos if sum(a) == d and a in residual}
+        ranks.update(layer)
+        for a, e in layer.items():
+            factor = {tuple(j * i for i in a): (-1) ** j * comb(e, j)
+                      if e >= 0 else comb(j - e - 1, j)
+                      for j in range(upto // d + 1)}
+            residual = mul(residual, factor)
+    return ranks

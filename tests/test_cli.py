@@ -117,6 +117,13 @@ def test_ranks_bad_input_exit_code(graph_file, capsys, args):
     assert out == ""
 
 
+@pytest.mark.parametrize("upto", ["0", "-3"])
+def test_growth_rejects_order_below_one(graph_file, capsys, upto):
+    code, out = run(capsys, "--graph", graph_file, "growth", "--upto", upto)
+    assert code == 2
+    assert out == ""
+
+
 def test_ranks_resource_limit(graph_file, capsys, monkeypatch):
     monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
     assert main(["--graph", graph_file, "ranks", "--upto", "1000"]) == 0

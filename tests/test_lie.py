@@ -1,17 +1,23 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raag.lie
+import raag.linalg
 from raag.errors import ResourceLimitError
-from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
-                        path_graph)
-from raag.lie import (bracket_span_rank, lambda_dims, left_normed_brackets,
+from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
+                        empty_graph, path_graph)
+from raag.lie import (bracket_span_rank, lambda_dims, lyndon_brackets,
                       primitivity_check, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
 from raag.series import DomainError, Fp, Q
 
 from conftest import SUITE, graphs_st, small_suite
-from oracles import product_form_ranks, witt_rank
+from oracles import (left_normed_brackets, left_normed_span_rank,
+                     lyndon_traces_bruteforce, multigraded_ranks,
+                     product_form_ranks, reverse_rank_key, witt_rank)
 
 UPTO = 4
 
@@ -150,3 +156,99 @@ def test_primitivity():
     for g in small_suite().values():
         for n in (1, 2, 3):
             assert primitivity_check(g, n, n + 1) is None
+
+
+def test_lyndon_route_matches_left_normed_oracle_c5():
+    g = cycle_graph(5)
+    for n in range(1, 7):
+        assert bracket_span_rank(g, n, Q) == left_normed_span_rank(g, n, Q)
+        for p in (2, 3):
+            assert (restricted_span_rank(g, n, p)
+                    == left_normed_span_rank(g, n, Fp(p), p)), (n, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_st(max_vertices=6), st.integers(1, 5),
+       st.sampled_from([None, 2, 3]))
+def test_lyndon_route_matches_left_normed_oracle_on_random_graphs(g, n, p):
+    if p is None:
+        assert bracket_span_rank(g, n, Q) == left_normed_span_rank(g, n, Q)
+    else:
+        assert (restricted_span_rank(g, n, p)
+                == left_normed_span_rank(g, n, Fp(p), p))
+
+
+def test_lyndon_traces_match_bruteforce_definition():
+    for name, g in SUITE.items():
+        for n in range(1, 7):
+            assert (sorted(lyndon_brackets(g, n))
+                    == sorted(lyndon_traces_bruteforce(g, n))), (name, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=5), st.integers(1, 6))
+def test_lyndon_traces_match_bruteforce_on_random_graphs(g, n):
+    assert sorted(lyndon_brackets(g, n)) == sorted(lyndon_traces_bruteforce(g, n))
+
+
+def test_lyndon_bracket_leads_with_its_trace():
+    # the K-least term of P(t) is t with coefficient +1 or -1
+    for g in (cycle_graph(5), SUITE["R5"], empty_graph(3)):
+        key = reverse_rank_key(g)
+        for n in range(1, 8):
+            for t, e in lyndon_brackets(g, n).items():
+                assert min(e, key=key) == t and e[t] in (1, -1), (g, t)
+
+
+def test_closure_rows_add_no_rank():
+    # the closure rows [v, P(l)] lie in the span of the Lyndon rows
+    for g in (cycle_graph(5), SUITE["R5"]):
+        for n in range(1, 8):
+            b = len(lyndon_brackets(g, n))
+            assert bracket_span_rank(g, n, Q) == b
+            assert bracket_span_rank(g, n, Fp(2)) == b
+
+
+def test_span_route_follows_vertex_order():
+    # graphs that differ only in vertex order are equal (and hash alike),
+    # but their traces have different normal forms
+    edges = [("a", "b"), ("b", "c")]
+    for order in (["a", "b", "c", "d"], ["d", "c", "b", "a"],
+                  ["b", "d", "a", "c"]):
+        g = Graph(order, edges)
+        key = reverse_rank_key(g)
+        assert (tuple(bracket_span_rank(g, n, Q) for n in range(1, 7))
+                == series_rank_lcs(g, 6).values)
+        for n in range(1, 6):
+            assert (sorted(lyndon_brackets(g, n))
+                    == sorted(lyndon_traces_bruteforce(g, n)))
+            for t, e in lyndon_brackets(g, n).items():
+                assert min(e, key=key) == t
+
+
+def test_c5_span_route_reaches_degree_8():
+    g = cycle_graph(5)
+    assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=4))
+def test_lyndon_traces_per_content_match_multigraded_ranks(g):
+    contents = Counter(tuple(t.count(v) for v in g.vertices)
+                       for n in range(1, 6) for t in lyndon_brackets(g, n))
+    assert contents == multigraded_ranks(g, 5)
+
+
+def test_span_route_work_count(monkeypatch):
+    # b_7 Lyndon rows and |V| * b_6 closure rows at C5, n = 7; the
+    # left-normed route handed over 20,940 nonzero rows of 78,125 tuples
+    counted = []
+
+    def counting(rows, domain, col_key):
+        rows = list(rows)
+        counted.append(len(rows))
+        return raag.linalg.rank_of_rows(rows, domain, col_key)
+
+    monkeypatch.setattr(raag.lie, "rank_of_rows", counting)
+    assert bracket_span_rank(cycle_graph(5), 7, Q) == 1160
+    assert counted == [1160 + 5 * 365]
