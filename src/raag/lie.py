@@ -135,16 +135,8 @@ def _lyndon_brackets(g: Graph, order: tuple[str, ...],
     key = _lyndon_key(g)
     out: dict[Trace, dict[Trace, int]] = {}
     for t in _pyramids(g, order, n):
-        kt = key(t)
-        best = None
-        for u, v in _principal_factors(t, g):
-            kv = key(v)
-            if kv <= kt:  # t is not Lyndon
-                break
-            if best is None or kv < best[0]:
-                best = (kv, u, v)
-        else:
-            _, u, v = best
+        kv, u, v = min((key(v), u, v) for u, v in _principal_factors(t, g))
+        if kv > key(t):  # t is Lyndon, with standard factorisation (u, v)
             out[t] = _bracket(_lyndon_brackets(g, order, len(u))[u],
                               _lyndon_brackets(g, order, len(v))[v], g)
     return out
