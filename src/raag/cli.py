@@ -123,7 +123,7 @@ def run(args) -> int:
         _emit({"product": format_word(multiply(u, v, g))})
     elif cmd == "growth":
         out = {
-            "series": [str(c) for c in phi_A(g, args.upto).as_ints()],
+            "series": [str(c) for c in phi_A(g, args.upto)],
             "closed_form": str(phi_A_ratfunc(g)),
         }
         if args.oracle is not None:
@@ -131,8 +131,8 @@ def run(args) -> int:
         _emit(out)
     elif cmd == "poincare":
         _emit({
-            "phi_S": [str(c) for c in phi_S(g).as_ints()],
-            "phi_R": [str(c) for c in phi_R(g, 12).as_ints()],
+            "phi_S": [str(c) for c in phi_S(g)],
+            "phi_R": [str(c) for c in phi_R(g, 12)],
             "phi_R_closed_form": str(phi_R_ratfunc(g)),
         })
     elif cmd == "magnus":

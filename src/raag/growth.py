@@ -1,31 +1,42 @@
-"""Growth and Poincare series, with closed forms and a BFS oracle."""
+"""Growth and Poincare series, with closed forms and a BFS oracle.
+
+Each series is an integer rational function with denominator constant
+term 1, so every coefficient comes from the one integer recurrence of
+`RatFunc.coefficients`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from raag.errors import check_states
 from raag.graph import Graph, clique_counts
 from raag.series import DomainError
-from raag.useries import RatFunc, USeries, _poly_mul
+from raag.useries import RatFunc, _poly_mul
 
 
-def phi_S(g: Graph) -> USeries:
+def phi_S(g: Graph) -> list[int]:
     """Clique polynomial (Poincare series of the signed clique algebra):
-    the coefficient of t^n counts the n-cliques."""
-    counts = clique_counts(g)
-    return USeries(counts, len(counts))
+    the coefficient of t^n counts the n-cliques, for n = 0..|V|."""
+    return clique_counts(g)
 
 
-def phi_R(g: Graph, order: int) -> USeries:
+def phi_R(g: Graph, order: int) -> list[int]:
     """Poincare series of the polynomial ring: the reciprocal of the clique
     polynomial evaluated at -t."""
-    _check_order(order)
+    _check_order(g, order)
     return phi_R_ratfunc(g).series(order)
 
 
-def _check_order(order: int) -> None:
+def _check_order(g: Graph, order: int) -> None:
     if order < 1:
         raise DomainError(f"truncation order must be >= 1, got {order}")
+    # the n-th coefficient of Phi_A is at most 2|V| (2|V| - 1)^(n-1), the
+    # free group's sphere size, and that of Phi_R at most |V|^n; either has
+    # at most (n + 1) * bitlen(2|V| - 1) bits, and the total bit length
+    # bounds time and memory
+    check_states(order * (order + 1) // 2 * (2 * len(g.vertices) - 1).bit_length(),
+                 "growth series (coefficient bits)")
 
 
 def phi_R_ratfunc(g: Graph) -> RatFunc:
@@ -34,11 +45,10 @@ def phi_R_ratfunc(g: Graph) -> RatFunc:
     return RatFunc([1], den)
 
 
-def phi_A(g: Graph, order: int) -> USeries:
+def phi_A(g: Graph, order: int) -> list[int]:
     """Growth series of the group: phi_R composed with 2t/(1+t)."""
-    _check_order(order)
-    inner = RatFunc([0, 2], [1, 1]).series(order)
-    return phi_R(g, order).compose(inner)
+    _check_order(g, order)
+    return phi_A_ratfunc(g).series(order)
 
 
 def phi_A_ratfunc(g: Graph) -> RatFunc:
@@ -73,40 +83,30 @@ def union_join_identities(g1: Graph, g2: Graph, order: int) -> list[IdentityRepo
     identities and the join multiplicativity identities."""
     from raag.graph import disjoint_union, join
 
-    gu = disjoint_union(g1, g2)
-    gj = join(g1, g2)
-    one = USeries.one(order)
+    gu, gj = disjoint_union(g1, g2), join(g1, g2)
+    _check_order(gu, order)
+
+    def clique_poly(g: Graph) -> RatFunc:
+        return RatFunc(phi_S(g))
+
+    def reciprocal(form):
+        # 1/(num/den) is den/num; both numerators have constant term 1
+        def recip(g: Graph) -> RatFunc:
+            f = form(g)
+            return RatFunc(f.den, f.num)
+        return recip
+
     out = []
-
-    def recip_defect(series: USeries) -> USeries:
-        return one - series.invert()
-
-    out.append(IdentityReport(
-        "union: 1 - 1/Phi_A additive",
-        recip_defect(phi_A(gu, order))
-        == recip_defect(phi_A(g1, order)) + recip_defect(phi_A(g2, order)),
-    ))
-    out.append(IdentityReport(
-        "union: 1 - 1/Phi_R additive",
-        recip_defect(phi_R(gu, order))
-        == recip_defect(phi_R(g1, order)) + recip_defect(phi_R(g2, order)),
-    ))
-    out.append(IdentityReport(
-        "union: 1 - Phi_S additive",
-        one - phi_S(gu).truncate(order)
-        == (one - phi_S(g1).truncate(order)) + (one - phi_S(g2).truncate(order)),
-    ))
-    out.append(IdentityReport(
-        "join: Phi_A multiplicative",
-        phi_A(gj, order) == phi_A(g1, order) * phi_A(g2, order),
-    ))
-    out.append(IdentityReport(
-        "join: Phi_R multiplicative",
-        phi_R(gj, order) == phi_R(g1, order) * phi_R(g2, order),
-    ))
-    out.append(IdentityReport(
-        "join: Phi_S multiplicative",
-        phi_S(gj).truncate(order)
-        == phi_S(g1).truncate(order) * phi_S(g2).truncate(order),
-    ))
+    for name, form in (("1 - 1/Phi_A", reciprocal(phi_A_ratfunc)),
+                       ("1 - 1/Phi_R", reciprocal(phi_R_ratfunc)),
+                       ("1 - Phi_S", clique_poly)):
+        u, a, b = ([int(n == 0) - x for n, x in enumerate(form(g).series(order))]
+                   for g in (gu, g1, g2))
+        out.append(IdentityReport(f"union: {name} additive",
+                                  u == [x + y for x, y in zip(a, b)]))
+    for name, form in (("Phi_A", phi_A_ratfunc), ("Phi_R", phi_R_ratfunc),
+                       ("Phi_S", clique_poly)):
+        j, a, b = (form(g).series(order) for g in (gj, g1, g2))
+        out.append(IdentityReport(f"join: {name} multiplicative",
+                                  j == _poly_mul(a, b)[:order]))
     return out

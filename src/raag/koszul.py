@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from raag.errors import check_states
 from raag.graph import Graph, clique_counts, enumerate_cliques
+from raag.growth import phi_R_ratfunc
 from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
@@ -111,16 +112,13 @@ class ResolutionReport:
 def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
     degree < order; reports the first counterexample."""
-    # count the basis before enumerating it: the degree-n traces number
-    # r_n = sum_{k>=1} (-1)^(k+1) c_k r_{n-k} (Phi_R is the reciprocal of the
-    # clique polynomial at -t) and pair with the cliques of size < order - n;
-    # the count only grows with n, so stop at the first n past the cap
-    counts, r, total = clique_counts(g), [1], 0
-    for n in range(order):
-        if n:
-            r.append(sum((-1) ** (k + 1) * counts[k] * r[n - k]
-                         for k in range(1, min(n + 1, len(counts)))))
-        total += r[n] * sum(counts[:order - n])
+    # count the basis before enumerating it: the degree-n traces number r_n,
+    # the coefficient of t^n in Phi_R, and pair with the cliques of size
+    # < order - n; the count only grows with n, so stop at the first n past
+    # the cap
+    counts, total = clique_counts(g), 0
+    for n, r in zip(range(order), phi_R_ratfunc(g).coefficients()):
+        total += r * sum(counts[:order - n])
         check_states(total, f"koszul basis up to trace degree {n}")
     cliques = [c for c in enumerate_cliques(g) if len(c) < order]
     traces = [enumerate_traces(g, n) for n in range(order)]

@@ -18,7 +18,7 @@ from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
 from raag.linalg import rank_of_rows
 from raag.magnus import _syllable_image, injectivity_witness
 from raag.series import Fp, PCSeries, Q, Z
-from raag.useries import USeries
+from raag.useries import _poly_mul
 from raag.words import enumerate_traces, sphere_sizes
 
 # Desk-scale sizes of the checks.
@@ -82,23 +82,24 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     # clique polynomial vs counts
     counts = clique_counts(g)
     check("clique polynomial matches clique counts",
-          phi_S(g).as_ints() == counts, f"counts={counts}")
+          phi_S(g) == counts, f"counts={counts}")
 
     # reciprocity
-    prod = phi_R(g, SERIES_ORDER) * phi_S(g).truncate(SERIES_ORDER).substitute_neg()
-    check("Phi_R(t) * Phi_S(-t) = 1", prod == USeries.one(SERIES_ORDER))
+    s_neg = [c if n % 2 == 0 else -c for n, c in enumerate(phi_S(g))]
+    prod = _poly_mul(phi_R(g, SERIES_ORDER), s_neg)[:SERIES_ORDER]
+    check("Phi_R(t) * Phi_S(-t) = 1", prod == [1] + [0] * (SERIES_ORDER - 1))
 
     # trace counts vs Phi_R
     pr = phi_R(g, TRACE_DEGREE + 1)
     tc = [len(enumerate_traces(g, n)) for n in range(TRACE_DEGREE + 1)]
     check("trace counts match Phi_R coefficients",
-          pr.as_ints() == tc, f"counts={tc}")
+          pr == tc, f"counts={tc}")
 
     # growth oracle
     spheres = sphere_sizes(g, BALL_RADIUS)
     pa = phi_A(g, BALL_RADIUS + 1)
     check("sphere sizes match Phi_A coefficients",
-          pa.as_ints() == spheres, f"spheres={spheres}")
+          pa == spheres, f"spheres={spheres}")
 
     # quadratic duality
     check("quadratic relation spaces are dual", quadratic_dual_check(g))
@@ -112,10 +113,11 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     d_span = tuple(restricted_span_rank(g, n, p) for n in range(1, LIE_DEGREE + 1))
     check(f"restricted ranks agree at p={p}",
           d_series == d_span, f"values={d_series}")
-    lam = lambda_dims(g, p, LIE_DEGREE).values
-    partial = tuple(sum(b_series[:n + 1]) for n in range(LIE_DEGREE))
-    check("exponent-p dims are partial sums of lower-central ranks",
-          lam == partial, f"values={lam}")
+    if p >= 3:  # exponent-p dimensions are defined for odd primes only
+        lam = lambda_dims(g, p, LIE_DEGREE).values
+        partial = tuple(sum(b_series[:n + 1]) for n in range(LIE_DEGREE))
+        check("exponent-p dims are partial sums of lower-central ranks",
+              lam == partial, f"values={lam}")
 
     # group commutators of weight n: mu(c) - 1 starts in degree n, and the
     # degree-n parts span a space of rank b_n (a third route to b_n)

@@ -214,8 +214,14 @@ def enumerate_traces(g: Graph, n: int) -> list[Trace]:
 def ball(g: Graph, r: int) -> list[GroupWord]:
     """All group elements of word length <= r, by breadth-first search with
     canonical-form dedup; sorted by (length, canonical syllables)."""
+    # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of
+    # Phi_A; imported here since raag.growth imports raag.series, which
+    # imports this module
+    from raag.growth import phi_A
+
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    check_states(sum(phi_A(g, r + 1)), "ball")
     seen: dict[GroupWord, int] = {IDENTITY: 0}
     frontier = [IDENTITY]
     for dist in range(1, r + 1):
@@ -227,7 +233,6 @@ def ball(g: Graph, r: int) -> list[GroupWord]:
                     if word_length(w) == dist and w not in seen:
                         seen[w] = dist
                         nxt.append(w)
-            check_states(len(seen), "ball")
         frontier = nxt
     def key(u: GroupWord):
         return (

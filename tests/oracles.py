@@ -131,6 +131,18 @@ def _truncated_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def compose_growth(phi_r: list[int]) -> list[int]:
+    """Phi_R(2t/(1+t)) to as many terms as phi_r has, by summing the powers
+    of the inner series: the composition route to Phi_A."""
+    order = len(phi_r)
+    inner = [0] + [2 * (-1) ** (n - 1) for n in range(1, order)]  # 2t/(1+t)
+    out, power = [0] * order, [1] + [0] * (order - 1)
+    for a in phi_r:
+        out = [x + a * y for x, y in zip(out, power)]
+        power = _truncated_mul(power, inner)
+    return out
+
+
 def product_form_ranks(counts: list[int], upto: int,
                        p: int | None = None) -> list[int]:
     """Exponents x_1..x_upto with prod_n F_n^{x_n} = 1/sum_k (-1)^k n_k t^k,

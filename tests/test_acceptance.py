@@ -17,12 +17,12 @@ from raag.magnus import (leading_monomial_char_p, magnus, magnus_span_rank,
                          omega_p_valuation)
 from raag.series import (Fp, PCSeries, Q, Z, coproduct, exp_series,
                          is_grouplike, is_primitive, log_series, tensor)
-from raag.useries import RatFunc, USeries
+from raag.useries import RatFunc
 from raag.words import (IDENTITY, ball, enumerate_traces, invert, multiply,
                         parse_word, reduce_word, sphere_sizes)
 
 from conftest import SUITE
-from oracles import leading_monomial_bruteforce
+from oracles import _truncated_mul, leading_monomial_bruteforce
 
 ORDER = 10
 
@@ -31,16 +31,20 @@ def _done(line):
     print(f"PASS {line}")
 
 
+def _padded(poly, order):
+    return poly + [0] * (order - len(poly))
+
+
 def test_criterion_01_extreme_case_series():
     one_plus = RatFunc([1, 1], [1])
     one_minus = RatFunc([1], [1, -1])
     for d in (1, 2, 3, 4):
         k = complete_graph(d)
-        assert phi_S(k).truncate(ORDER) == (one_plus ** d).series(ORDER)
+        assert _padded(phi_S(k), ORDER) == (one_plus ** d).series(ORDER)
         assert phi_R(k, ORDER) == (one_minus ** d).series(ORDER)
         assert phi_A(k, ORDER) == (RatFunc([1, 1], [1, -1]) ** d).series(ORDER)
         e = empty_graph(d)
-        assert phi_S(e).truncate(ORDER) == RatFunc([1, d], [1]).series(ORDER)
+        assert _padded(phi_S(e), ORDER) == RatFunc([1, d], [1]).series(ORDER)
         assert phi_R(e, ORDER) == RatFunc([1], [1, -d]).series(ORDER)
         assert phi_A(e, ORDER) == RatFunc([1, 1], [1, -(2 * d - 1)]).series(ORDER)
     _done("1: closed-form series for complete and empty graphs, order 10")
@@ -48,8 +52,9 @@ def test_criterion_01_extreme_case_series():
 
 def test_criterion_02_reciprocity():
     for name, g in SUITE.items():
-        lhs = phi_R(g, ORDER) * phi_S(g).truncate(ORDER).substitute_neg()
-        assert lhs == USeries.one(ORDER), name
+        s_neg = [c if n % 2 == 0 else -c for n, c in enumerate(phi_S(g))]
+        lhs = _truncated_mul(phi_R(g, ORDER), s_neg)
+        assert lhs == [1] + [0] * (ORDER - 1), name
     _done("2: Phi_R(t) * Phi_S(-t) = 1 + O(t^10) on the 6-graph suite")
 
 
@@ -57,14 +62,14 @@ def test_criterion_03_growth_oracle():
     for name, g in SUITE.items():
         if len(g.vertices) > 4:
             continue
-        assert sphere_sizes(g, 5) == phi_A(g, 6).as_ints(), name
+        assert sphere_sizes(g, 5) == phi_A(g, 6), name
     _done("3: BFS sphere counts equal Phi_A coefficients, radius 5")
 
 
 def test_criterion_04_trace_count_consistency():
     for name, g in SUITE.items():
         counts = [len(enumerate_traces(g, n)) for n in range(6)]
-        assert phi_R(g, 6).as_ints() == counts, name
+        assert phi_R(g, 6) == counts, name
         for dom in (Q, Fp(2)):
             assert magnus_span_rank(g, 2, 6, dom) == counts[1:], (name, dom)
     _done("4: Phi_R coefficients = trace counts = Magnus span ranks, n <= 5")

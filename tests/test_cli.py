@@ -10,6 +10,8 @@ import pytest
 from raag.cli import main
 from raag.graph import cycle_graph, path_graph
 
+from conftest import SUITE
+
 
 @pytest.fixture()
 def graph_file(tmp_path):
@@ -124,6 +126,64 @@ def test_growth_rejects_order_below_one(graph_file, capsys, upto):
     assert out == ""
 
 
+# growth --upto 40 on C5, as recorded from the composition route
+C5_GROWTH40 = [
+    1, 10, 70, 450, 2830, 17690, 110390, 688530, 4293950, 26777770,
+    166988710, 1041354210, 6493957870, 40496766650, 252540596630,
+    1574860339890, 9820936156190, 61244025510730, 381921906367750,
+    2381690970323970, 14852386792546510, 92620493666808410,
+    577587694616455670, 3601876126596752850, 22461544371993010430,
+    140071717583379802090, 873496752575115301990,
+    5447185127183744592930, 33969016739143688421550,
+    211833097514128316850170, 1321005595982445962164310,
+    8237880695204156211962610, 51371984005826344111893470,
+    320359184399365034563559050, 1997781651130830491277644230,
+    12458302180653628550022004290, 77690819282789892996121947790,
+    484485230275129229918733535130, 3021282830090345016392526855350,
+    18840925107696338602034145956370,
+]
+
+
+@pytest.fixture()
+def c5_file(tmp_path):
+    f = tmp_path / "c5.json"
+    f.write_text(json.dumps(cycle_graph(5).to_dict()))
+    return str(f)
+
+
+def test_growth_c5_reference(c5_file, capsys):
+    code, out = run(capsys, "--graph", c5_file, "growth", "--upto", "40")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["series"] == [str(c) for c in C5_GROWTH40]
+    assert obj["closed_form"] == ("(1 + 5*t + 10*t^2 + 10*t^3 + 5*t^4 + t^5)"
+                                  "/(1 - 5*t - 10*t^2 + 10*t^3 + 25*t^4 + 11*t^5)")
+
+
+def test_growth_resource_limit(c5_file, capsys, monkeypatch):
+    # the coefficient bits are charged before any term is computed
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    start = time.perf_counter()
+    assert main(["--graph", c5_file, "growth", "--upto", "1000"]) == 0
+    assert time.perf_counter() - start < 1
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["--graph", c5_file, "growth", "--upto", "100000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "growth series (coefficient bits)" in capsys.readouterr().err
+
+
+def test_growth_oracle_resource_limit(c5_file, capsys, monkeypatch):
+    # the ball of radius 9 in C5 holds 31.9M elements, known from Phi_A
+    # before the first BFS layer
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    start = time.perf_counter()
+    assert main(["--graph", c5_file, "growth", "--upto", "10",
+                 "--oracle", "9"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "ball: 31891691 states" in capsys.readouterr().err
+
+
 def test_ranks_resource_limit(graph_file, capsys, monkeypatch):
     monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
     assert main(["--graph", graph_file, "ranks", "--upto", "1000"]) == 0
@@ -167,6 +227,17 @@ def test_verify_all(graph_file, capsys):
     assert code == 0
     obj = json.loads(out)
     assert all(c["ok"] for c in obj["checks"])
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_verify_all_at_p2(tmp_path, capsys, name):
+    # exponent-p dimensions need p >= 3, so p = 2 leaves out only that check
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(SUITE[name].to_dict()))
+    code, out = run(capsys, "--graph", str(f), "verify-all", "--p", "2")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert len(names) == 12 and "restricted ranks agree at p=2" in names
 
 
 def test_parse_error_exit_code(graph_file, capsys):

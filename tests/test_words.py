@@ -88,7 +88,7 @@ def test_enumerate_traces_on_random_graphs(g, n):
     for t in traces:
         assert len(t) == n
         assert t == min(m3_orbit(t, g), key=key)  # lex-normal
-    assert len(traces) == phi_R(g, n + 1).coeffs[n]
+    assert len(traces) == phi_R(g, n + 1)[n]
 
 
 @settings(max_examples=60, deadline=None)
