@@ -1,4 +1,4 @@
-"""Growth and Poincare series, with closed forms and a BFS oracle.
+"""Growth and Poincare series, with their closed forms.
 
 Each series is an integer rational function with denominator constant
 term 1, so every coefficient comes from the one integer recurrence of

@@ -17,7 +17,8 @@ from raag.errors import check_states
 from raag.graph import Graph
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, PCSeries, Z, _is_prime
-from raag.words import GroupWord, Trace, ball, canonicalize_trace
+from raag.words import (GroupWord, Trace, canonicalize_trace, geodesic_words,
+                        reduce_word)
 
 
 def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCSeries:
@@ -151,8 +152,8 @@ def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain) -> list[int]:
     if domain.kind == "Z":
         raise DomainError("span rank needs a field domain")
     one = PCSeries.one(g, domain, order)
-    gens = [magnus(b, g, domain, order) - one for b in ball(g, r)
-            if len(b.syllables) == 1 and b.syllables[0].exponent == 1]
+    gens = ([PCSeries.generator(v, g, domain, order) for v in g.vertices]
+            if r >= 1 else [])
     ranks: list[int] = []
     for n in range(1, order):
         rows: list[dict] = []
@@ -182,7 +183,8 @@ def injectivity_witness(g: Graph, r: int, order: int, domain: Domain):
     """None if the truncated images of the ball of radius r are pairwise
     distinct, else a pair of distinct elements with equal image."""
     seen: dict = {}
-    for b in ball(g, r):
+    for letters in geodesic_words(g, r):
+        b = reduce_word(letters, g)
         key = frozenset(magnus(b, g, domain, order).coeffs.items())
         if key in seen:
             return (seen[key], b)

@@ -1,4 +1,4 @@
-"""Canonical forms for traces and group elements, and desk-scale enumeration.
+"""Canonical forms for traces and group elements, and their enumeration.
 
 A *trace* is an equivalence class of positive words over the vertex set,
 two words being identified when they differ by swaps of adjacent commuting
@@ -12,13 +12,18 @@ the letters it commutes with and then right to its place in vertex order
 A group element is stored as a syllable sequence (generator, nonzero
 exponent), reduced so that the syllable count is minimal (moves M1/M2/M3)
 and lexicographically least among its M3-equivalents.
+
+Balls in the word metric are streamed, not searched: the elements of
+length n are exactly the lex-normal geodesic words of length n, and the
+same kernel, plus a check that the new letter cancels nothing, extends
+each such word to the next ones (Hermiller & Meier, 1995).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from raag.errors import UnknownGeneratorError, check_states
 from raag.graph import Graph
@@ -211,9 +216,41 @@ def enumerate_traces(g: Graph, n: int) -> list[Trace]:
     return layer
 
 
-def ball(g: Graph, r: int) -> list[GroupWord]:
-    """All group elements of word length <= r, by breadth-first search with
-    canonical-form dedup; sorted by (length, canonical syllables)."""
+def _extensions(word: tuple[tuple[str, int], ...], gens: tuple[str, ...],
+                g: Graph) -> list[tuple[str, int]]:
+    """The letters x^e that extend the lex-normal geodesic `word` (whose
+    generators are `gens`) to a lex-normal geodesic word.  x must land at
+    the end under `_slot`, and the first letter before the suffix of
+    letters adjacent to x must not be x^-e: that is the only x^-e which
+    could commute to the end and cancel."""
+    end = len(gens)
+    out: list[tuple[str, int]] = []
+    for x in g.vertices:
+        if _slot(gens, x, g) != end:
+            continue
+        near = g._adj[x]
+        i = end
+        while i and gens[i - 1] in near:
+            i -= 1
+        blocked = word[i - 1][1] if i and gens[i - 1] == x else 0
+        for e in (-1, 1):
+            if e != -blocked:
+                out.append((x, e))
+    return out
+
+
+def geodesic_words(g: Graph, r: int) -> Iterator[tuple[tuple[str, int], ...]]:
+    """The group elements of word length <= r, each once, as its lex-normal
+    geodesic word: a tuple of letters (generator, +-1).  Depth-first; the
+    identity comes first and every word follows its prefixes.
+
+    Two geodesic words for one element differ only by commutations, and a
+    geodesic u.x^e stays geodesic iff no x^-e in u commutes to the end
+    (Hermiller & Meier, *Algorithms and geometry for graph products of
+    groups*, J. Algebra 171, 1995).  Prefixes of lex-normal geodesic words
+    are lex-normal geodesic words, so each element is reached once, from
+    its prefix.  No word is reduced or looked up, and no layer is held.
+    """
     # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of
     # Phi_A; imported here since raag.growth imports raag.series, which
     # imports this module
@@ -222,31 +259,25 @@ def ball(g: Graph, r: int) -> list[GroupWord]:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     check_states(sum(phi_A(g, r + 1)), "ball")
-    seen: dict[GroupWord, int] = {IDENTITY: 0}
-    frontier = [IDENTITY]
-    for dist in range(1, r + 1):
-        nxt: list[GroupWord] = []
-        for u in frontier:
-            for v in g.vertices:
-                for e in (1, -1):
-                    w = reduce_word(list(u.syllables) + [(v, e)], g)
-                    if word_length(w) == dist and w not in seen:
-                        seen[w] = dist
-                        nxt.append(w)
-        frontier = nxt
-    def key(u: GroupWord):
-        return (
-            word_length(u),
-            tuple((g.index(s.generator), s.exponent) for s in u.syllables),
-        )
-    return sorted(seen, key=key)
+    yield ()
+    # words still to extend, with their generators; at most 2|V| wait at
+    # each depth
+    stack: list[tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = (
+        [((), ())] if r else [])
+    while stack:
+        word, gens = stack.pop()
+        for x, e in _extensions(word, gens, g):
+            child = word + ((x, e),)
+            yield child
+            if len(child) < r:
+                stack.append((child, gens + (x,)))
 
 
 def sphere_sizes(g: Graph, r: int) -> list[int]:
     """Number of elements of word length exactly 0..r."""
     counts = [0] * (r + 1)
-    for u in ball(g, r):
-        counts[word_length(u)] += 1
+    for w in geodesic_words(g, r):
+        counts[len(w)] += 1
     return counts
 
 

@@ -7,10 +7,13 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
+from raag.errors import check_states
 from raag.graph import Graph
+from raag.growth import phi_A
 from raag.linalg import rank_of_rows
 from raag.series import Fp, PCSeries
-from raag.words import canonicalize_trace, enumerate_traces
+from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
+                        enumerate_traces, reduce_word, word_length)
 
 
 def subset_cliques(g: Graph) -> list[tuple[str, ...]]:
@@ -141,6 +144,33 @@ def compose_growth(phi_r: list[int]) -> list[int]:
         out = [x + a * y for x, y in zip(out, power)]
         power = _truncated_mul(power, inner)
     return out
+
+
+def ball(g: Graph, r: int) -> list[GroupWord]:
+    """All group elements of word length <= r, by breadth-first search with
+    canonical-form dedup; sorted by (length, canonical syllables)."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of Phi_A
+    check_states(sum(phi_A(g, r + 1)), "ball")
+    seen: dict[GroupWord, int] = {IDENTITY: 0}
+    frontier = [IDENTITY]
+    for dist in range(1, r + 1):
+        nxt: list[GroupWord] = []
+        for u in frontier:
+            for v in g.vertices:
+                for e in (1, -1):
+                    w = reduce_word(list(u.syllables) + [(v, e)], g)
+                    if word_length(w) == dist and w not in seen:
+                        seen[w] = dist
+                        nxt.append(w)
+        frontier = nxt
+    def key(u: GroupWord):
+        return (
+            word_length(u),
+            tuple((g.index(s.generator), s.exponent) for s in u.syllables),
+        )
+    return sorted(seen, key=key)
 
 
 def product_form_ranks(counts: list[int], upto: int,

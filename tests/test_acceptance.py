@@ -18,11 +18,11 @@ from raag.magnus import (leading_monomial_char_p, magnus, magnus_span_rank,
 from raag.series import (Fp, PCSeries, Q, Z, coproduct, exp_series,
                          is_grouplike, is_primitive, log_series, tensor)
 from raag.useries import RatFunc
-from raag.words import (IDENTITY, ball, enumerate_traces, invert, multiply,
+from raag.words import (IDENTITY, enumerate_traces, invert, multiply,
                         parse_word, reduce_word, sphere_sizes)
 
 from conftest import SUITE
-from oracles import _truncated_mul, leading_monomial_bruteforce
+from oracles import _truncated_mul, ball, leading_monomial_bruteforce
 
 ORDER = 10
 
@@ -63,7 +63,7 @@ def test_criterion_03_growth_oracle():
         if len(g.vertices) > 4:
             continue
         assert sphere_sizes(g, 5) == phi_A(g, 6), name
-    _done("3: BFS sphere counts equal Phi_A coefficients, radius 5")
+    _done("3: streamed sphere counts equal Phi_A coefficients, radius 5")
 
 
 def test_criterion_04_trace_count_consistency():

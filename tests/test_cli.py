@@ -184,6 +184,22 @@ def test_growth_oracle_resource_limit(c5_file, capsys, monkeypatch):
     assert "ball: 31891691 states" in capsys.readouterr().err
 
 
+def test_growth_oracle_reach(c5_file, capsys, monkeypatch):
+    # radius 7 streams 819,971 elements; the ball of radius 8 holds
+    # 5,113,921, past the default cap of 5,000,000
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    code, out = run(capsys, "--graph", c5_file, "growth", "--upto", "40",
+                    "--oracle", "7")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["oracle"] == obj["series"][:8]
+    start = time.perf_counter()
+    assert main(["--graph", c5_file, "growth", "--upto", "40",
+                 "--oracle", "8"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "ball: 5113921 states" in capsys.readouterr().err
+
+
 def test_ranks_resource_limit(graph_file, capsys, monkeypatch):
     monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
     assert main(["--graph", graph_file, "ranks", "--upto", "1000"]) == 0

@@ -8,10 +8,11 @@ from raag.magnus import (dimension_subgroup_membership, injectivity_witness,
                          leading_monomial_char_p, magnus, magnus_exp,
                          magnus_span_rank, omega_p_valuation, omega_valuation)
 from raag.series import Fp, Q, Z, is_grouplike
-from raag.words import (IDENTITY, GroupWord, Syllable, ball, invert, multiply,
+from raag.words import (IDENTITY, GroupWord, Syllable, invert, multiply,
                         parse_word, reduce_word)
 
 from conftest import random5_graph
+from oracles import ball
 
 P3 = path_graph(3)
 R5 = random5_graph()

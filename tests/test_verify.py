@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import raag.graph
 import raag.verify
 from raag.graph import cycle_graph
 from raag.verify import verify_all
@@ -34,3 +35,15 @@ def test_commutator_check_catches_wrong_b3(monkeypatch):
     for name in COMMUTATOR_CHECKS:
         assert not results[name].ok
         assert results[name].detail == "ranks=(5, 5, 15)"
+
+
+def test_clique_check_catches_wrong_count(monkeypatch):
+    # an enumeration that misses the last edge of C5 makes Phi_S wrong; the
+    # recount by vertex deletion does not enumerate, so the check fails
+    real = raag.graph.enumerate_cliques
+    monkeypatch.setattr(raag.graph, "enumerate_cliques",
+                        lambda g: real(g)[:-1])
+    results = {r.name: r for r in verify_all(cycle_graph(5))}
+    check = results["clique polynomial matches clique counts"]
+    assert not check.ok
+    assert check.detail == "counts=[1, 5, 4, 0, 0, 0]"

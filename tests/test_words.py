@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag.graph import complete_graph, empty_graph, path_graph
-from raag.growth import phi_R
-from raag.words import (IDENTITY, GroupWord, Syllable, ball,
-                        canonicalize_trace, enumerate_traces, format_word,
-                        invert, multiply, parse_word, reduce_word,
-                        sphere_sizes, substitute_word, word_length)
+import raag.words
+from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
+from raag.growth import phi_A, phi_R
+from raag.words import (IDENTITY, GroupWord, Syllable, canonicalize_trace,
+                        enumerate_traces, format_word, geodesic_words, invert,
+                        multiply, parse_word, reduce_word, sphere_sizes,
+                        substitute_word, word_length)
 
 from conftest import SUITE, graphs_st, random5_graph
-from oracles import m3_orbit, m_move_closure, piling_is_identity
+from oracles import ball, m3_orbit, m_move_closure, piling_is_identity
 
 P3 = path_graph(3)
 R5 = random5_graph()
@@ -149,6 +150,52 @@ def test_ball_and_spheres():
     assert sphere_sizes(k2, 2) == [1, 4, 8]
     e2 = empty_graph(2)
     assert sphere_sizes(e2, 3) == [1, 4, 12, 36]
+
+
+def _letters(u: GroupWord) -> tuple[tuple[str, int], ...]:
+    return tuple((s.generator, 1 if s.exponent > 0 else -1)
+                 for s in u.syllables for _ in range(abs(s.exponent)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=6), st.integers(0, 4))
+def test_streamed_spheres_match_bfs_and_phi_a(g, r):
+    bfs = [0] * (r + 1)
+    for u in ball(g, r):
+        bfs[word_length(u)] += 1
+    assert sphere_sizes(g, r) == bfs == phi_A(g, r + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=6), st.integers(0, 4))
+def test_streamed_words_are_distinct_normal_forms(g, r):
+    words = list(geodesic_words(g, r))
+    assert len(set(words)) == len(words)
+    for w in words:
+        u = reduce_word(w, g)
+        assert _letters(u) == w  # already reduced and lex-normal
+        assert word_length(u) == len(w)  # geodesic
+
+
+def test_sphere_sizes_reduce_nothing(monkeypatch):
+    # the stream visits each element of the ball once, extending each word
+    # shorter than r by trying every vertex once
+    def no_reduce(*args):
+        raise AssertionError("sphere_sizes called reduce_word")
+
+    slots = [0]
+    real_slot = raag.words._slot
+
+    def counting_slot(*args):
+        slots[0] += 1
+        return real_slot(*args)
+
+    g = cycle_graph(5)
+    a = phi_A(g, 6)
+    monkeypatch.setattr(raag.words, "reduce_word", no_reduce)
+    monkeypatch.setattr(raag.words, "_slot", counting_slot)
+    assert sphere_sizes(g, 5) == a
+    assert slots[0] == len(g.vertices) * sum(a[:5])
 
 
 def test_word_length():
