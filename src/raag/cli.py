@@ -165,8 +165,7 @@ def run(args) -> int:
             table = lambda_dims(g, args.p, args.upto)
         _emit(table.to_json_obj())
     elif cmd == "koszul":
-        dom = Q if args.domain == "Q" else Fp(args.p)
-        rep = verify_resolution(g, args.upto, dom)
+        rep = verify_resolution(g, args.upto, _domain(args))
         _emit(rep.to_json_obj())
         if not rep.ok:
             return EXIT_VERIFY

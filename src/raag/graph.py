@@ -20,7 +20,7 @@ class GraphError(RaagError, ValueError):
 class Graph:
     """Finite simple graph; vertices keep their declaration order."""
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_key")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_nbrs", "_key")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         verts = _sequence(vertices, "vertices")
@@ -57,6 +57,9 @@ class Graph:
         self.edges = frozenset(edge_set)
         self._index = index
         self._adj = adj
+        # neighbour bitmasks: bit j of _nbrs[i] is set iff vertex i is
+        # adjacent to vertex j
+        self._nbrs = tuple(sum(1 << index[u] for u in adj[v]) for v in verts)
         self._key = (
             tuple(sorted(verts)),
             tuple(sorted(tuple(sorted(e)) for e in edge_set)),

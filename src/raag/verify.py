@@ -78,8 +78,7 @@ def _clique_counts_by_deletion(g: Graph) -> list[int]:
     clique polynomial obeys c(G) = c(G - v) + t * c(G[N(v)]), run here on
     vertex bitmasks with one table entry per induced subgraph reached."""
     n = len(g.vertices)
-    nbrs = [sum(1 << j for j, u in enumerate(g.vertices) if g.adjacent(v, u))
-            for v in g.vertices]
+    nbrs = g._nbrs
     memo = {0: [1] + [0] * n}  # coefficients of t^0..t^n
 
     def poly(mask: int) -> list[int]:

@@ -10,6 +10,7 @@ from math import comb
 from raag.errors import check_states
 from raag.graph import Graph
 from raag.growth import phi_A
+from raag.koszul import KoszulElement
 from raag.linalg import rank_of_rows
 from raag.series import Fp, PCSeries
 from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
@@ -171,6 +172,31 @@ def ball(g: Graph, r: int) -> list[GroupWord]:
             tuple((g.index(s.generator), s.exponent) for s in u.syllables),
         )
     return sorted(seen, key=key)
+
+
+def koszul_contraction(x: KoszulElement) -> KoszulElement:
+    """The Koszul contraction element by element: for each (c, t), list the
+    letters of t that commuting swaps bring to the front, take the least
+    one that precedes every vertex of c and extends c to a clique, move it
+    into the clique and canonicalise the rest of the trace from scratch."""
+    g = x.graph
+    terms = []
+    for (c, t), coeff in x.coeffs.items():
+        bound = min((g.index(u) for u in c), default=len(g.vertices))
+        front = [(v, i) for i, v in enumerate(t)
+                 if all(g.adjacent(u, v) for u in t[:i])]
+        best = None
+        for v, i in front:
+            if g.index(v) < bound and g.is_clique(c + (v,)):
+                if best is None or g.index(v) < g.index(best[0]):
+                    best = (v, i)
+        if best is None:
+            continue
+        v, i = best
+        key = (g.sort_vertices(c + (v,)),
+               canonicalize_trace(t[:i] + t[i + 1:], g))
+        terms.append((key, coeff))
+    return KoszulElement(g, x.domain, x.order, terms)
 
 
 def product_form_ranks(counts: list[int], upto: int,

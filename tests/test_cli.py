@@ -219,6 +219,20 @@ def test_koszul(graph_file, capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("upto", ["0", "-3"])
+def test_koszul_rejects_order_below_one(graph_file, capsys, upto):
+    code, out = run(capsys, "--graph", graph_file, "koszul", "--upto", upto)
+    assert code == 2
+    assert out == ""
+
+
+def test_koszul_fp_needs_p(graph_file, capsys):
+    assert main(["--graph", graph_file, "koszul", "--domain", "Fp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--domain Fp needs --p" in err
+
+
 def test_koszul_resource_limit(tmp_path, capsys, monkeypatch):
     # the basis is counted from the clique counts, trace degree by trace
     # degree, so the limit is hit before any trace is enumerated and after

@@ -1,15 +1,19 @@
 from math import comb
 
+import pytest
+from hypothesis import given, settings
+
 import raag.koszul
 from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
-                        path_graph)
-from raag.koszul import (KoszulElement, ResolutionReport, bigraded_ranks,
-                         contraction, differential, epsilon,
+                        enumerate_cliques, path_graph)
+from raag.koszul import (KoszulElement, ResolutionReport, _d_key, _s_key,
+                         bigraded_ranks, contraction, differential, epsilon,
                          verify_resolution)
-from raag.series import Fp, Q
+from raag.series import DomainError, Fp, LinComb, Q
 from raag.words import enumerate_traces
 
-from conftest import SUITE, small_suite
+from conftest import SUITE, graphs_st, small_suite
+from oracles import koszul_contraction
 
 P3 = path_graph(3)
 ORDER = 5
@@ -90,3 +94,89 @@ def test_counterexample_json_lists_names():
     rep = ResolutionReport(False, 1, (("a", "b"), ("ab",)), "d^2 != 0")
     assert rep.to_json_obj()["counterexample"] == {"clique": ["a", "b"],
                                                    "trace": ["ab"]}
+
+
+def _check_contraction_against_oracle(g, order):
+    for c in enumerate_cliques(g):
+        for n in range(order - len(c)):
+            for t in enumerate_traces(g, n):
+                x = KoszulElement.basis(c, t, g, Q, order)
+                image = _s_key((c, t), g)
+                want = koszul_contraction(x)
+                assert want.coeffs == ({} if image is None else {image: 1})
+                assert contraction(x) == want
+
+
+def test_s_key_matches_bruteforce_contraction(suite_graph):
+    _check_contraction_against_oracle(suite_graph, 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=6))
+def test_s_key_matches_bruteforce_contraction_random(g):
+    _check_contraction_against_oracle(g, 5)
+
+
+def test_s_key_recanonicalises_the_rest():
+    # b and c both come to the front of (b, c, a) on a - b - c - d; only c
+    # is below d and adjacent to it, and (b, a) must become (a, b)
+    g = path_graph(4)
+    image = (("c", "d"), ("a", "b"))
+    assert _s_key((("d",), ("b", "c", "a")), g) == image
+    x = KoszulElement.basis(("d",), ("b", "c", "a"), g, Q, ORDER)
+    assert koszul_contraction(x).coeffs == {image: 1}
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_verify_resolution_rejects_order_below_one(order):
+    with pytest.raises(DomainError):
+        verify_resolution(P3, order, Q)
+
+
+def test_sign_flip_in_d_fails_d_squared(monkeypatch):
+    # s reaches no key ((b, c), (a, ...)) of K3 from a smaller clique (it
+    # would move a, not b), so a sign flip in d there leaves every earlier
+    # homotopy check intact, and d.d = 0 is the check that must catch it
+    k3 = complete_graph(3)
+    key = (("b", "c"), ("a",))
+
+    def flipped(k, g):
+        return [(y, -a if k == key and j == 1 else a)
+                for j, (y, a) in enumerate(_d_key(k, g))]
+
+    monkeypatch.setattr(raag.koszul, "_d_key", flipped)
+    rep = verify_resolution(k3, ORDER, Q)
+    assert (rep.ok, rep.reason, rep.counterexample) == (False, "d^2 != 0", key)
+
+
+def test_dropped_s_image_fails_homotopy(monkeypatch):
+    def dropped(key, g):
+        return None if key == ((), ("b",)) else _s_key(key, g)
+
+    monkeypatch.setattr(raag.koszul, "_s_key", dropped)
+    rep = verify_resolution(P3, ORDER, Q)
+    assert (rep.ok, rep.reason) == (False, "sd + ds != 1 - eps")
+    assert rep.counterexample == ((), ("b",))
+    assert rep.checked == 3  # (), a, b
+
+
+def test_verify_resolution_builds_no_element(monkeypatch):
+    # per basis key (c, t) of C5 to order 7: |c| products for d, |c|(|c|-1)
+    # for d.d, |c| + 1 for d.s where s is defined, and one
+    # re-canonicalisation for each s that moves a letter other than the
+    # first: 10,640 + 3,760 + 8,760 + 606 calls of the kernel
+    def no_element(*args):
+        raise AssertionError("verify_resolution built a LinComb")
+
+    calls = [0]
+    real_concat = raag.koszul._concat
+
+    def counting_concat(*args):
+        calls[0] += 1
+        return real_concat(*args)
+
+    monkeypatch.setattr(LinComb, "__init__", no_element)
+    monkeypatch.setattr(raag.koszul, "_concat", counting_concat)
+    rep = verify_resolution(cycle_graph(5), 7, Q)
+    assert (rep.ok, rep.checked) == (True, 13761)
+    assert calls[0] == 23766
