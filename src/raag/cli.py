@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="growth series of the group")
     p.add_argument("--upto", type=int, default=12)
     p.add_argument("--oracle", type=int, default=None,
-                   help="also BFS-count spheres up to this radius")
+                   help="also count spheres up to this radius from the "
+                        "streamed geodesic words")
 
     sub.add_parser("poincare", help="Poincare series data")
 

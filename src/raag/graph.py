@@ -1,7 +1,8 @@
 """Finite simple graphs with a fixed vertex order, cliques, and morphisms.
 
 The vertex order (declaration order) is the single global tie-breaker used
-by every canonical form in the package.
+by every canonical form in the package, so it is part of a graph's
+identity: graphs that differ only in vertex order are unequal.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from raag.errors import RaagError, UnknownGeneratorError
+from raag.errors import RaagError, UnknownGeneratorError, check_states
 
 
 class GraphError(RaagError, ValueError):
@@ -20,7 +21,7 @@ class GraphError(RaagError, ValueError):
 class Graph:
     """Finite simple graph; vertices keep their declaration order."""
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_nbrs", "_key")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_nbrs")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         verts = _sequence(vertices, "vertices")
@@ -60,10 +61,6 @@ class Graph:
         # neighbour bitmasks: bit j of _nbrs[i] is set iff vertex i is
         # adjacent to vertex j
         self._nbrs = tuple(sum(1 << index[u] for u in adj[v]) for v in verts)
-        self._key = (
-            tuple(sorted(verts)),
-            tuple(sorted(tuple(sorted(e)) for e in edge_set)),
-        )
 
     # -- basic queries -------------------------------------------------
 
@@ -93,10 +90,11 @@ class Graph:
         return tuple(sorted(vs, key=self.index))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self._key == other._key
+        return (isinstance(other, Graph) and self.vertices == other.vertices
+                and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph({list(self.vertices)!r}, {sorted(map(sorted, self.edges))!r})"
@@ -195,7 +193,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
     """All cliques of g (including the empty one), as vertex-order-sorted
     tuples, listed by (size, position).  Recursive extension over the fixed
-    vertex order; fine at the sizes we care about."""
+    vertex order, with the running count charged to the enumeration cap."""
     cliques: list[tuple[str, ...]] = [()]
     layer: list[tuple[str, ...]] = [()]
     while layer:
@@ -205,6 +203,7 @@ def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
             for v in g.vertices[start:]:
                 if all(g.adjacent(u, v) for u in c):
                     nxt.append(c + (v,))
+            check_states(len(cliques) + len(nxt), "cliques")
         cliques.extend(nxt)
         layer = nxt
     return cliques

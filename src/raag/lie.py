@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from raag.errors import check_states
-from raag.graph import Graph, clique_counts
+from raag.graph import Graph
+from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_prime
 from raag.words import Trace, _concat, _slot
@@ -70,7 +71,7 @@ def _lyndon_key(g: Graph):
 
 
 @lru_cache(maxsize=256)
-def _pyramids(g: Graph, order: tuple[str, ...], n: int) -> tuple[Trace, ...]:
+def _pyramids(g: Graph, n: int) -> tuple[Trace, ...]:
     """Lex-normal traces of length n whose first letter has the highest
     index among their letters.
 
@@ -80,16 +81,14 @@ def _pyramids(g: Graph, order: tuple[str, ...], n: int) -> tuple[Trace, ...]:
     letter in vertex order, so it would not stay behind in the lex-normal
     form.  Prefixes keep the property, so each candidate of length n is one
     of length n - 1 extended by a letter, of index at most its first
-    letter's, whose insertion lands at the end.  `order` is g.vertices:
-    graphs that differ only in vertex order are equal, so the caches are
-    keyed by the order as well.
+    letter's, whose insertion lands at the end.
     """
     if n == 1:
-        return tuple((v,) for v in order)
+        return tuple((v,) for v in g.vertices)
     rank = g._index
     out: list[Trace] = []
-    for t in _pyramids(g, order, n - 1):
-        for v in order[:rank[t[0]] + 1]:
+    for t in _pyramids(g, n - 1):
+        for v in g.vertices[:rank[t[0]] + 1]:
             if _slot(t, v, g) == n - 1:
                 out.append(t + (v,))
         check_states(len(out), "lyndon candidates")
@@ -118,27 +117,22 @@ def _principal_factors(t: Trace, g: Graph):
         yield (_concat((), down, g), _concat((), (t[i] for i in up), g))
 
 
+@lru_cache(maxsize=256)
 def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
     """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
     by t in candidate order; built from the lower degrees and cached, so
     the caller must not modify the result."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return _lyndon_brackets(g, g.vertices, n)
-
-
-@lru_cache(maxsize=256)
-def _lyndon_brackets(g: Graph, order: tuple[str, ...],
-                     n: int) -> dict[Trace, dict[Trace, int]]:
     if n == 1:
-        return {(v,): {(v,): 1} for v in order}
+        return {(v,): {(v,): 1} for v in g.vertices}
     key = _lyndon_key(g)
     out: dict[Trace, dict[Trace, int]] = {}
-    for t in _pyramids(g, order, n):
+    for t in _pyramids(g, n):
         kv, u, v = min((key(v), u, v) for u, v in _principal_factors(t, g))
         if kv > key(t):  # t is Lyndon, with standard factorisation (u, v)
-            out[t] = _bracket(_lyndon_brackets(g, order, len(u))[u],
-                              _lyndon_brackets(g, order, len(v))[v], g)
+            out[t] = _bracket(lyndon_brackets(g, len(u))[u],
+                              lyndon_brackets(g, len(v))[v], g)
     return out
 
 
@@ -194,13 +188,14 @@ def _mobius_ranks(g: Graph, upto: int, p: int | None) -> tuple[int, ...]:
     """Exponents x_1..x_upto of prod_n F_n^{x_n} = Phi_R, where
     F_n = (1 - t^n)^{-1} when p is None, else (1 - t^{pn})/(1 - t^n).
 
-    Phi_R = 1/Q with q_k = (-1)^k (number of k-cliques), so the coefficients
-    c_m of t d/dt log Phi_R = -t Q'/Q obey Newton's identities
-    c_m = -m q_m - sum_{k=1}^{m-1} q_k c_{m-k}.  Taking t d/dt log of the
-    product and writing e_n = n x_n gives c_m = sum_{n|m} e_n
-    - p sum_{n|(m/p)} e_n, the last sum present only when p divides m; it is
-    solved for e_m degree by degree, with a forward sieve accumulating the
-    sums over proper divisors.
+    Phi_R = 1/Q with Q(t) = Phi_S(-t), so the power sums c_m, the
+    coefficients of t d/dt log Phi_R = -t Q'/Q, are the series of an integer
+    rational function with denominator Q: the growth recurrence
+    `RatFunc.coefficients` produces them.  Taking t d/dt log of the product
+    and writing e_n = n x_n gives c_m = sum_{n|m} e_n - p sum_{n|(m/p)} e_n,
+    the last sum present only when p divides m; it is solved for e_m degree
+    by degree, with a forward sieve accumulating the sums over proper
+    divisors.
     """
     if upto < 1:
         raise DomainError(f"degree bound must be >= 1, got {upto}")
@@ -208,15 +203,13 @@ def _mobius_ranks(g: Graph, upto: int, p: int | None) -> tuple[int, ...]:
     # with the degree; their total bit length bounds time and memory.
     check_states(upto * (upto + 1) // 2 * max(1, len(g.vertices).bit_length()),
                  "series ranks (coefficient bits)")
-    q = [n if k % 2 == 0 else -n for k, n in enumerate(clique_counts(g))]
-    c = [0] * (upto + 1)
+    q = phi_R_ratfunc(g).den
+    power_sums = RatFunc([-k * x for k, x in enumerate(q)], q).coefficients()
+    next(power_sums)  # c_0 = 0
     e = [0] * (upto + 1)
     proper = [0] * (upto + 1)  # proper[m] = sum of e_n over n | m, n < m
-    for m in range(1, upto + 1):
-        c[m] = -sum(q[k] * c[m - k] for k in range(1, min(m, len(q))))
-        if m < len(q):
-            c[m] -= m * q[m]
-        e[m] = c[m] - proper[m]
+    for m, c in zip(range(1, upto + 1), power_sums):
+        e[m] = c - proper[m]
         if p is not None and m % p == 0:
             e[m] += p * (proper[m // p] + e[m // p])
         if e[m] % m:

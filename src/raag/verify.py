@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 from raag.exterior import quadratic_dual_check
 from raag.graph import Graph
-from raag.growth import phi_A, phi_R, phi_S
+from raag.growth import _poly_mul, phi_A, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
 from raag.linalg import rank_of_rows
 from raag.magnus import _syllable_image, injectivity_witness
 from raag.series import Fp, PCSeries, Q, Z
-from raag.useries import _poly_mul
 from raag.words import enumerate_traces, sphere_sizes
 
 # Desk-scale sizes of the checks.
@@ -105,7 +104,7 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
           counts == _clique_counts_by_deletion(g), f"counts={counts}")
 
     # reciprocity
-    s_neg = [c if n % 2 == 0 else -c for n, c in enumerate(phi_S(g))]
+    s_neg = phi_R_ratfunc(g).den  # Phi_S(-t)
     prod = _poly_mul(phi_R(g, SERIES_ORDER), s_neg)[:SERIES_ORDER]
     check("Phi_R(t) * Phi_S(-t) = 1", prod == [1] + [0] * (SERIES_ORDER - 1))
 

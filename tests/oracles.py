@@ -281,20 +281,15 @@ def fraction_rank(rows, domain) -> int:
     return rank
 
 
+@lru_cache(maxsize=64)
 def left_normed_brackets(g: Graph, n: int) -> tuple[dict, ...]:
     """Expansions of [v1,[v2,[...,vn]]] over all |V|^n generator tuples
     (the nonzero ones), each product recanonicalised from scratch."""
-    # graphs equal up to vertex order hash alike, so the order is in the key
-    return _left_normed_brackets(g, g.vertices, n)
-
-
-@lru_cache(maxsize=64)
-def _left_normed_brackets(g: Graph, order, n: int) -> tuple[dict, ...]:
-    layer = [{(v,): 1} for v in order]
+    layer = [{(v,): 1} for v in g.vertices]
     for _ in range(n - 1):
         nxt = []
         for e in layer:
-            for v in order:
+            for v in g.vertices:
                 out = Counter()
                 for t, c in e.items():
                     out[canonicalize_trace((v,) + t, g)] += c

@@ -9,7 +9,8 @@ from fractions import Fraction
 from math import comb
 
 from raag.graph import (complete_graph, cycle_graph, empty_graph, path_graph)
-from raag.growth import phi_A, phi_R, phi_S, union_join_identities
+from raag.growth import (RatFunc, phi_A, phi_R, phi_S,
+                         union_join_identities)
 from raag.koszul import verify_resolution
 from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
@@ -17,7 +18,6 @@ from raag.magnus import (leading_monomial_char_p, magnus, magnus_span_rank,
                          omega_p_valuation)
 from raag.series import (Fp, PCSeries, Q, Z, coproduct, exp_series,
                          is_grouplike, is_primitive, log_series, tensor)
-from raag.useries import RatFunc
 from raag.words import (IDENTITY, enumerate_traces, invert, multiply,
                         parse_word, reduce_word, sphere_sizes)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from raag.cli import main
-from raag.graph import cycle_graph, path_graph
+from raag.graph import complete_graph, cycle_graph, path_graph
 
 from conftest import SUITE
 
@@ -30,6 +30,17 @@ def test_cliques(graph_file, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["counts"] == [1, 3, 2, 0]
+
+
+def test_cliques_resource_limit(tmp_path, capsys, monkeypatch):
+    # K10 has 1,024 cliques; the enumeration stops at the cap
+    f = tmp_path / "k10.json"
+    f.write_text(json.dumps(complete_graph(10).to_dict()))
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    assert main(["--graph", str(f), "cliques"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "resource limit: cliques: " in err
 
 
 def _ambiguous_names_graph(tmp_path, edges):

@@ -1,5 +1,6 @@
 import pytest
 
+from raag.errors import ResourceLimitError
 from raag.graph import (Graph, GraphError, GraphMorphism, check_full_injective,
                         clique_counts, complete_graph, cycle_graph,
                         disjoint_union, empty_graph, enumerate_cliques,
@@ -110,6 +111,29 @@ def test_vertex_name_with_caret_rejected():
 def test_graph_json_roundtrip():
     g = path_graph(3)
     assert Graph.from_dict(g.to_dict()) == g
+    for g in SUITE.values():
+        assert Graph.from_dict(g.to_dict()) == g
+
+
+def test_vertex_order_is_part_of_identity():
+    # every canonical form is lex-normal under the vertex order, so graphs
+    # that differ only in vertex order are different graphs
+    g1 = Graph(["a", "b"], [("a", "b")])
+    g2 = Graph(["b", "a"], [("a", "b")])
+    assert g1 != g2
+    assert Graph(["a", "b"], [("b", "a")]) == g1
+    assert len({g1, g2, Graph(["a", "b"], [("a", "b")])}) == 2
+
+
+def test_clique_enumeration_respects_state_cap(monkeypatch):
+    # K10 has 1,024 cliques
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    with pytest.raises(ResourceLimitError, match="cliques"):
+        enumerate_cliques(complete_graph(10))
+    with pytest.raises(ResourceLimitError, match="cliques"):
+        clique_counts(complete_graph(10))
+    monkeypatch.setenv("RAAG_MAX_STATES", "1024")
+    assert clique_counts(complete_graph(10))[5] == 252
 
 
 def test_identity_morphism_full_injective():

@@ -210,8 +210,8 @@ def test_closure_rows_add_no_rank():
 
 
 def test_span_route_follows_vertex_order():
-    # graphs that differ only in vertex order are equal (and hash alike),
-    # but their traces have different normal forms
+    # graphs that differ only in vertex order are distinct graphs, with
+    # distinct normal forms of their traces and distinct cache entries
     edges = [("a", "b"), ("b", "c")]
     for order in (["a", "b", "c", "d"], ["d", "c", "b", "a"],
                   ["b", "d", "a", "c"]):

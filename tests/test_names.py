@@ -1,8 +1,9 @@
-"""Every public name of the package is used somewhere else.
+"""Every name defined in the package is used somewhere else.
 
-A public top-level function or class, or a public method, of a module in
+A top-level function or class, or a public method, of a module in
 src/raag must occur as a whole word in src/, tests/ or scripts/ outside
-its own definition; a name that occurs nowhere else is dead code.
+its own definition; a name that occurs nowhere else is dead code.  This
+holds for private helpers (`_name`) at the top level as well.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "raag"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _sources() -> dict[Path, list[str]]:
@@ -22,24 +24,30 @@ def _sources() -> dict[Path, list[str]]:
 def _public_definitions(tree: ast.Module):
     """(qualified name, bare name, first line, last line) of each public
     top-level function or class and each public method."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, defs) or node.name.startswith("_"):
+        if not isinstance(node, DEFS) or node.name.startswith("_"):
             continue
         yield node.name, node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not item.name.startswith("_"):
+                if isinstance(item, DEFS) and not item.name.startswith("_"):
                     yield (f"{node.name}.{item.name}", item.name,
                            item.lineno, item.end_lineno)
 
 
-def test_every_public_name_is_used():
+def _private_definitions(tree: ast.Module):
+    """The same for each private top-level function or class."""
+    for node in tree.body:
+        if isinstance(node, DEFS) and node.name.startswith("_"):
+            yield node.name, node.name, node.lineno, node.end_lineno
+
+
+def _unused(definitions) -> list[str]:
     sources = _sources()
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path]
-        for qualname, name, first, last in _public_definitions(
+        for qualname, name, first, last in definitions(
                 ast.parse("\n".join(lines))):
             word = re.compile(rf"\b{re.escape(name)}\b")
             used = any(
@@ -50,4 +58,12 @@ def test_every_public_name_is_used():
             )
             if not used:
                 dead.append(f"{path.name}: {qualname}")
-    assert dead == []
+    return dead
+
+
+def test_every_public_name_is_used():
+    assert _unused(_public_definitions) == []
+
+
+def test_every_private_helper_is_used():
+    assert _unused(_private_definitions) == []

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raag.exterior import ExtElement
-from raag.graph import complete_graph, empty_graph, enumerate_cliques, path_graph
+from raag.graph import (Graph, complete_graph, empty_graph, enumerate_cliques,
+                        path_graph)
 from raag.koszul import KoszulElement, differential
-from raag.series import (Fp, PCSeries, Q, Z, antipode, coproduct,
+from raag.series import (DomainError, Fp, PCSeries, Q, Z, antipode, coproduct,
                          exp_series, invert_unit, is_grouplike, is_primitive,
                          log_series, tensor)
 from raag.words import canonicalize_trace
@@ -43,6 +44,19 @@ def test_commutation_relations():
     assert a * c != c * a          # non-edge
     assert (a * c).coefficient(("a", "c")) == 1
     assert (c * a).coefficient(("c", "a")) == 1
+
+
+def test_reordered_graphs_do_not_mix():
+    # the same trace has the normal form ab under g1 and ba under g2, so
+    # series over the two graphs cannot be combined
+    g1 = Graph(["a", "b"], [("a", "b")])
+    g2 = Graph(["b", "a"], [("a", "b")])
+    x = PCSeries.from_terms([("ab", 1)], g1, Z, ORDER)
+    y = PCSeries.from_terms([("ab", 1)], g2, Z, ORDER)
+    assert x.coeffs == {("a", "b"): 1} and y.coeffs == {("b", "a"): 1}
+    with pytest.raises(DomainError):
+        x - y
+    assert x != y
 
 
 def test_truncation():
@@ -153,7 +167,7 @@ def test_map_domain_reduction():
 
 
 def test_domain_validation():
-    from raag.series import Domain, DomainError
+    from raag.series import Domain
     with pytest.raises(DomainError):
         Domain("Fp", 6)
     with pytest.raises(DomainError):
