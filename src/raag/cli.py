@@ -16,8 +16,7 @@ from raag.graph import Graph, GraphError, clique_counts, enumerate_cliques
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
-from raag.magnus import (dimension_subgroup_membership, magnus,
-                         omega_p_valuation, omega_valuation)
+from raag.magnus import _omega, _omega_p, magnus
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
 from raag.words import (format_word, multiply, parse_word, sphere_sizes,
@@ -144,8 +143,11 @@ def run(args) -> int:
     elif cmd == "valuation":
         w = parse_word(args.word, g)
         dom = _domain(args)
-        val = omega_valuation(w, g, dom, args.order)
-        pval = omega_p_valuation(w, g, args.p, args.order)
+        # one integer image: Z -> Q and Z -> F_p are ring maps, so the
+        # image over `dom` is this one, mapped
+        image = magnus(w, g, Z, args.order)
+        val = _omega(image.map_domain(dom))
+        pval = _omega_p(image, args.p)
         out = {
             "word": format_word(w),
             "order": args.order,
@@ -154,8 +156,7 @@ def run(args) -> int:
                                   "decided": pval.decided},
         }
         if args.depth is not None:
-            out["dimension_subgroup"] = dimension_subgroup_membership(
-                w, g, args.depth, dom, args.order)
+            out["dimension_subgroup"] = val.membership(args.depth)
         _emit(out)
     elif cmd == "ranks":
         if args.kind == "lcs":

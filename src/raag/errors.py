@@ -25,8 +25,12 @@ def max_states() -> int:
     return int(raw)
 
 
-def check_states(count: int, what: str) -> None:
-    if count > max_states():
+def check_states(count: int, what: str, cap: int | None = None) -> None:
+    """Raise if `count` exceeds the cap.  A loop that checks once per state
+    reads the cap once, with `max_states()`, and passes it as `cap`."""
+    if cap is None:
+        cap = max_states()
+    if count > cap:
         raise ResourceLimitError(
-            f"{what}: {count} states exceeds RAAG_MAX_STATES={max_states()}"
+            f"{what}: {count} states exceeds RAAG_MAX_STATES={cap}"
         )

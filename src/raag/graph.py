@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from raag.errors import RaagError, UnknownGeneratorError, check_states
+from raag.errors import (RaagError, UnknownGeneratorError, check_states,
+                          max_states)
 
 
 class GraphError(RaagError, ValueError):
@@ -194,6 +195,7 @@ def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
     """All cliques of g (including the empty one), as vertex-order-sorted
     tuples, listed by (size, position).  Recursive extension over the fixed
     vertex order, with the running count charged to the enumeration cap."""
+    cap = max_states()
     cliques: list[tuple[str, ...]] = [()]
     layer: list[tuple[str, ...]] = [()]
     while layer:
@@ -203,7 +205,7 @@ def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
             for v in g.vertices[start:]:
                 if all(g.adjacent(u, v) for u in c):
                     nxt.append(c + (v,))
-            check_states(len(cliques) + len(nxt), "cliques")
+            check_states(len(cliques) + len(nxt), "cliques", cap)
         cliques.extend(nxt)
         layer = nxt
     return cliques

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from raag.errors import check_states
+from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
@@ -86,12 +86,13 @@ def _pyramids(g: Graph, n: int) -> tuple[Trace, ...]:
     if n == 1:
         return tuple((v,) for v in g.vertices)
     rank = g._index
+    cap = max_states()
     out: list[Trace] = []
     for t in _pyramids(g, n - 1):
         for v in g.vertices[:rank[t[0]] + 1]:
             if _slot(t, v, g) == n - 1:
                 out.append(t + (v,))
-        check_states(len(out), "lyndon candidates")
+        check_states(len(out), "lyndon candidates", cap)
     return tuple(out)
 
 

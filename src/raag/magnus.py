@@ -6,6 +6,10 @@ expansion of (1+v)^e, which has integer coefficients for negative e as
 well.  Valuations of the image decide membership in the lower central /
 p-central series; the weighted valuation giving p degree 1 decides the
 exponent-p series (for p >= 3).
+
+Images are built one syllable step at a time: y.(1+v)^e is the sum of
+c_k y.v^k, and each y.v^k is y.v^(k-1) with one letter appended, so no
+general series product is formed.
 """
 
 from __future__ import annotations
@@ -13,30 +17,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from raag.errors import check_states
+from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, PCSeries, Z, _is_prime
-from raag.words import (GroupWord, Trace, canonicalize_trace, geodesic_words,
-                        reduce_word)
+from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
+                        geodesic_words, reduce_word)
+
+
+def _binomials(e: int, order: int) -> list[int]:
+    # the coefficients of (1+v)^e below degree `order`; for e < 0 the
+    # generalized binomial coefficients comb(e, k) = (-1)^k * comb(-e+k-1, k)
+    # are still integers
+    if e >= 0:
+        return [comb(e, k) for k in range(min(e + 1, order))]
+    return [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
 
 
 def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCSeries:
-    # (1+v)^e truncated; for e < 0 the generalized binomial coefficients
-    # comb(e, k) = (-1)^k * comb(-e+k-1, k) are still integers.
+    """(1+v)^e, truncated below degree `order`."""
+    return PCSeries(g, domain, order,
+                    [((v,) * k, c) for k, c in enumerate(_binomials(e, order))])
+
+
+def _syllable_step(y: PCSeries, v: str, e: int) -> PCSeries:
+    """y * (1+v)^e, as the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with
+    one letter appended, so every term costs one `_concat` per k."""
+    g, order = y.graph, y.order
+    cs = _binomials(e, order)
     terms = []
-    for k in range(order):
-        if e >= 0 and k > e:
-            break
-        c = comb(e, k) if e >= 0 else (-1) ** k * comb(-e + k - 1, k)
-        terms.append(((v,) * k, c))
-    return PCSeries(g, domain, order, terms)
+    for t, c in y.coeffs.items():
+        terms.append((t, c))  # cs[0] = 1
+        for ck in cs[1:order - len(t)]:
+            t = _concat(t, (v,), g)
+            terms.append((t, c * ck))
+    return y._like(terms)
 
 
 def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
+    """The image of w, truncated below degree `order`.
+
+    Before each syllable step, its letter work (terms in x terms out per
+    term x order) is added to a running total charged to the state cap
+    under the stage "magnus", so a long word or a high order exits with
+    `ResourceLimitError` instead of running unbounded."""
+    cap = max_states()
     out = PCSeries.one(g, domain, order)
+    work = 0
     for s in w.syllables:
-        out = out * _syllable_image(s.generator, s.exponent, g, domain, order)
+        e = s.exponent
+        width = min(e + 1, order) if e >= 0 else order  # len(_binomials(e, order))
+        work += len(out.coeffs) * width * order
+        check_states(work, "magnus", cap)
+        out = _syllable_step(out, s.generator, e)
     return out
 
 
@@ -67,11 +100,23 @@ class Valuation:
     value: int
     decided: bool
 
+    def membership(self, n: int) -> str:
+        """Three-valued answer to `w in delta_n`: 'in', 'out', or
+        'undecided' when the truncation cannot tell."""
+        if self.value >= n:
+            return "in"
+        return "out" if self.decided else "undecided"
+
+
+def _omega(x: PCSeries) -> Valuation:
+    # the least degree of a nonconstant term of the image x; its constant
+    # term is 1, so these are the terms of x - 1
+    d = min((len(t) for t in x.coeffs if t), default=x.order)
+    return Valuation(d, d < x.order)
+
 
 def omega_valuation(w: GroupWord, g: Graph, domain: Domain, order: int) -> Valuation:
-    x = magnus(w, g, domain, order) - PCSeries.one(g, domain, order)
-    d = x.min_degree()
-    return Valuation(d, d < x.order)
+    return _omega(magnus(w, g, domain, order))
 
 
 def _vp(n: int, p: int) -> int:
@@ -84,29 +129,28 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _omega_p(x: PCSeries, p: int) -> Valuation:
+    # the least weight len(trace) + v_p(coefficient) among the nonconstant
+    # terms of the integer image x
+    if not _is_prime(p):
+        raise DomainError(f"p-valuation needs a prime p, got {p}")
+    best = min([x.order] + [len(t) + _vp(c, p)
+                            for t, c in x.coeffs.items() if t])
+    return Valuation(best, best < x.order)
+
+
 def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
     """Least weight len(trace) + v_p(coefficient) among nonconstant terms of
     mu(w) - 1 over Z.  Exact whenever the result is below the truncation
     order, because hidden terms have trace length >= order."""
-    if not _is_prime(p):
-        raise DomainError(f"p-valuation needs a prime p, got {p}")
-    x = magnus(w, g, Z, order) - PCSeries.one(g, Z, order)
-    best = order
-    for t, c in x.coeffs.items():
-        weight = len(t) + _vp(c, p)
-        if weight < best:
-            best = weight
-    return Valuation(best, best < order)
+    return _omega_p(magnus(w, g, Z, order), p)
 
 
 def dimension_subgroup_membership(w: GroupWord, g: Graph, n: int,
                                   domain: Domain, order: int) -> str:
     """Three-valued answer to `w in delta_n` for the representation v -> 1+v:
     'in', 'out', or 'undecided' when the truncation cannot tell."""
-    val = omega_valuation(w, g, domain, order)
-    if val.decided:
-        return "in" if val.value >= n else "out"
-    return "in" if n <= order else "undecided"
+    return omega_valuation(w, g, domain, order).membership(n)
 
 
 # -- leading monomial in characteristic p ------------------------------
@@ -181,12 +225,22 @@ def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain) -> list[int]:
 
 def injectivity_witness(g: Graph, r: int, order: int, domain: Domain):
     """None if the truncated images of the ball of radius r are pairwise
-    distinct, else a pair of distinct elements with equal image."""
+    distinct, else a pair of distinct elements with equal image: the first
+    geodesic word whose image was seen before, and the earlier one.
+
+    `geodesic_words` yields every word after its prefix, so each image is
+    its prefix's image times one letter, by one syllable step; the images
+    of the words shorter than r are kept for that."""
+    one = PCSeries.one(g, domain, order)
+    images: dict = {}
     seen: dict = {}
     for letters in geodesic_words(g, r):
-        b = reduce_word(letters, g)
-        key = frozenset(magnus(b, g, domain, order).coeffs.items())
+        image = (_syllable_step(images[letters[:-1]], *letters[-1])
+                 if letters else one)
+        if len(letters) < r:
+            images[letters] = image
+        key = frozenset(image.coeffs.items())
         if key in seen:
-            return (seen[key], b)
-        seen[key] = b
+            return (reduce_word(seen[key], g), reduce_word(letters, g))
+        seen[key] = letters
     return None

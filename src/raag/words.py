@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from raag.errors import UnknownGeneratorError, check_states
+from raag.errors import UnknownGeneratorError, check_states, max_states
 from raag.graph import Graph
 
 Trace = tuple[str, ...]
@@ -94,14 +94,18 @@ class GroupWord:
 IDENTITY = GroupWord(())
 
 
-def _push(word: list[Syllable], gen: str, exp: int, g: Graph) -> bool:
+def _push(word: list[Syllable], gen: str, exp: int, g: Graph) -> None:
     """Append gen^exp to a reduced word, merging through commuting tails.
 
-    Returns True if a merge cancelled to zero (caller must rebuild, since
-    the deletion may expose further merges across the gap).
+    The walk back passes only syllables adjacent to `gen`.  So when the
+    merge cancels a syllable s_i, every later syllable commutes with `gen`,
+    and the word stays reduced: a merge across the gap would need syllables
+    s_k, s_j (k < i < j) of one generator x that only s_i kept apart, so
+    `gen` would not be adjacent to x; but s_j lies in the walked tail, so
+    it is.
     """
     if exp == 0:
-        return False
+        return
     i = len(word) - 1
     while i >= 0:
         s = word[i]
@@ -109,14 +113,13 @@ def _push(word: list[Syllable], gen: str, exp: int, g: Graph) -> bool:
             merged = s.exponent + exp
             if merged == 0:
                 del word[i]
-                return True
-            word[i] = Syllable(gen, merged)
-            return False
+            else:
+                word[i] = Syllable(gen, merged)
+            return
         if not g.adjacent(s.generator, gen):
             break
         i -= 1
     word.append(Syllable(gen, exp))
-    return False
 
 
 def _lex_min_syllables(word: list[Syllable], g: Graph) -> tuple[Syllable, ...]:
@@ -133,22 +136,15 @@ def _lex_min_syllables(word: list[Syllable], g: Graph) -> tuple[Syllable, ...]:
 
 def reduce_word(syllables: Iterable[Syllable | tuple[str, int]], g: Graph) -> GroupWord:
     """Canonical form: moves M1/M2/M3 to minimal syllable count, then the
-    lexicographically least M3-representative.  Idempotent."""
-    pending: list[tuple[str, int]] = []
+    lexicographically least M3-representative.  Idempotent.
+
+    One pass: each syllable is pushed once onto a word that stays reduced
+    (see `_push`), so no cancellation makes the word be read again."""
+    word: list[Syllable] = []
     for s in syllables:
         gen, exp = (s.generator, s.exponent) if isinstance(s, Syllable) else s
         g.index(gen)
-        pending.append((gen, exp))
-    word: list[Syllable] = []
-    idx = 0
-    while idx < len(pending):
-        gen, exp = pending[idx]
-        idx += 1
-        if _push(word, gen, exp, g):
-            # a syllable vanished: replay the current word, then the rest
-            pending = [(s.generator, s.exponent) for s in word] + pending[idx:]
-            word = []
-            idx = 0
+        _push(word, gen, exp, g)
     return GroupWord(_lex_min_syllables(word, g))
 
 
@@ -203,6 +199,7 @@ def enumerate_traces(g: Graph, n: int) -> list[Trace]:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    cap = max_states()
     layer: list[Trace] = [()]
     for _ in range(n):
         nxt: list[Trace] = []
@@ -211,7 +208,7 @@ def enumerate_traces(g: Graph, n: int) -> list[Trace]:
             for v in g.vertices:
                 if _slot(t, v, g) == end:
                     nxt.append(t + (v,))
-            check_states(len(nxt), "enumerate_traces")
+            check_states(len(nxt), "enumerate_traces", cap)
         layer = nxt
     return layer
 

@@ -324,6 +324,27 @@ def test_valuation_rejects_non_prime_p(graph_file, p):
     assert "prime" in proc.stderr
 
 
+@pytest.mark.parametrize("word,order", [("a^-1", "3000"),
+                                        ("a c^-1 e b^-1 d " * 8, "12")],
+                         ids=["order-3000", "40-letters-order-12"])
+def test_magnus_resource_limit(c5_file, word, order):
+    # the letter work of each syllable step (3000 x 3000 for the first, 5.4M
+    # in all for the second) is charged before the step; a child process
+    # keeps a hang from stalling the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("RAAG_MAX_STATES", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "raag.cli", "--graph", c5_file,
+         "magnus", word, "--order", order],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "resource limit: magnus: " in proc.stderr
+
+
 @pytest.mark.parametrize("graph", [
     {"vertices": "abc"},
     {"vertices": ["a", "b"], "edges": "ab"},

@@ -1,17 +1,20 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raag.magnus
 from raag.graph import complete_graph, empty_graph, path_graph
-from raag.magnus import (dimension_subgroup_membership, injectivity_witness,
+from raag.magnus import (_syllable_image, _syllable_step,
+                         dimension_subgroup_membership, injectivity_witness,
                          leading_monomial_char_p, magnus, magnus_exp,
                          magnus_span_rank, omega_p_valuation, omega_valuation)
-from raag.series import Fp, Q, Z, is_grouplike
-from raag.words import (IDENTITY, GroupWord, Syllable, invert, multiply,
-                        parse_word, reduce_word)
+from raag.series import Fp, PCSeries, Q, Z, is_grouplike
+from raag.words import (IDENTITY, GroupWord, Syllable, format_word, invert,
+                        multiply, parse_word, reduce_word)
 
-from conftest import random5_graph
+from conftest import SUITE, random5_graph
 from oracles import ball
 
 P3 = path_graph(3)
@@ -52,6 +55,19 @@ def test_multiplicative(s1, s2):
     prod = multiply(w1, w2, R5)
     m = lambda w: magnus(w, R5, Z, 4)
     assert m(prod) == m(w1) * m(w2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(R5.vertices), max_size=5),
+                          st.integers(-9, 9)), max_size=6),
+       st.sampled_from(R5.vertices),
+       st.integers(-4, 4).filter(lambda e: e != 0),
+       st.sampled_from([Z, Q, Fp(2), Fp(3)]),
+       st.integers(1, 6))
+def test_syllable_step_is_product_with_syllable_image(terms, v, e, dom, order):
+    y = PCSeries.from_terms(terms, R5, dom, order)
+    assert (_syllable_step(y, v, e)
+            == y * _syllable_image(v, e, R5, dom, order))
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,3 +153,34 @@ def test_span_rank_equals_trace_count():
 def test_injectivity_witness_none_at_safe_order():
     assert injectivity_witness(P3, 2, 6, Q) is None
     assert injectivity_witness(P3, 2, 6, Fp(2)) is None
+
+
+# (radius, order, domain) -> the witness on each suite graph where there is
+# one, as found by reducing each ball element and applying `magnus` to it;
+# over F_2, (1+v)^4 = 1 + v^4 = (1+v)^-4 below degree 7
+WITNESSES = {
+    (3, 7, Fp(2)): {},
+    (3, 5, Q): {},
+    (4, 7, Fp(2)): {"K3": ("c^4", "c^-4"), "E3": ("c^4", "c^-4"),
+                    "P3": ("c^4", "c^-4"), "C4": ("d^4", "d^-4"),
+                    "C5": ("e^4", "e^-4"), "R5": ("e^4", "e^-4")},
+    (4, 4, Fp(3)): {"E3": ("c b c^-2", "c^-2 b c"),
+                    "P3": ("c a c^-2", "c^-2 a c"),
+                    "C4": ("d b d^-2", "d^-2 b d"),
+                    "C5": ("e c e^-2", "e^-2 c e"),
+                    "R5": ("e d e^-2", "e^-2 d e")},
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESSES))
+def test_injectivity_witness_steps_from_prefixes(case, monkeypatch):
+    # each ball element's image is its prefix's image times one letter
+    def no_magnus(*args):
+        raise AssertionError("injectivity_witness called magnus")
+
+    monkeypatch.setattr(raag.magnus, "magnus", no_magnus)
+    r, order, dom = case
+    for name, g in SUITE.items():
+        wit = injectivity_witness(g, r, order, dom)
+        got = None if wit is None else tuple(map(format_word, wit))
+        assert got == WITNESSES[case].get(name)

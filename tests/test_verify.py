@@ -2,9 +2,13 @@ import dataclasses
 
 import pytest
 
+import raag.exterior
 import raag.graph
+import raag.koszul
+import raag.magnus
 import raag.verify
-from raag.graph import cycle_graph
+import raag.words
+from raag.graph import cycle_graph, path_graph
 from raag.verify import verify_all
 
 from conftest import SUITE
@@ -47,3 +51,79 @@ def test_clique_check_catches_wrong_count(monkeypatch):
     check = results["clique polynomial matches clique counts"]
     assert not check.ok
     assert check.detail == "counts=[1, 5, 4, 0, 0, 0]"
+
+
+def _one_more_edge(real):
+    return lambda g: [c + (k == 2) for k, c in enumerate(real(g))]
+
+
+def test_reciprocity_check_catches_wrong_recount(monkeypatch):
+    # Phi_S(-t) comes from the recount by vertex deletion, and Phi_R(t) from
+    # the enumerated traces, so a wrong recount fails this check while the
+    # trace check, which reads the recurrence, still passes
+    monkeypatch.setattr(raag.verify, "_clique_counts_by_deletion",
+                        _one_more_edge(raag.verify._clique_counts_by_deletion))
+    results = {r.name: r for r in verify_all(cycle_graph(5))}
+    assert not results["Phi_R(t) * Phi_S(-t) = 1"].ok
+    assert results["trace counts match Phi_R coefficients"].ok
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _wrong_last_value(real):
+    def wrong(*args):
+        table = real(*args)
+        return dataclasses.replace(
+            table, values=table.values[:-1] + (table.values[-1] + 1,))
+    return wrong
+
+
+def _dropped_s_image(real):
+    # the existing homotopy mutation: s forgets its image of b
+    return lambda key, g: None if key == ((), ("b",)) else real(key, g)
+
+
+# For every check of verify_all at p = 3: (module, attribute, mutation of
+# the real attribute) that makes that check fail on P3.
+MUTATIONS = {
+    "clique polynomial matches clique counts":
+        (raag.graph, "enumerate_cliques", lambda real: lambda g: real(g)[:-1]),
+    "Phi_R(t) * Phi_S(-t) = 1":
+        (raag.verify, "_clique_counts_by_deletion", _one_more_edge),
+    "trace counts match Phi_R coefficients":
+        (raag.verify, "phi_R",
+         lambda real: lambda g, n: real(g, n)[:-1] + [0]),
+    "sphere sizes match Phi_A coefficients":
+        (raag.words, "_extensions", lambda real: lambda *a: real(*a)[:-1]),
+    "quadratic relation spaces are dual":
+        (raag.exterior, "rank_of_rows", _plus_one),
+    "lower-central ranks: series recursion = bracket span":
+        (raag.verify, "bracket_span_rank", _plus_one),
+    "restricted ranks agree at p=3":
+        (raag.verify, "restricted_span_rank", _plus_one),
+    "exponent-p dims are partial sums of lower-central ranks":
+        (raag.verify, "lambda_dims", _wrong_last_value),
+    COMMUTATOR_CHECKS[0]: (raag.verify, "rank_of_rows", _plus_one),
+    COMMUTATOR_CHECKS[1]: (raag.verify, "rank_of_rows", _plus_one),
+    "truncated images pairwise distinct on the ball":
+        (raag.magnus, "_syllable_step", lambda real: lambda y, v, e: y),
+    "Koszul contraction identity over Q":
+        (raag.koszul, "_s_key", _dropped_s_image),
+    "Koszul contraction identity over F2":
+        (raag.koszul, "_s_key", _dropped_s_image),
+}
+
+
+def test_every_check_has_a_mutation():
+    # a new check fails here until MUTATIONS shows that it can fail
+    assert [r.name for r in verify_all(path_graph(3))] == list(MUTATIONS)
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_mutation_fails_check(name, monkeypatch):
+    module, attr, mutate = MUTATIONS[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    results = {r.name: r for r in verify_all(path_graph(3))}
+    assert not results[name].ok

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,41 @@ def test_normal_form_invariant_on_m_move_class(sylls):
     nf = reduce_word(sylls, g)
     for other in m_move_closure(tuple(sylls), g, limit=400):
         assert reduce_word(other, g) == nf
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_st(max_vertices=4), st.data())
+def test_reduced_word_stays_reduced_after_cancellation(g, data):
+    # few vertices and small exponents make syllables cancel in mid-word;
+    # the one pass must leave no move that lowers the syllable count
+    sylls = data.draw(st.lists(
+        st.tuples(st.sampled_from(g.vertices),
+                  st.sampled_from([-2, -1, 1, 2])), max_size=8))
+    u = reduce_word(sylls, g)
+    word = tuple((s.generator, s.exponent) for s in u.syllables)
+    assert min(map(len, m_move_closure(word, g))) == len(word)
+    assert (u == IDENTITY) == piling_is_identity(sylls, g)
+
+
+def test_multiply_pushes_each_syllable_once(monkeypatch):
+    # U.U^-1 cancels syllable after syllable; each cancellation leaves the
+    # word reduced, so no syllable is pushed again
+    g = cycle_graph(5)
+    rng = random.Random(11)
+    u = reduce_word([(rng.choice(g.vertices), rng.choice([-3, -2, -1, 1, 2, 3]))
+                     for _ in range(4000)], g)
+    ui = invert(u, g)
+    assert len(u) == len(ui) > 2000
+    pushes = [0]
+    real_push = raag.words._push
+
+    def counting_push(*args):
+        pushes[0] += 1
+        return real_push(*args)
+
+    monkeypatch.setattr(raag.words, "_push", counting_push)
+    assert multiply(u, ui, g) == IDENTITY
+    assert pushes[0] == 2 * len(u)
 
 
 def test_enumerate_traces_counts():
