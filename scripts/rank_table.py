@@ -3,10 +3,12 @@
 routes and report any disagreement.
 
 The series route solves the product forms of Phi_R by Moebius inversion.
-The span route eliminates, at each degree n, the standard bracketings of
-the b_n Lyndon traces (independent by their leading traces) together with
-the closure rows [v, P(l)] for every vertex v and Lyndon trace l of degree
-n - 1, and for d_n also the p^i-th powers of lower Lyndon brackets.
+The span route takes, at each degree n, the standard bracketings of the
+Lyndon traces, which lead with their own traces at coefficient +-1.  It
+reduces against them, once and in integers, the closure rows [v, P(l)]
+for every vertex v and Lyndon trace l of degree n - 1, and for d_n also
+the p^i-th powers of lower Lyndon brackets; only nonzero remainders go
+through the general elimination.
 
     PYTHONPATH=src python3 scripts/rank_table.py GRAPH.json --upto 8 --p 2
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from raag.errors import RaagError, ResourceLimitError
-from raag.graph import Graph, GraphError, clique_counts, enumerate_cliques
+from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
@@ -110,7 +110,7 @@ def run(args) -> int:
 
     if cmd == "cliques":
         _emit({
-            "cliques": [list(c) for c in enumerate_cliques(g)],
+            "cliques": [list(c) for c in g.cliques()],
             "counts": clique_counts(g),
         })
     elif cmd == "nf":

@@ -22,7 +22,7 @@ class GraphError(RaagError, ValueError):
 class Graph:
     """Finite simple graph; vertices keep their declaration order."""
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_nbrs")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_nbrs", "_cliques")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         verts = _sequence(vertices, "vertices")
@@ -89,6 +89,15 @@ class Graph:
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(vs, key=self.index))
+
+    def cliques(self) -> tuple[tuple[str, ...], ...]:
+        """The cliques as `enumerate_cliques` lists them, enumerated on the
+        first call and kept on this instance."""
+        try:
+            return self._cliques
+        except AttributeError:
+            self._cliques = tuple(enumerate_cliques(self))
+            return self._cliques
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.vertices == other.vertices
@@ -214,7 +223,7 @@ def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
 def clique_counts(g: Graph) -> list[int]:
     """c_0, ..., c_{|V|}: number of cliques of each size."""
     counts = [0] * (len(g.vertices) + 1)
-    for c in enumerate_cliques(g):
+    for c in g.cliques():
         counts[len(c)] += 1
     return counts
 

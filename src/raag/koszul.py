@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from raag.errors import check_states
-from raag.graph import Graph, clique_counts, enumerate_cliques
+from raag.graph import Graph, clique_counts
 from raag.growth import phi_R_ratfunc
 from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
@@ -149,7 +149,7 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     for n, r in zip(range(order), phi_R_ratfunc(g).coefficients()):
         total += r * sum(counts[:order - n])
         check_states(total, f"koszul basis up to trace degree {n}")
-    cliques = [c for c in enumerate_cliques(g) if len(c) < order]
+    cliques = [c for c in g.cliques() if len(c) < order]
     traces = [enumerate_traces(g, n) for n in range(order)]
     checked = 0
     for c in cliques:
@@ -185,7 +185,7 @@ def bigraded_ranks(g: Graph, order: int) -> dict[tuple[int, int], int]:
     degree < order."""
     counts = [len(enumerate_traces(g, n)) for n in range(order)]
     out: dict[tuple[int, int], int] = {}
-    for c in enumerate_cliques(g):
+    for c in g.cliques():
         if len(c) >= order:
             continue
         for n in range(order - len(c)):

@@ -1,14 +1,40 @@
 """Graded ranks of the Lie algebras attached to the graph, by two
-independent routes: spans of bracket expansions (on the Lyndon-trace
-basis, closed under bracketing with the generators) inside the partially
+independent routes: spans of bracket expansions inside the partially
 commuting polynomial ring, and Moebius inversion of the logarithmic
 derivative of the Poincare series.
+
+The span of degree n is built once and reduced once (`_span`).  Its rows
+are the standard bracketings P(t) of the Lyndon traces t of degree n
+(the Lyndon rows) and the closure rows [v, P(l)], for every vertex v and
+Lyndon trace l of degree n - 1, which span the degree-n brackets.  A
+Lyndon trace whose standard factorisation has u = (x,) takes the closure
+row (x, v) as its P(t), so that row is built once and serves as both.
+
+Each Lyndon row leads with its own trace: in the order K below, the
+least trace of P(t) is t, with coefficient +1 or -1.  The Lyndon rows are
+therefore unit-triangular pivots.  Every other row is reduced against
+them in plain integers, r -= c * lead * P(t) at its K-least remaining
+Lyndon trace t, until no Lyndon trace is left in it; there is no gcd, no
+fraction and no reduction mod p.  A nonzero combination of Lyndon rows
+has a nonzero entry at the K-least of their traces, so the remainders
+span a space that meets the span of the Lyndon rows only in 0, and the
+rank is the number of Lyndon rows plus the rank of the remainders.  Only
+the nonzero remainders go through `linalg.rank_of_rows`, the one general
+elimination.  The leads are units, so the Lyndon rows stay independent
+mod every prime and a remainder that is zero over Z is zero over every
+F_p: one reduction serves the ranks over Q and every F_p, and the
+restricted ranks add only their p^i-th power rows.
+
+Each Lyndon row's lead is checked before the row becomes a pivot.  A row
+that fails is reduced like a closure row, so the answer is the rank of
+all degree-n brackets whether or not the Lyndon basis theorem holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
@@ -51,7 +77,6 @@ class RankTable:
 # the K-least term of P(t) is t, with coefficient +1 or -1, so the P(t)
 # are independent by their leading traces.
 
-
 def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, int]:
     """[a, b] = ab - ba on homogeneous integer combinations of traces."""
     out: dict[Trace, int] = {}
@@ -62,12 +87,6 @@ def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, 
             k = _concat(t2, t1, g)
             out[k] = out.get(k, 0) - c1 * c2
     return {t: c for t, c in out.items() if c != 0}
-
-
-def _lyndon_key(g: Graph):
-    """K: a trace's lex-normal form with letters ranked in reverse order."""
-    rank = g._index
-    return lambda t: tuple(-rank[v] for v in t)
 
 
 @lru_cache(maxsize=256)
@@ -97,55 +116,143 @@ def _pyramids(g: Graph, n: int) -> tuple[Trace, ...]:
 
 
 def _principal_factors(t: Trace, g: Graph):
-    """(u, v) with t = uv and v the up-closure of position j, both in
-    lex-normal form, for the positions j >= 1 whose letter has the highest
-    index among t[1:].  t[j] is the only minimal letter of its up-closure,
-    so K of that factor starts with -index(t[j]): the factors left out
-    are K-greater than both t and the factors yielded."""
+    """(v, rest) with v the up-closure of position j in lex-normal form and
+    rest the other letters of t in order, so that t = uv with u the
+    lex-normal form of rest, for the positions j >= 1 whose letter has the
+    highest index among t[1:].  t[j] is the only minimal letter of its
+    up-closure, so K of that factor starts with -index(t[j]): the factors
+    left out are K-greater than both t and the factors yielded."""
     rank = g._index
-    top = max(rank[x] for x in t[1:])
-    adj = g._adj
+    nbrs = g._nbrs
+    idx = [rank[x] for x in t]
+    top = max(idx[1:])
     n = len(t)
     for j in range(1, n):
-        if rank[t[j]] != top:
+        if idx[j] != top:
             continue
-        up = [j]
+        up = 1 << top  # bitmask of the letters in the up-closure so far
+        rest, upper = list(t[:j]), [t[j]]
         for i in range(j + 1, n):
-            x = t[i]
-            if any(x not in adj[t[k]] for k in up):
-                up.append(i)
-        down = [t[i] for i in range(n) if i not in up]
-        yield (_concat((), down, g), _concat((), (t[i] for i in up), g))
+            if up & ~nbrs[idx[i]]:  # t[i] fails to commute with one of them
+                up |= 1 << idx[i]
+                upper.append(t[i])
+            else:
+                rest.append(t[i])
+        yield _concat((), upper, g), rest
+
+
+def _closure_rows(g: Graph, n: int) -> dict[tuple[str, Trace], dict[Trace, int]]:
+    """[v, P(l)] = v P(l) - P(l) v for every vertex v and Lyndon trace l of
+    degree n - 1, keyed by (v, l).  The products v.t and t.v are formed
+    once for each distinct (v, t): v.t by one canonicalisation, t.v by one
+    insertion."""
+    lower = lyndon_brackets(g, n - 1)
+    out: dict[tuple[str, Trace], dict[Trace, int]] = {}
+    for v in g.vertices:
+        products: dict[Trace, tuple[Trace, Trace]] = {}
+        for l, e in lower.items():
+            row: dict[Trace, int] = {}
+            for t, c in e.items():
+                both = products.get(t)
+                if both is None:
+                    i = _slot(t, v, g)
+                    both = products[t] = (_concat((v,), t, g),
+                                          t[:i] + (v,) + t[i:])
+                vt, tv = both
+                row[vt] = row.get(vt, 0) + c
+                row[tv] = row.get(tv, 0) - c
+            out[v, l] = {t: c for t, c in row.items() if c}
+    return out
+
+
+_Pivots = dict[Trace, tuple[tuple[int, ...], int, dict[Trace, int]]]
+
+
+def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
+    """The row minus the integer multiples of pivot rows that clear its
+    entries at every pivot trace.  pivots[t] = (K(t), lead, P(t)), with
+    lead = P(t)[t] = +-1 and every other trace of P(t) K-greater than t, so
+    clearing the K-least pivot trace first never brings back one already
+    cleared."""
+    r = dict(row)
+    heap = [(pivots[t][0], t) for t in r if t in pivots]
+    heapify(heap)
+    while heap:
+        t = heappop(heap)[1]
+        c = r.get(t)
+        if c is None:  # cancelled since it was pushed
+            continue
+        _, lead, prow = pivots[t]
+        c *= lead
+        for s, x in prow.items():
+            y = r.get(s)
+            if y is None:
+                r[s] = -c * x
+                if s in pivots:
+                    heappush(heap, (pivots[s][0], s))
+            elif y == c * x:
+                del r[s]
+            else:
+                r[s] = y - c * x
+    return r
 
 
 @lru_cache(maxsize=256)
+def _span(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]], _Pivots,
+                                     tuple[dict[Trace, int], ...]]:
+    """Degree n of the span: the standard bracketings P(t) of the Lyndon
+    traces t keyed by t in candidate order, the pivots (the P(t) whose
+    K-least trace is t with coefficient +-1), and the nonzero remainders of
+    every other row (the closure rows no Lyndon row took over, and the
+    P(t) that failed the check) after `_reduce`."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    neg = {v: -i for v, i in g._index.items()}.__getitem__
+
+    def key(t: Trace) -> tuple[int, ...]:  # K(t)
+        return tuple(map(neg, t))
+
+    lyndon: dict[Trace, dict[Trace, int]] = {}
+    leads: dict[Trace, tuple[int, ...]] = {}  # K(t) of each Lyndon trace
+    closure = _closure_rows(g, n) if n > 1 else {}
+    for t in _pyramids(g, n):
+        kt = key(t)
+        if n == 1:
+            leads[t], lyndon[t] = kt, {t: 1}
+            continue
+        kv, v, rest = min((key(v), v, rest)
+                          for v, rest in _principal_factors(t, g))
+        if kv < kt:
+            continue
+        # t is Lyndon, with standard factorisation (u, v)
+        leads[t] = kt
+        if len(rest) == 1:  # u = (x,): the closure row (x, v) is P(t)
+            lyndon[t] = closure.pop((rest[0], v))
+        else:
+            u = _concat((), rest, g)
+            lyndon[t] = _bracket(lyndon_brackets(g, len(u))[u],
+                                 lyndon_brackets(g, len(v))[v], g)
+    pivots: _Pivots = {}
+    others = list(closure.values())
+    for t, e in lyndon.items():
+        # t is the K-least trace of P(t), with coefficient +-1; a trace
+        # whose first letter has a lower index than t[0] is K-greater
+        kt, lead = leads[t], e.get(t)
+        first = kt[0]
+        if lead in (1, -1) and all(neg(s[0]) > first or s == t or key(s) > kt
+                                   for s in e):
+            pivots[t] = (kt, lead, e)
+        else:
+            others.append(e)
+    remainders = tuple(r for r in (_reduce(e, pivots) for e in others) if r)
+    return lyndon, pivots, remainders
+
+
 def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
     """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
     by t in candidate order; built from the lower degrees and cached, so
     the caller must not modify the result."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if n == 1:
-        return {(v,): {(v,): 1} for v in g.vertices}
-    key = _lyndon_key(g)
-    out: dict[Trace, dict[Trace, int]] = {}
-    for t in _pyramids(g, n):
-        kv, u, v = min((key(v), u, v) for u, v in _principal_factors(t, g))
-        if kv > key(t):  # t is Lyndon, with standard factorisation (u, v)
-            out[t] = _bracket(lyndon_brackets(g, len(u))[u],
-                              lyndon_brackets(g, len(v))[v], g)
-    return out
-
-
-def _span_rows(g: Graph, n: int) -> list[dict[Trace, int]]:
-    """The Lyndon rows P(t) of degree n, then the closure rows [v, P(l)]
-    for every vertex v and Lyndon trace l of degree n - 1."""
-    rows = list(lyndon_brackets(g, n).values())
-    if n > 1:
-        rows += [_bracket({(v,): 1}, e, g)
-                 for e in lyndon_brackets(g, n - 1).values()
-                 for v in g.vertices]
-    return rows
+    return _span(g, n)[0]
 
 
 def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
@@ -153,33 +260,41 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
     degree-n component of the polynomial ring; equals the degree-n rank of
     the associated graded Lie algebra.
 
-    The Lyndon rows are independent by their leading traces, so each
-    becomes a pivot unreduced.  The closure rows span L_n = [V, L_{n-1}]
-    as long as the Lyndon brackets of degree n - 1 span L_{n-1}, that is,
-    as long as the closure rows added no rank at degree n - 1 and below.
-    So the rank does not rest on the Lyndon basis theorem: taken over the
-    degrees 1..n, each degree checks the basis the next one builds on.
+    The pivots, the Lyndon rows whose lead passed the check, are
+    independent by their leading traces over Q and every F_p.  Every other
+    row is reduced against them over Z, with no gcd and no division, and
+    only the nonzero remainders go through `rank_of_rows`: a remainder
+    that is zero over Z is zero over every F_p, since the leads are units.
+    The closure rows span L_n = [V, L_{n-1}] as long as the Lyndon
+    brackets of degree n - 1 span L_{n-1}, that is, as long as degree
+    n - 1 and below left no remainder.  So the rank does not rest on the
+    Lyndon basis theorem: taken over the degrees 1..n, each degree checks
+    the basis the next one builds on.
     """
     if domain.kind not in ("Q", "Fp"):
         raise DomainError("span rank needs a field domain")
-    return rank_of_rows(_span_rows(g, n), domain, col_key=_lyndon_key(g))
+    _, pivots, remainders = _span(g, n)
+    return len(pivots) + rank_of_rows(remainders, domain)
 
 
 def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     """Rank over F_p of brackets of degree n together with p^i-th powers of
-    the Lyndon brackets of degree m with m * p^i = n."""
+    the Lyndon brackets of degree m with m * p^i = n; the powers are
+    reduced against the same pivots as the brackets."""
     domain = Fp(p)
-    rows = _span_rows(g, n)
+    _, pivots, remainders = _span(g, n)
+    rows = list(remainders)
     m = n
     i = 0
     while m % p == 0:
         m //= p
         i += 1
         for e in lyndon_brackets(g, m).values():
-            pw = (PCSeries(g, domain, n + 1, e.items()) ** p**i).coeffs
-            if pw:
-                rows.append(pw)
-    return rank_of_rows(rows, domain, col_key=_lyndon_key(g))
+            r = _reduce((PCSeries(g, domain, n + 1, e.items()) ** p**i).coeffs,
+                        pivots)
+            if r:
+                rows.append(r)
+    return len(pivots) + rank_of_rows(rows, domain)
 
 
 # -- series recursions -------------------------------------------------

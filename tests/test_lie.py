@@ -226,6 +226,16 @@ def test_span_route_follows_vertex_order():
                 assert min(e, key=key) == t
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: bracket_span_rank(g, 0, Q),
+    lambda g: restricted_span_rank(g, -1, 2),
+    lambda g: lyndon_brackets(g, 0),
+], ids=["bracket", "restricted", "lyndon"])
+def test_span_rejects_degree_below_one(call):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        call(path_graph(3))
+
+
 def test_c5_span_route_reaches_degree_8():
     g = cycle_graph(5)
     assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
@@ -240,15 +250,70 @@ def test_lyndon_traces_per_content_match_multigraded_ranks(g):
 
 
 def test_span_route_work_count(monkeypatch):
-    # b_7 Lyndon rows and |V| * b_6 closure rows at C5, n = 7; the
-    # left-normed route handed over 20,940 nonzero rows of 78,125 tuples
+    # on C5 every closure row reduces to zero against the Lyndon rows up to
+    # degree 7, over Z, so the general elimination receives no row; the
+    # left-normed route handed over 20,940 nonzero rows at n = 7
     counted = []
+    real = raag.linalg.rank_of_rows
 
-    def counting(rows, domain, col_key):
+    def counting(rows, domain):
         rows = list(rows)
         counted.append(len(rows))
-        return raag.linalg.rank_of_rows(rows, domain, col_key)
+        return real(rows, domain)
 
     monkeypatch.setattr(raag.lie, "rank_of_rows", counting)
-    assert bracket_span_rank(cycle_graph(5), 7, Q) == 1160
-    assert counted == [1160 + 5 * 365]
+    g = cycle_graph(5)
+    for domain in (Q, Fp(2)):
+        assert (tuple(bracket_span_rank(g, n, domain) for n in range(1, 8))
+                == (5, 5, 15, 40, 124, 365, 1160))
+    assert counted == [0] * 14
+
+
+@pytest.fixture
+def fresh_span():
+    # the span is cached per (graph, degree): rows built under a mutation
+    # must not outlive the test
+    raag.lie._span.cache_clear()
+    yield
+    raag.lie._span.cache_clear()
+
+
+@pytest.mark.parametrize("mutation", ["lead-doubled", "smaller-lead-added"])
+def test_lead_check_catches_a_wrong_lyndon_row(mutation, monkeypatch,
+                                               fresh_span):
+    # one Lyndon row of degree 4 on C5 is spoilt: its lead coefficient
+    # becomes +-2, or the row of the K-least Lyndon trace is added to it.
+    # Either row fails the lead check, is left out of the pivots and is
+    # reduced like a closure row, so the span ranks still match the
+    # left-normed oracle
+    g, n = cycle_graph(5), 4
+    key = reverse_rank_key(g)
+    rows = lyndon_brackets(g, n)
+    least = min(rows, key=key)
+    raag.lie._span.cache_clear()
+    real = raag.lie._bracket
+    spoilt = []
+
+    def spoil(a, b, g):
+        e = real(a, b, g)
+        t = min(e, key=key)
+        if len(t) == n and t != least and not spoilt:
+            spoilt.append(t)
+            if mutation == "lead-doubled":
+                return {s: 2 * c for s, c in e.items()}
+            out = dict(e)
+            for s, c in rows[least].items():
+                out[s] = out.get(s, 0) + c
+            return {s: c for s, c in out.items() if c}
+        return e
+
+    monkeypatch.setattr(raag.lie, "_bracket", spoil)
+    assert bracket_span_rank(g, n, Q) == left_normed_span_rank(g, n, Q)
+    wrong = lyndon_brackets(g, n)[spoilt[0]]
+    assert wrong[spoilt[0]] in (2, -2) or min(wrong, key=key) == least
+    assert spoilt[0] not in raag.lie._span(g, n)[1]
+    for p in (2, 3):
+        assert (bracket_span_rank(g, n, Fp(p))
+                == left_normed_span_rank(g, n, Fp(p)))
+        assert (restricted_span_rank(g, n, p)
+                == left_normed_span_rank(g, n, Fp(p), p))

@@ -53,6 +53,22 @@ def test_clique_check_catches_wrong_count(monkeypatch):
     assert check.detail == "counts=[1, 5, 4, 0, 0, 0]"
 
 
+def test_verify_all_enumerates_cliques_once(monkeypatch):
+    # Phi_S, the series ranks and both Koszul checks read the cliques kept
+    # on the graph
+    calls = []
+    real = raag.graph.enumerate_cliques
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(raag.graph, "enumerate_cliques", counting)
+    g = cycle_graph(5)
+    assert all(r.ok for r in verify_all(g))
+    assert calls == [g]
+
+
 def _one_more_edge(real):
     return lambda g: [c + (k == 2) for k, c in enumerate(real(g))]
 
