@@ -3,12 +3,14 @@ independent routes: spans of bracket expansions inside the partially
 commuting polynomial ring, and Moebius inversion of the logarithmic
 derivative of the Poincare series.
 
-The span of degree n is built once and reduced once (`_span`).  Its rows
-are the standard bracketings P(t) of the Lyndon traces t of degree n
-(the Lyndon rows) and the closure rows [v, P(l)], for every vertex v and
-Lyndon trace l of degree n - 1, which span the degree-n brackets.  A
-Lyndon trace whose standard factorisation has u = (x,) takes the closure
-row (x, v) as its P(t), so that row is built once and serves as both.
+The span of degree n is built once and reduced once.  Its rows are the
+standard bracketings P(t) of the Lyndon traces t of degree n (the Lyndon
+rows, built and cached by `_lyndon`) and the closure rows [v, P(l)], for
+every vertex v and Lyndon trace l of degree n - 1, which span the
+degree-n brackets.  A Lyndon trace whose standard factorisation has
+u = (x,) takes the closure row (x, v) as its P(t), so that row is built
+once and serves as both.  `_span` builds the other closure rows and
+reduces them; asking for the Lyndon rows alone reduces nothing.
 
 Each Lyndon row leads with its own trace: in the order K below, the
 least trace of P(t) is t, with coefficient +1 or -1.  The Lyndon rows are
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from typing import Callable
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
@@ -141,28 +144,69 @@ def _principal_factors(t: Trace, g: Graph):
         yield _concat((), upper, g), rest
 
 
-def _closure_rows(g: Graph, n: int) -> dict[tuple[str, Trace], dict[Trace, int]]:
-    """[v, P(l)] = v P(l) - P(l) v for every vertex v and Lyndon trace l of
-    degree n - 1, keyed by (v, l).  The products v.t and t.v are formed
-    once for each distinct (v, t): v.t by one canonicalisation, t.v by one
-    insertion."""
+def _closure_row(v: str, e: dict[Trace, int], g: Graph,
+                 products: dict[Trace, tuple[Trace, Trace]]) -> dict[Trace, int]:
+    """[v, e] = v e - e v for a vertex v.  products caches (v.t, t.v) by t
+    for this v, so each distinct product is formed once: v.t by one
+    canonicalisation, t.v by one insertion."""
+    row: dict[Trace, int] = {}
+    for t, c in e.items():
+        both = products.get(t)
+        if both is None:
+            i = _slot(t, v, g)
+            both = products[t] = (_concat((v,), t, g), t[:i] + (v,) + t[i:])
+        vt, tv = both
+        row[vt] = row.get(vt, 0) + c
+        row[tv] = row.get(tv, 0) - c
+    return {t: c for t, c in row.items() if c}
+
+
+def _k_key(g: Graph) -> Callable[[Trace], tuple[int, ...]]:
+    """K as a key function: a trace's letters as minus their vertex
+    indices, so that tuple order is the lex order with the letters ranked
+    in reverse vertex order."""
+    neg = {v: -i for v, i in g._index.items()}.__getitem__
+    return lambda t: tuple(map(neg, t))
+
+
+@lru_cache(maxsize=256)
+def _lyndon(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]],
+                                       frozenset[tuple[str, Trace]]]:
+    """The standard bracketings P(t) of the Lyndon traces t of degree n,
+    keyed by t in candidate order, and the keys (x, v) of the closure rows
+    they took over: a Lyndon trace with standard factorisation (x, v) takes
+    the closure row [x, P(v)] as its P(t)."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if n == 1:
+        return {t: {t: 1} for t in _pyramids(g, 1)}, frozenset()
+    key = _k_key(g)
+    lyndon: dict[Trace, dict[Trace, int]] = {}
+    taken: set[tuple[str, Trace]] = set()
+    products: dict[str, dict[Trace, tuple[Trace, Trace]]] = {}
     lower = lyndon_brackets(g, n - 1)
-    out: dict[tuple[str, Trace], dict[Trace, int]] = {}
-    for v in g.vertices:
-        products: dict[Trace, tuple[Trace, Trace]] = {}
-        for l, e in lower.items():
-            row: dict[Trace, int] = {}
-            for t, c in e.items():
-                both = products.get(t)
-                if both is None:
-                    i = _slot(t, v, g)
-                    both = products[t] = (_concat((v,), t, g),
-                                          t[:i] + (v,) + t[i:])
-                vt, tv = both
-                row[vt] = row.get(vt, 0) + c
-                row[tv] = row.get(tv, 0) - c
-            out[v, l] = {t: c for t, c in row.items() if c}
-    return out
+    for t in _pyramids(g, n):
+        kv, v, rest = min((key(v), v, rest)
+                          for v, rest in _principal_factors(t, g))
+        if kv < key(t):
+            continue
+        # t is Lyndon, with standard factorisation (u, v)
+        if len(rest) == 1:  # u = (x,)
+            x = rest[0]
+            taken.add((x, v))
+            lyndon[t] = _closure_row(x, lower[v], g, products.setdefault(x, {}))
+        else:
+            u = _concat((), rest, g)
+            lyndon[t] = _bracket(lyndon_brackets(g, len(u))[u],
+                                 lyndon_brackets(g, len(v))[v], g)
+    return lyndon, frozenset(taken)
+
+
+def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
+    """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
+    by t in candidate order; built from the lower degrees and cached, so
+    the caller must not modify the result."""
+    return _lyndon(g, n)[0]
 
 
 _Pivots = dict[Trace, tuple[tuple[int, ...], int, dict[Trace, int]]]
@@ -198,61 +242,34 @@ def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
 
 
 @lru_cache(maxsize=256)
-def _span(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]], _Pivots,
-                                     tuple[dict[Trace, int], ...]]:
-    """Degree n of the span: the standard bracketings P(t) of the Lyndon
-    traces t keyed by t in candidate order, the pivots (the P(t) whose
-    K-least trace is t with coefficient +-1), and the nonzero remainders of
-    every other row (the closure rows no Lyndon row took over, and the
-    P(t) that failed the check) after `_reduce`."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    neg = {v: -i for v, i in g._index.items()}.__getitem__
-
-    def key(t: Trace) -> tuple[int, ...]:  # K(t)
-        return tuple(map(neg, t))
-
-    lyndon: dict[Trace, dict[Trace, int]] = {}
-    leads: dict[Trace, tuple[int, ...]] = {}  # K(t) of each Lyndon trace
-    closure = _closure_rows(g, n) if n > 1 else {}
-    for t in _pyramids(g, n):
-        kt = key(t)
-        if n == 1:
-            leads[t], lyndon[t] = kt, {t: 1}
-            continue
-        kv, v, rest = min((key(v), v, rest)
-                          for v, rest in _principal_factors(t, g))
-        if kv < kt:
-            continue
-        # t is Lyndon, with standard factorisation (u, v)
-        leads[t] = kt
-        if len(rest) == 1:  # u = (x,): the closure row (x, v) is P(t)
-            lyndon[t] = closure.pop((rest[0], v))
-        else:
-            u = _concat((), rest, g)
-            lyndon[t] = _bracket(lyndon_brackets(g, len(u))[u],
-                                 lyndon_brackets(g, len(v))[v], g)
+def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
+    """Degree n of the span, reduced: the pivots (the P(t) whose K-least
+    trace is t with coefficient +-1) and the nonzero remainders of every
+    other row (the closure rows no Lyndon row took over, and the P(t) that
+    failed the check) after `_reduce`."""
+    lyndon, taken = _lyndon(g, n)
+    key = _k_key(g)
+    others: list[dict[Trace, int]] = []
+    if n > 1:
+        lower = lyndon_brackets(g, n - 1)
+        for v in g.vertices:
+            products: dict[Trace, tuple[Trace, Trace]] = {}
+            others.extend(_closure_row(v, e, g, products)
+                          for l, e in lower.items() if (v, l) not in taken)
+    rank = g._index
     pivots: _Pivots = {}
-    others = list(closure.values())
     for t, e in lyndon.items():
-        # t is the K-least trace of P(t), with coefficient +-1; a trace
-        # whose first letter has a lower index than t[0] is K-greater
-        kt, lead = leads[t], e.get(t)
-        first = kt[0]
-        if lead in (1, -1) and all(neg(s[0]) > first or s == t or key(s) > kt
+        # t must be the K-least trace of P(t), with coefficient +-1; a trace
+        # whose first letter has a lower index than t[0] is K-greater, and
+        # passes without building its key
+        kt, lead, top = key(t), e.get(t), rank[t[0]]
+        if lead in (1, -1) and all(rank[s[0]] < top or s == t or key(s) > kt
                                    for s in e):
             pivots[t] = (kt, lead, e)
         else:
             others.append(e)
     remainders = tuple(r for r in (_reduce(e, pivots) for e in others) if r)
-    return lyndon, pivots, remainders
-
-
-def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
-    """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
-    by t in candidate order; built from the lower degrees and cached, so
-    the caller must not modify the result."""
-    return _span(g, n)[0]
+    return pivots, remainders
 
 
 def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
@@ -273,7 +290,7 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
     """
     if domain.kind not in ("Q", "Fp"):
         raise DomainError("span rank needs a field domain")
-    _, pivots, remainders = _span(g, n)
+    pivots, remainders = _span(g, n)
     return len(pivots) + rank_of_rows(remainders, domain)
 
 
@@ -282,7 +299,7 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     the Lyndon brackets of degree m with m * p^i = n; the powers are
     reduced against the same pivots as the brackets."""
     domain = Fp(p)
-    _, pivots, remainders = _span(g, n)
+    pivots, remainders = _span(g, n)
     rows = list(remainders)
     m = n
     i = 0

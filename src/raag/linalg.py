@@ -25,9 +25,8 @@ def _integer_row(row: dict, domain: Domain) -> dict:
     """The nonzero entries of a row, as integers: reduced mod p over F_p,
     scaled by the lcm of the denominators over Q."""
     if domain.kind == "Fp":
-        p, coerce = domain.p, domain.coerce
-        return {c: x for c, x in ((c, v % p if type(v) is int else coerce(v))
-                                  for c, v in row.items()) if x}
+        coerce = domain.coerce
+        return {c: x for c, x in ((c, coerce(v)) for c, v in row.items()) if x}
     vals = {c: v if type(v) is int else Fraction(v) for c, v in row.items()}
     den = lcm(*(v.denominator for v in vals.values())) if vals else 1
     return {c: int(v * den) for c, v in vals.items() if v}
