@@ -14,6 +14,12 @@ applies the kernels to each basis key, sums each identity in a dict of
 Python ints and reduces the sums into the domain once, where they are
 compared with zero.  Z -> D is a ring map, so this is the check done in D
 throughout.
+
+The front products v.t recur: d(x), d of each face of x and d(s(x)) of
+many keys multiply the same letter into the same trace.  Each call of
+`differential` or `verify_resolution` keeps a memo of them (`Fronts`),
+so each is formed once per call by one `_concat`; the memo lives no
+longer than the call, so no product outlives its graph.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from raag.series import Domain, DomainError, LinComb, _pair_degree
 from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
 
 BasisKey = tuple[tuple[str, ...], Trace]  # (ascending clique, canonical trace)
+Fronts = dict[Trace, dict[str, Trace]]  # t -> v -> v.t, for one call
 
 
 class KoszulElement(LinComb):
@@ -54,13 +61,25 @@ class KoszulElement(LinComb):
         )
 
 
-def _d_key(key: BasisKey, g: Graph) -> list[tuple[BasisKey, int]]:
+def _d_key(key: BasisKey, g: Graph,
+           fronts: Fronts) -> list[tuple[BasisKey, int]]:
     """d of one basis key.  c is ascending and the basis product is written
     in decreasing order, so removing the j-th smallest vertex v carries
-    sign (-1)^j; v is multiplied into the trace at the front."""
+    sign (-1)^j; v is multiplied into the trace at the front.  The product
+    v.t is read from `fronts`, or formed and stored there."""
     c, t = key
-    return [((c[:j] + c[j + 1:], _concat((v,), t, g)), -1 if j % 2 else 1)
-            for j, v in enumerate(c)]
+    if not c:
+        return []
+    row = fronts.get(t)
+    if row is None:
+        row = fronts[t] = {}
+    out = []
+    for j, v in enumerate(c):
+        vt = row.get(v)
+        if vt is None:
+            vt = row[v] = _concat((v,), t, g)
+        out.append(((c[:j] + c[j + 1:], vt), -1 if j % 2 else 1))
+    return out
 
 
 def _s_key(key: BasisKey, g: Graph) -> BasisKey | None:
@@ -97,8 +116,9 @@ def _s_key(key: BasisKey, g: Graph) -> BasisKey | None:
 
 
 def differential(x: KoszulElement) -> KoszulElement:
+    fronts: Fronts = {}
     return x._like((y, a * b) for k, a in x.coeffs.items()
-                   for y, b in _d_key(k, x.graph))
+                   for y, b in _d_key(k, x.graph, fronts))
 
 
 def contraction(x: KoszulElement) -> KoszulElement:
@@ -138,7 +158,14 @@ def _vanishes(acc: dict[BasisKey, int], domain: Domain) -> bool:
 
 def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
-    degree < order; reports the first counterexample."""
+    degree < order; reports the first counterexample.
+
+    The keys are taken clique by clique, and each identity is summed for
+    each key in turn.  One `Fronts` memo serves the whole call, so a front
+    product v.t needed by d(x), by d of a face of x or by d(s(x)) is formed
+    once however many keys need it.  A sum whose integer coefficients are
+    all zero, or that has no terms (d.d on a clique of size <= 1), is zero
+    in every domain and is not reduced into it."""
     if order < 1:
         raise DomainError("order must be >= 1")
     # count the basis before enumerating it: the degree-n traces number r_n,
@@ -151,18 +178,19 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
         check_states(total, f"koszul basis up to trace degree {n}")
     cliques = [c for c in g.cliques() if len(c) < order]
     traces = [enumerate_traces(g, n) for n in range(order)]
+    fronts: Fronts = {}
     checked = 0
     for c in cliques:
         for n in range(order - len(c)):
             for t in traces[n]:
                 x = (c, t)
                 checked += 1
-                dx = _d_key(x, g)
+                dx = _d_key(x, g, fronts)
                 acc: dict[BasisKey, int] = {}
                 for y, a in dx:
-                    for z, b in _d_key(y, g):
+                    for z, b in _d_key(y, g, fronts):
                         acc[z] = acc.get(z, 0) + a * b
-                if not _vanishes(acc, domain):
+                if any(acc.values()) and not _vanishes(acc, domain):
                     return ResolutionReport(False, checked, x, "d^2 != 0")
                 # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
                 acc = {x: -1} if c or t else {}
@@ -172,9 +200,9 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
                         acc[z] = acc.get(z, 0) + a
                 sx = _s_key(x, g)
                 if sx is not None:
-                    for z, b in _d_key(sx, g):
+                    for z, b in _d_key(sx, g, fronts):
                         acc[z] = acc.get(z, 0) + b
-                if not _vanishes(acc, domain):
+                if any(acc.values()) and not _vanishes(acc, domain):
                     return ResolutionReport(False, checked, x,
                                             "sd + ds != 1 - eps")
     return ResolutionReport(True, checked)

@@ -9,7 +9,10 @@ exponent-p series (for p >= 3).
 
 Images are built one syllable step at a time: y.(1+v)^e is the sum of
 c_k y.v^k, and each y.v^k is y.v^(k-1) with one letter appended, so no
-general series product is formed.
+general series product is formed.  The appends recur (t.v.v is (t.v).v
+when t.v is a term too, and a prefix's image is extended by v^+1 and by
+v^-1), so each call of `magnus` or `injectivity_witness` keeps a memo of
+them (`Appends`) and forms each t.v once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, PCSeries, Z, _is_prime
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
+
+
+Appends = dict[str, dict[Trace, Trace]]  # v -> t -> t.v, for one call
 
 
 def _binomials(e: int, order: int) -> list[int]:
@@ -40,16 +46,24 @@ def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCS
                     [((v,) * k, c) for k, c in enumerate(_binomials(e, order))])
 
 
-def _syllable_step(y: PCSeries, v: str, e: int) -> PCSeries:
+def _syllable_step(y: PCSeries, v: str, e: int,
+                   appends: Appends) -> PCSeries:
     """y * (1+v)^e, as the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with
-    one letter appended, so every term costs one `_concat` per k."""
+    one letter appended.  The append t.v is read from `appends`, or formed
+    by one `_concat` and stored there."""
     g, order = y.graph, y.order
     cs = _binomials(e, order)
+    col = appends.get(v)
+    if col is None:
+        col = appends[v] = {}
     terms = []
     for t, c in y.coeffs.items():
         terms.append((t, c))  # cs[0] = 1
         for ck in cs[1:order - len(t)]:
-            t = _concat(t, (v,), g)
+            tv = col.get(t)
+            if tv is None:
+                tv = col[t] = _concat(t, (v,), g)
+            t = tv
             terms.append((t, c * ck))
     return y._like(terms)
 
@@ -63,13 +77,14 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
     `ResourceLimitError` instead of running unbounded."""
     cap = max_states()
     out = PCSeries.one(g, domain, order)
+    appends: Appends = {}
     work = 0
     for s in w.syllables:
         e = s.exponent
         width = min(e + 1, order) if e >= 0 else order  # len(_binomials(e, order))
         work += len(out.coeffs) * width * order
         check_states(work, "magnus", cap)
-        out = _syllable_step(out, s.generator, e)
+        out = _syllable_step(out, s.generator, e, appends)
     return out
 
 
@@ -230,12 +245,16 @@ def injectivity_witness(g: Graph, r: int, order: int, domain: Domain):
 
     `geodesic_words` yields every word after its prefix, so each image is
     its prefix's image times one letter, by one syllable step; the images
-    of the words shorter than r are kept for that."""
+    of the words shorter than r are kept for that.  The steps share one
+    `Appends` memo, so each append t.x is formed once per call: u.x and
+    u.x^-1 append x to the same terms, and the image of u.y keeps the
+    terms of u's image, to which its own extensions append again."""
     one = PCSeries.one(g, domain, order)
+    appends: Appends = {}
     images: dict = {}
     seen: dict = {}
     for letters in geodesic_words(g, r):
-        image = (_syllable_step(images[letters[:-1]], *letters[-1])
+        image = (_syllable_step(images[letters[:-1]], *letters[-1], appends)
                  if letters else one)
         if len(letters) < r:
             images[letters] = image

@@ -63,6 +63,8 @@ class Domain:
         if isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
+            if not den:
+                raise DomainError(f"{x} is not an element of F_{self.p}")
             return (num * pow(den, -1, self.p)) % self.p
         return int(x) % self.p
 

@@ -140,9 +140,9 @@ def test_sign_flip_in_d_fails_d_squared(monkeypatch):
     k3 = complete_graph(3)
     key = (("b", "c"), ("a",))
 
-    def flipped(k, g):
+    def flipped(k, g, fronts):
         return [(y, -a if k == key and j == 1 else a)
-                for j, (y, a) in enumerate(_d_key(k, g))]
+                for j, (y, a) in enumerate(_d_key(k, g, fronts))]
 
     monkeypatch.setattr(raag.koszul, "_d_key", flipped)
     rep = verify_resolution(k3, ORDER, Q)
@@ -161,10 +161,11 @@ def test_dropped_s_image_fails_homotopy(monkeypatch):
 
 
 def test_verify_resolution_builds_no_element(monkeypatch):
-    # per basis key (c, t) of C5 to order 7: |c| products for d, |c|(|c|-1)
-    # for d.d, |c| + 1 for d.s where s is defined, and one
-    # re-canonicalisation for each s that moves a letter other than the
-    # first: 10,640 + 3,760 + 8,760 + 606 calls of the kernel
+    # C5 to order 7 uses front products v.t 23,160 times (10,640 for d,
+    # 3,760 for d.d and 8,760 for d.s), but each of the 6,880 distinct ones
+    # is formed once per call; the other 606 calls of the kernel
+    # re-canonicalise the rest of a trace whose s moves a letter other than
+    # the first
     def no_element(*args):
         raise AssertionError("verify_resolution built a LinComb")
 
@@ -179,4 +180,22 @@ def test_verify_resolution_builds_no_element(monkeypatch):
     monkeypatch.setattr(raag.koszul, "_concat", counting_concat)
     rep = verify_resolution(cycle_graph(5), 7, Q)
     assert (rep.ok, rep.checked) == (True, 13761)
-    assert calls[0] == 23766
+    assert calls[0] == 6880 + 606
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(2)], ids=["Q", "F2"])
+def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
+    # one wrong product c.(a, b) on K3 is stored once and served to every
+    # key that needs it; the check must fail at the same key and for the
+    # same reason as when each use formed the product anew
+    real_concat = raag.koszul._concat
+
+    def faulty(t1, letters, g):
+        if (t1, tuple(letters)) == (("c",), ("a", "b")):
+            return ("c", "a", "b")
+        return real_concat(t1, letters, g)
+
+    monkeypatch.setattr(raag.koszul, "_concat", faulty)
+    rep = verify_resolution(complete_graph(3), ORDER, dom)
+    assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
+        False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)

@@ -48,3 +48,10 @@ def test_rank_with_fraction_entries_and_col_key():
 def test_rank_needs_a_field():
     with pytest.raises(DomainError):
         rank_of_rows([{0: 1}], Z)
+
+
+def test_rank_over_fp_rejects_fraction_with_denominator_p():
+    # 1/3 is no element of F_3: the domain says so, not `pow`
+    with pytest.raises(DomainError, match="F_3"):
+        rank_of_rows([{0: Fraction(1, 3)}], Fp(3))
+    assert rank_of_rows([{0: Fraction(1, 3)}], Fp(5)) == 1

@@ -1,18 +1,21 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raag.magnus
-from raag.graph import complete_graph, empty_graph, path_graph
+from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
+from raag.koszul import (KoszulElement, bigraded_ranks, differential,
+                         verify_resolution)
 from raag.magnus import (_syllable_image, _syllable_step,
                          dimension_subgroup_membership, injectivity_witness,
                          leading_monomial_char_p, magnus, magnus_exp,
                          magnus_span_rank, omega_p_valuation, omega_valuation)
 from raag.series import Fp, PCSeries, Q, Z, is_grouplike
-from raag.words import (IDENTITY, GroupWord, Syllable, format_word, invert,
-                        multiply, parse_word, reduce_word)
+from raag.words import (IDENTITY, GroupWord, Syllable, canonicalize_trace,
+                        format_word, invert, multiply, parse_word, reduce_word)
 
 from conftest import SUITE, random5_graph
 from oracles import ball
@@ -66,7 +69,7 @@ def test_multiplicative(s1, s2):
        st.integers(1, 6))
 def test_syllable_step_is_product_with_syllable_image(terms, v, e, dom, order):
     y = PCSeries.from_terms(terms, R5, dom, order)
-    assert (_syllable_step(y, v, e)
+    assert (_syllable_step(y, v, e, {})
             == y * _syllable_image(v, e, R5, dom, order))
 
 
@@ -184,3 +187,57 @@ def test_injectivity_witness_steps_from_prefixes(case, monkeypatch):
         wit = injectivity_witness(g, r, order, dom)
         got = None if wit is None else tuple(map(format_word, wit))
         assert got == WITNESSES[case].get(name)
+
+
+def test_injectivity_witness_forms_each_append_once(monkeypatch):
+    # the ball of radius 3 on C5 needs 10,630 appends t.v, but only 1,130
+    # distinct ones: u.x and u.x^-1 append x to the same terms
+    formed = []
+    real_concat = raag.magnus._concat
+
+    def counting(t, letters, g):
+        formed.append((t, tuple(letters)))
+        return real_concat(t, letters, g)
+
+    monkeypatch.setattr(raag.magnus, "_concat", counting)
+    assert injectivity_witness(cycle_graph(5), 3, 7, Fp(2)) is None
+    assert len(formed) == len(set(formed)) == 1130
+
+
+def _memoised_answers(name):
+    """The answers on a suite graph of every entry point that keeps a
+    product memo, each beside the same answer by a route without one."""
+    g = SUITE[name]
+    x = KoszulElement.basis(("b", "c") if g.is_clique(("b", "c")) else ("c",),
+                            ("b", "a"), g, Q, 5)
+    ((c, t),) = x.coeffs
+    d_direct = {(c[:j] + c[j + 1:], canonicalize_trace((v,) + t, g)): (-1) ** j
+                for j, v in enumerate(c)}
+    w = parse_word("b c a^-2 c", g)
+    stepped = PCSeries.one(g, Z, 5)
+    for s in w.syllables:
+        stepped = stepped * _syllable_image(s.generator, s.exponent, g, Z, 5)
+    wit = injectivity_witness(g, 4, 4, Fp(3))
+    return [
+        (verify_resolution(g, 5, Q).checked, sum(bigraded_ranks(g, 5).values())),
+        (differential(x).coeffs, d_direct),
+        (differential(differential(x)).coeffs, {}),
+        (magnus(w, g, Z, 5), stepped),
+        (None if wit is None else tuple(map(format_word, wit)),
+         WITNESSES[(4, 4, Fp(3))].get(name)),
+    ]
+
+
+def test_memos_live_for_one_call():
+    # K3, E3 and P3 share their vertex names, but b.a is (a, b) on K3 and
+    # P3 and (b, a) on E3, and c.a is (a, c) on K3 only: a product memo
+    # that outlived its call would hand one graph's products to another.
+    # Every answer must be right, and equal to the graph's first answer,
+    # in every order of the graphs.
+    first = {}
+    for order in permutations(("K3", "E3", "P3")):
+        for name in order:
+            got = _memoised_answers(name)
+            for memoised, direct in got:
+                assert memoised == direct, (order, name)
+            assert got == first.setdefault(name, got), (order, name)

@@ -1,9 +1,14 @@
-"""Every name defined in the package is used somewhere else.
+"""Every name defined in the package is used somewhere else, and no
+module binds a mutable container.
 
 A top-level function or class, or a public method, of a module in
 src/raag must occur as a whole word in src/, tests/ or scripts/ outside
 its own definition; a name that occurs nowhere else is dead code.  This
 holds for private helpers (`_name`) at the top level as well.
+
+No module binds a mutable container at its top level or in a class body:
+a memo there would outlive the call, and the graph, it was built for.  A
+cache is local to one call, or an `lru_cache` keyed by the graph.
 """
 
 import ast
@@ -67,3 +72,41 @@ def test_every_public_name_is_used():
 
 def test_every_private_helper_is_used():
     assert _unused(_private_definitions) == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict"}
+
+
+def _is_container(value) -> bool:
+    if isinstance(value, CONTAINERS):
+        return True
+    if isinstance(value, ast.Call):
+        f = value.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name in CONTAINER_CALLS
+    return False
+
+
+def _bindings(body):
+    """The assignments run at import: those in `body`, in class bodies and
+    in compound statements, but not in function bodies."""
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _bindings(getattr(node, field, []))
+
+
+def test_no_module_binds_a_mutable_container():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _bindings(ast.parse(path.read_text(encoding="utf-8")).body):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if [ast.unparse(t) for t in targets] == ["__all__"]:
+                continue
+            if node.value is not None and _is_container(node.value):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -124,7 +124,7 @@ MUTATIONS = {
     COMMUTATOR_CHECKS[0]: (raag.verify, "rank_of_rows", _plus_one),
     COMMUTATOR_CHECKS[1]: (raag.verify, "rank_of_rows", _plus_one),
     "truncated images pairwise distinct on the ball":
-        (raag.magnus, "_syllable_step", lambda real: lambda y, v, e: y),
+        (raag.magnus, "_syllable_step", lambda real: lambda y, v, e, appends: y),
     "Koszul contraction identity over Q":
         (raag.koszul, "_s_key", _dropped_s_image),
     "Koszul contraction identity over F2":
