@@ -14,7 +14,8 @@ order on its vertices.  The main objects are:
 * graded ranks of the associated (restricted) Lie algebras
   (:mod:`raag.lie`);
 * growth and Poincare series as exact rational data (:mod:`raag.growth`);
-* the Koszul complex with its contracting homotopy (:mod:`raag.koszul`).
+* a certificate that the Koszul complex, with its contracting homotopy,
+  is a resolution (:mod:`raag.koszul`).
 
 All arithmetic is exact (arbitrary-precision integers, fractions, or
 residues mod a prime).

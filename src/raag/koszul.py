@@ -1,5 +1,5 @@
-"""The small free resolution on the clique basis, with its differential
-and contracting homotopy, checked degree by degree.
+"""The small free resolution on the clique basis, checked degree by
+degree.
 
 Basis elements are pairs (clique, trace).  The differential peels
 vertices off the clique (with alternating signs, the clique being read in
@@ -8,18 +8,17 @@ moves the least eligible front letter of the trace into the clique.
 
 The differential sends a basis key to |clique| keys and the contraction
 to at most one, all with coefficients +-1, so each map is written once as
-a per-key kernel, `_d_key` and `_s_key`; `differential` and `contraction`
-are their linear extensions.  `verify_resolution` builds no element: it
-applies the kernels to each basis key, sums each identity in a dict of
-Python ints and reduces the sums into the domain once, where they are
-compared with zero.  Z -> D is a ring map, so this is the check done in D
-throughout.
+a per-key kernel, `_d_key` and `_s_key`.  `verify_resolution` builds no
+element: it applies the kernels to each basis key, sums each identity in
+a dict of Python ints and reduces the sums into the domain once, where
+they are compared with zero.  Z -> D is a ring map, so this is the check
+done in D throughout.
 
 The front products v.t recur: d(x), d of each face of x and d(s(x)) of
 many keys multiply the same letter into the same trace.  Each call of
-`differential` or `verify_resolution` keeps a memo of them (`Fronts`),
-so each is formed once per call by one `_concat`; the memo lives no
-longer than the call, so no product outlives its graph.
+`verify_resolution` keeps a memo of them (`Fronts`), so each is formed
+once per call by one `_concat`; the memo lives no longer than the call,
+so no product outlives its graph.
 """
 
 from __future__ import annotations
@@ -29,36 +28,11 @@ from dataclasses import dataclass
 from raag.errors import check_states
 from raag.graph import Graph, clique_counts
 from raag.growth import phi_R_ratfunc
-from raag.series import Domain, DomainError, LinComb, _pair_degree
-from raag.words import Trace, _concat, canonicalize_trace, enumerate_traces
+from raag.series import Domain, DomainError
+from raag.words import Trace, _concat, enumerate_traces
 
 BasisKey = tuple[tuple[str, ...], Trace]  # (ascending clique, canonical trace)
 Fronts = dict[Trace, dict[str, Trace]]  # t -> v -> v.t, for one call
-
-
-class KoszulElement(LinComb):
-    """Element of the resolution; the keys are (clique, trace) pairs and the
-    degree of a key is the total degree."""
-
-    __slots__ = ()
-    _degree = staticmethod(_pair_degree)
-
-    @classmethod
-    def basis(cls, clique, trace, graph: Graph, domain: Domain,
-              order: int) -> "KoszulElement":
-        c = graph.sort_vertices(clique)
-        if not graph.is_clique(c):
-            raise DomainError(f"{clique!r} is not a clique")
-        t = canonicalize_trace(trace, graph)
-        return cls(graph, domain, order, [((c, t), 1)])
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{x}*[{''.join(c) or 'e'}|{''.join(t) or '1'}]"
-            for (c, t), x in sorted(self.coeffs.items())
-        )
 
 
 def _d_key(key: BasisKey, g: Graph,
@@ -115,24 +89,6 @@ def _s_key(key: BasisKey, g: Graph) -> BasisKey | None:
     return (t[pos],) + c, rest
 
 
-def differential(x: KoszulElement) -> KoszulElement:
-    fronts: Fronts = {}
-    return x._like((y, a * b) for k, a in x.coeffs.items()
-                   for y, b in _d_key(k, x.graph, fronts))
-
-
-def contraction(x: KoszulElement) -> KoszulElement:
-    return x._like((y, a) for k, a in x.coeffs.items()
-                   if (y := _s_key(k, x.graph)) is not None)
-
-
-def epsilon(x: KoszulElement) -> KoszulElement:
-    """Projection onto the bidegree-(0, 0) summand."""
-    key = ((), ())
-    return KoszulElement(x.graph, x.domain, x.order,
-                         [(key, x.coeffs[key])] if key in x.coeffs else [])
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
     ok: bool
@@ -171,18 +127,22 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     # count the basis before enumerating it: the degree-n traces number r_n,
     # the coefficient of t^n in Phi_R, and pair with the cliques of size
     # < order - n; the count only grows with n, so stop at the first n past
-    # the cap
-    counts, total = clique_counts(g), 0
+    # the cap.  A trace's prefixes are traces, so once r_n = 0 (only on the
+    # graph with no vertex, at n = 1) no higher degree has a trace either.
+    counts, total, degrees = clique_counts(g), 0, 0
     for n, r in zip(range(order), phi_R_ratfunc(g).coefficients()):
+        if not r:
+            break
         total += r * sum(counts[:order - n])
         check_states(total, f"koszul basis up to trace degree {n}")
+        degrees = n + 1
     cliques = [c for c in g.cliques() if len(c) < order]
-    traces = [enumerate_traces(g, n) for n in range(order)]
+    traces = [enumerate_traces(g, n) for n in range(degrees)]
     fronts: Fronts = {}
     checked = 0
     for c in cliques:
-        for n in range(order - len(c)):
-            for t in traces[n]:
+        for layer in traces[:order - len(c)]:
+            for t in layer:
                 x = (c, t)
                 checked += 1
                 dx = _d_key(x, g, fronts)
@@ -206,16 +166,3 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
                     return ResolutionReport(False, checked, x,
                                             "sd + ds != 1 - eps")
     return ResolutionReport(True, checked)
-
-
-def bigraded_ranks(g: Graph, order: int) -> dict[tuple[int, int], int]:
-    """Rank of each (clique-degree, trace-degree) component with total
-    degree < order."""
-    counts = [len(enumerate_traces(g, n)) for n in range(order)]
-    out: dict[tuple[int, int], int] = {}
-    for c in g.cliques():
-        if len(c) >= order:
-            continue
-        for n in range(order - len(c)):
-            out[(len(c), n)] = out.get((len(c), n), 0) + counts[n]
-    return out

@@ -43,7 +43,7 @@ from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_prime
+from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_small_prime
 from raag.words import Trace, _concat, _slot
 
 
@@ -363,8 +363,8 @@ def series_rank_lcs(g: Graph, upto: int) -> RankTable:
 def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
     """Ranks d_n solving prod ((1 - t^{pn})/(1 - t^n))^{d_n} = Phi_R(t) for a
     prime p, by Moebius inversion (see _mobius_ranks)."""
-    if not _is_prime(p):
-        raise DomainError(f"restricted ranks need a prime p, got {p}")
+    if not _is_small_prime(p):
+        raise DomainError(f"restricted ranks need a prime p < 2^31, got {p}")
     return RankTable(g, "restricted", _mobius_ranks(g, upto, p),
                      "series_recursion", p=p)
 
@@ -374,9 +374,9 @@ def lambda_dims(g: Graph, p: int, upto: int) -> RankTable:
     the lower-central Lie algebra tensored with a polynomial ring on one
     degree-1 variable, i.e. partial sums of the b_m.  Only valid for
     p >= 3 (the p-power map fails to be linear at p = 2)."""
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not _is_small_prime(p):
         raise DomainError(
-            f"exponent-p dimensions need a prime p >= 3, got {p}")
+            f"exponent-p dimensions need a prime 3 <= p < 2^31, got {p}")
     b = series_rank_lcs(g, upto).values
     partial = []
     acc = 0

@@ -1,9 +1,9 @@
 """Exact rank computation for sparse rows over Q or F_p.
 
-Rows are dicts keyed by arbitrary hashable column labels with a total
-order supplied by a key function; elimination keeps a pivot row per
-column, reducing each incoming row against the pivots (deterministic:
-pivot on the least remaining column).
+Rows are dicts keyed by mutually comparable column labels; elimination
+keeps a pivot row per column, reducing each incoming row against the
+pivots (deterministic: pivot on the least remaining column in the labels'
+own order, since the rank does not depend on the column order).
 
 Elimination is fraction-free.  Over Q each row is first cleared to
 integers; pivots are stored unnormalised, a row is reduced as
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from raag.series import Domain, DomainError
 
@@ -32,22 +32,16 @@ def _integer_row(row: dict, domain: Domain) -> dict:
     return {c: int(v * den) for c, v in vals.items() if v}
 
 
-def rank_of_rows(rows: Iterable[dict], domain: Domain,
-                 col_key: Callable[[Hashable], object] = lambda c: c) -> int:
+def rank_of_rows(rows: Iterable[dict], domain: Domain) -> int:
     if domain.kind == "Z":
         raise DomainError("rank needs a field; use Q or F_p")
     p = domain.p
-    keys: dict[Hashable, object] = {}  # col_key of every column seen
-    key_of = keys.__getitem__
     pivots: dict[Hashable, tuple[int, dict]] = {}  # col -> (lead, rest)
     rank = 0
     for row in rows:
         r = _integer_row(row, domain)
-        for c in r:
-            if c not in keys:
-                keys[c] = col_key(c)
         while r:
-            col = min(r, key=key_of)
+            col = min(r)
             b = r.pop(col)
             piv = pivots.get(col)
             if piv is None:

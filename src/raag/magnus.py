@@ -22,8 +22,7 @@ from math import comb
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
-from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, PCSeries, Z, _is_prime
+from raag.series import Domain, DomainError, PCSeries, Z, _is_small_prime
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
 
@@ -147,8 +146,8 @@ def _vp(n: int, p: int) -> int:
 def _omega_p(x: PCSeries, p: int) -> Valuation:
     # the least weight len(trace) + v_p(coefficient) among the nonconstant
     # terms of the integer image x
-    if not _is_prime(p):
-        raise DomainError(f"p-valuation needs a prime p, got {p}")
+    if not _is_small_prime(p):
+        raise DomainError(f"p-valuation needs a prime p < 2^31, got {p}")
     best = min([x.order] + [len(t) + _vp(c, p)
                             for t, c in x.coeffs.items() if t])
     return Valuation(best, best < x.order)
@@ -159,13 +158,6 @@ def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
     mu(w) - 1 over Z.  Exact whenever the result is below the truncation
     order, because hidden terms have trace length >= order."""
     return _omega_p(magnus(w, g, Z, order), p)
-
-
-def dimension_subgroup_membership(w: GroupWord, g: Graph, n: int,
-                                  domain: Domain, order: int) -> str:
-    """Three-valued answer to `w in delta_n` for the representation v -> 1+v:
-    'in', 'out', or 'undecided' when the truncation cannot tell."""
-    return omega_valuation(w, g, domain, order).membership(n)
 
 
 # -- leading monomial in characteristic p ------------------------------
@@ -197,42 +189,6 @@ def leading_monomial_char_p(w: GroupWord, g: Graph, p: int) -> LeadingMonomial:
         exps.append(q)
         coeff = coeff * ell % p
     return LeadingMonomial(canonicalize_trace(letters, g), tuple(exps), coeff % p)
-
-
-# -- graded span ranks -------------------------------------------------
-
-
-def magnus_span_rank(g: Graph, r: int, order: int, domain: Domain) -> list[int]:
-    """For n = 1..order-1, the rank over `domain` of the span of degree-n
-    components of n-fold products of (mu(v) - 1) with v a generator in the
-    ball of radius r.  Since mu(v) - 1 = v, once r >= 1 every degree-n
-    trace is such a component.
-    """
-    if domain.kind == "Z":
-        raise DomainError("span rank needs a field domain")
-    one = PCSeries.one(g, domain, order)
-    gens = ([PCSeries.generator(v, g, domain, order) for v in g.vertices]
-            if r >= 1 else [])
-    ranks: list[int] = []
-    for n in range(1, order):
-        rows: list[dict] = []
-        # all products of n generator images
-        stack: list[tuple[int, PCSeries]] = [(0, one)]
-        while stack:
-            depth, acc = stack.pop()
-            if depth == n:
-                part = acc.homogeneous_part(n)
-                if part:
-                    rows.append(part)
-                continue
-            for x in gens:
-                nxt = acc * x
-                if nxt.coeffs:
-                    stack.append((depth + 1, nxt))
-            check_states(len(rows), "magnus_span_rank")
-        ranks.append(rank_of_rows(rows, domain,
-                                  col_key=lambda t: tuple(g.index(v) for v in t)))
-    return ranks
 
 
 # -- desk-scale injectivity check --------------------------------------

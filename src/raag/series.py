@@ -3,8 +3,8 @@
 Elements are finite maps from canonical traces of length < N to nonzero
 coefficients, over Z, Q, or F_p.  All arithmetic is exact; binary
 operations insist on equal graph, domain and truncation order.  The
-shared sparse arithmetic lives in `LinComb`, which the tensor square, the
-clique algebra and the Koszul complex use as well.
+shared sparse arithmetic lives in `LinComb`, which the tensor square and
+the clique algebra use as well.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ class DomainError(RaagError, ValueError):
     pass
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _is_small_prime(p: int) -> bool:
+    """Whether p is a prime below 2^31, the one primality test of the
+    package.  The size is checked before any division, so trial division
+    takes at most 46,341 steps however large p is."""
+    if not 2 <= p < 2**31:
         return False
     d = 2
     while d * d <= p:
@@ -46,7 +49,7 @@ class Domain:
         if self.kind not in ("Z", "Q", "Fp"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p) or self.p >= 2**31:
+            if self.p is None or not _is_small_prime(self.p):
                 raise DomainError(f"F_p needs a prime p < 2^31, got {self.p!r}")
         elif self.p is not None:
             raise DomainError("p is only meaningful for Fp")

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used only by the test suite."""
+"""Independent brute-force oracles used only by the test suite, and the
+element-level Koszul maps that the contraction oracle is compared with."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from math import comb
 from raag.errors import check_states
 from raag.graph import Graph
 from raag.growth import phi_A
-from raag.koszul import KoszulElement
+from raag.koszul import Fronts, _d_key, _s_key
 from raag.linalg import rank_of_rows
-from raag.series import Fp, PCSeries
+from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, _pair_degree
 from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
                         enumerate_traces, reduce_word, word_length)
 
@@ -70,6 +71,16 @@ def m3_orbit(letters: tuple[str, ...], g: Graph,
                     seen.add(m)
                     queue.append(m)
     return seen
+
+
+def m3_class_count(g: Graph, n: int) -> int:
+    """The number of degree-n traces, as the number of commuting-swap
+    classes of the |V|^n positive words: each class is named by its least
+    word under vertex order."""
+    def rank(w):
+        return tuple(g.index(v) for v in w)
+    return len({min(m3_orbit(w, g), key=rank)
+                for w in product(g.vertices, repeat=n)})
 
 
 def piling_is_identity(word, g: Graph) -> bool:
@@ -172,6 +183,64 @@ def ball(g: Graph, r: int) -> list[GroupWord]:
             tuple((g.index(s.generator), s.exponent) for s in u.syllables),
         )
     return sorted(seen, key=key)
+
+
+class KoszulElement(LinComb):
+    """Element of the Koszul resolution; the keys are (clique, trace) pairs
+    and the degree of a key is the total degree."""
+
+    __slots__ = ()
+    _degree = staticmethod(_pair_degree)
+
+    @classmethod
+    def basis(cls, clique, trace, graph: Graph, domain: Domain,
+              order: int) -> "KoszulElement":
+        c = graph.sort_vertices(clique)
+        if not graph.is_clique(c):
+            raise DomainError(f"{clique!r} is not a clique")
+        t = canonicalize_trace(trace, graph)
+        return cls(graph, domain, order, [((c, t), 1)])
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            f"{x}*[{''.join(c) or 'e'}|{''.join(t) or '1'}]"
+            for (c, t), x in sorted(self.coeffs.items())
+        )
+
+
+def differential(x: KoszulElement) -> KoszulElement:
+    """d on elements: the linear extension of the library kernel `_d_key`."""
+    fronts: Fronts = {}
+    return x._like((y, a * b) for k, a in x.coeffs.items()
+                   for y, b in _d_key(k, x.graph, fronts))
+
+
+def contraction(x: KoszulElement) -> KoszulElement:
+    """s on elements: the linear extension of the library kernel `_s_key`."""
+    return x._like((y, a) for k, a in x.coeffs.items()
+                   if (y := _s_key(k, x.graph)) is not None)
+
+
+def epsilon(x: KoszulElement) -> KoszulElement:
+    """Projection onto the bidegree-(0, 0) summand."""
+    key = ((), ())
+    return KoszulElement(x.graph, x.domain, x.order,
+                         [(key, x.coeffs[key])] if key in x.coeffs else [])
+
+
+def bigraded_ranks(g: Graph, order: int) -> dict[tuple[int, int], int]:
+    """Rank of each (clique-degree, trace-degree) component of the Koszul
+    resolution with total degree < order."""
+    counts = [len(enumerate_traces(g, n)) for n in range(order)]
+    out: dict[tuple[int, int], int] = {}
+    for c in g.cliques():
+        if len(c) >= order:
+            continue
+        for n in range(order - len(c)):
+            out[(len(c), n)] = out.get((len(c), n), 0) + counts[n]
+    return out
 
 
 def koszul_contraction(x: KoszulElement) -> KoszulElement:

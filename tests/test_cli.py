@@ -324,6 +324,50 @@ def test_valuation_rejects_non_prime_p(graph_file, p):
     assert "prime" in proc.stderr
 
 
+def _run_child(graph_file, *argv):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling the suite; returns the process and its wall time."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "raag.cli", "--graph", graph_file, *argv],
+        capture_output=True, text=True, env=env, timeout=20)
+    return proc, time.perf_counter() - start
+
+
+LARGE_PRIME = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ranks", "--kind", "restricted", "--p", LARGE_PRIME),
+    ("ranks", "--kind", "lambda", "--p", LARGE_PRIME),
+    ("valuation", "a", "--p", LARGE_PRIME),
+    ("magnus", "a", "--domain", "Fp", "--p", LARGE_PRIME),
+    ("koszul", "--domain", "Fp", "--p", LARGE_PRIME),
+    ("verify-all", "--p", LARGE_PRIME),
+], ids=["restricted", "lambda", "valuation", "magnus", "koszul", "verify-all"])
+def test_prime_too_large_exits_at_once(graph_file, argv):
+    # 2^61 - 1 is prime, but trial division to its square root would run
+    # for hours; every p is checked against 2^31 before any division
+    proc, elapsed = _run_child(graph_file, *argv)
+    assert elapsed < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "prime" in proc.stderr
+
+
+def test_koszul_on_graph_with_no_vertex(tmp_path):
+    # the only basis key is ((), ()): no trace has degree 1, so none has a
+    # higher degree, and the check stops there whatever the order
+    f = tmp_path / "none.json"
+    f.write_text(json.dumps({"vertices": []}))
+    proc, elapsed = _run_child(str(f), "koszul", "--upto", "1000000000")
+    assert elapsed < 5
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"checked": 1, "ok": True}
+
+
 @pytest.mark.parametrize("word,order", [("a^-1", "3000"),
                                         ("a c^-1 e b^-1 d " * 8, "12")],
                          ids=["order-3000", "40-letters-order-12"])

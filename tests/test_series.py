@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from raag.exterior import ExtElement
 from raag.graph import (Graph, complete_graph, empty_graph, enumerate_cliques,
                         path_graph)
-from raag.koszul import KoszulElement, differential
 from raag.series import (DomainError, Fp, PCSeries, Q, Z, antipode, coproduct,
                          exp_series, invert_unit, is_grouplike, is_primitive,
                          log_series, tensor)
 from raag.words import canonicalize_trace
 
 from conftest import graphs_st, random5_graph
+from oracles import KoszulElement, differential
 
 P3 = path_graph(3)
 R5 = random5_graph()
