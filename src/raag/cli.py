@@ -16,7 +16,7 @@ from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
-from raag.magnus import _omega, _omega_p, magnus
+from raag.magnus import _check_prime, _omega, _omega_p, magnus
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
 from raag.words import (format_word, multiply, parse_word, sphere_sizes,
@@ -143,6 +143,7 @@ def run(args) -> int:
     elif cmd == "valuation":
         w = parse_word(args.word, g)
         dom = _domain(args)
+        _check_prime(args.p)
         # one integer image: Z -> Q and Z -> F_p are ring maps, so the
         # image over `dom` is this one, mapped
         image = magnus(w, g, Z, args.order)

@@ -122,7 +122,11 @@ class Graph:
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise GraphError("graph JSON is nested too deeply") from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {
@@ -132,9 +136,12 @@ class Graph:
 
 
 def _sequence(items, what: str) -> tuple:
-    """The items of a JSON-style list; a string is not a list of names."""
+    """The items of a JSON-style list; a string is not a list of names, and
+    a mapping is not a list of its keys."""
     if isinstance(items, (str, bytes)):
         raise GraphError(f"{what} must be a list, not a string: {items!r}")
+    if isinstance(items, Mapping):
+        raise GraphError(f"{what} must be a list: {items!r}")
     try:
         return tuple(items)
     except TypeError:

@@ -56,10 +56,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             raise SeriesError("negative powers are not supported")
-        out = RatFunc([1])
-        for _ in range(n):
-            out = out * self
-        return out
+        return RatFunc(_poly_pow(self.num, n), _poly_pow(self.den, n))
 
     def __str__(self) -> str:
         num, den = _poly_str(self.num), _poly_str(self.den)

@@ -9,20 +9,21 @@ exponent-p series (for p >= 3).
 
 Images are built one syllable step at a time: y.(1+v)^e is the sum of
 c_k y.v^k, and each y.v^k is y.v^(k-1) with one letter appended, so no
-general series product is formed.  The appends recur (t.v.v is (t.v).v
-when t.v is a term too, and a prefix's image is extended by v^+1 and by
-v^-1), so each call of `magnus` or `injectivity_witness` keeps a memo of
-them (`Appends`) and forms each t.v once.
+general series product is formed (the exponential image steps with e^k/k!
+for c_k).  The appends recur (t.v.v is (t.v).v when t.v is a term too, and
+a prefix's image is extended by v^+1 and by v^-1), so each call keeps a
+memo of them (`Appends`) and forms each t.v once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
-from raag.series import Domain, DomainError, PCSeries, Z, _is_small_prime
+from raag.series import Domain, DomainError, PCSeries, Q, Z, _is_small_prime
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
 
@@ -39,19 +40,13 @@ def _binomials(e: int, order: int) -> list[int]:
     return [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
 
 
-def _syllable_image(v: str, e: int, g: Graph, domain: Domain, order: int) -> PCSeries:
-    """(1+v)^e, truncated below degree `order`."""
-    return PCSeries(g, domain, order,
-                    [((v,) * k, c) for k, c in enumerate(_binomials(e, order))])
-
-
-def _syllable_step(y: PCSeries, v: str, e: int,
+def _syllable_step(y: PCSeries, v: str, cs: list,
                    appends: Appends) -> PCSeries:
-    """y * (1+v)^e, as the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with
-    one letter appended.  The append t.v is read from `appends`, or formed
-    by one `_concat` and stored there."""
+    """y * (c_0 + c_1 v + c_2 v^2 + ...) for the coefficients cs, cs[0] = 1,
+    as the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with one letter
+    appended.  The append t.v is read from `appends`, or formed by one
+    `_concat` and stored there."""
     g, order = y.graph, y.order
-    cs = _binomials(e, order)
     col = appends.get(v)
     if col is None:
         col = appends[v] = {}
@@ -80,23 +75,23 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
     work = 0
     for s in w.syllables:
         e = s.exponent
-        width = min(e + 1, order) if e >= 0 else order  # len(_binomials(e, order))
+        # charged before the binomials are built, since for a large |e| they
+        # are huge integers: the width is len(_binomials(e, order))
+        width = min(e + 1, order) if e >= 0 else order
         work += len(out.coeffs) * width * order
         check_states(work, "magnus", cap)
-        out = _syllable_step(out, s.generator, e, appends)
+        out = _syllable_step(out, s.generator, _binomials(e, order), appends)
     return out
 
 
 def magnus_exp(w: GroupWord, g: Graph, order: int) -> PCSeries:
-    """Image under the exponential variant v -> sum v^n/n! (rationals only)."""
-    from fractions import Fraction
-
-    from raag.series import Q, exp_series
-
+    """Image under the exponential variant v -> sum v^n/n! (rationals only):
+    the syllable v^e steps by exp(e v), with coefficients e^k/k!."""
     out = PCSeries.one(g, Q, order)
+    appends: Appends = {}
     for s in w.syllables:
-        x = PCSeries.generator(s.generator, g, Q, order).scale(Fraction(s.exponent))
-        out = out * exp_series(x)
+        cs = [Fraction(s.exponent**k, factorial(k)) for k in range(order)]
+        out = _syllable_step(out, s.generator, cs, appends)
     return out
 
 
@@ -143,11 +138,15 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _omega_p(x: PCSeries, p: int) -> Valuation:
-    # the least weight len(trace) + v_p(coefficient) among the nonconstant
-    # terms of the integer image x
+def _check_prime(p: int) -> None:
+    # called before the image is built, so a bad p costs no work
     if not _is_small_prime(p):
         raise DomainError(f"p-valuation needs a prime p < 2^31, got {p}")
+
+
+def _omega_p(x: PCSeries, p: int) -> Valuation:
+    # the least weight len(trace) + v_p(coefficient) among the nonconstant
+    # terms of the integer image x, for a p that passed `_check_prime`
     best = min([x.order] + [len(t) + _vp(c, p)
                             for t, c in x.coeffs.items() if t])
     return Valuation(best, best < x.order)
@@ -157,6 +156,7 @@ def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
     """Least weight len(trace) + v_p(coefficient) among nonconstant terms of
     mu(w) - 1 over Z.  Exact whenever the result is below the truncation
     order, because hidden terms have trace length >= order."""
+    _check_prime(p)
     return _omega_p(magnus(w, g, Z, order), p)
 
 
@@ -206,12 +206,15 @@ def injectivity_witness(g: Graph, r: int, order: int, domain: Domain):
     u.x^-1 append x to the same terms, and the image of u.y keeps the
     terms of u's image, to which its own extensions append again."""
     one = PCSeries.one(g, domain, order)
+    steps = {e: _binomials(e, order) for e in (1, -1)}
     appends: Appends = {}
     images: dict = {}
     seen: dict = {}
     for letters in geodesic_words(g, r):
-        image = (_syllable_step(images[letters[:-1]], *letters[-1], appends)
-                 if letters else one)
+        image = one
+        if letters:
+            x, e = letters[-1]
+            image = _syllable_step(images[letters[:-1]], x, steps[e], appends)
         if len(letters) < r:
             images[letters] = image
         key = frozenset(image.coeffs.items())

@@ -247,15 +247,6 @@ class PCSeries(LinComb):
     def constant_term(self):
         return self.coeffs.get((), self.domain.zero)
 
-    def homogeneous_part(self, n: int) -> dict[Trace, object]:
-        return {t: c for t, c in self.coeffs.items() if len(t) == n}
-
-    def min_degree(self) -> int:
-        """Least degree with a nonzero term, or `order` for the zero series."""
-        if not self.coeffs:
-            return self.order
-        return min(len(t) for t in self.coeffs)
-
     def sorted_terms(self) -> list[tuple[Trace, object]]:
         g = self.graph
         return sorted(

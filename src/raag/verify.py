@@ -16,9 +16,10 @@ from raag.koszul import verify_resolution
 from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
 from raag.linalg import rank_of_rows
-from raag.magnus import _syllable_image, injectivity_witness
-from raag.series import Fp, PCSeries, Q, Z
-from raag.words import enumerate_traces, sphere_sizes
+from raag.magnus import _omega, injectivity_witness, magnus
+from raag.series import Fp, Q, Z
+from raag.words import (enumerate_traces, invert, multiply, reduce_word,
+                        sphere_sizes)
 
 # Desk-scale sizes of the checks.
 SERIES_ORDER = 8
@@ -47,25 +48,24 @@ def _commutator_parts(g: Graph) -> tuple[bool, list[list[dict]]]:
     generators, n = 1..COMMUTATOR_DEGREE, over Z: whether every mu(c) - 1
     starts in degree >= n, and the degree-n parts, degree by degree.
 
-    mu(c^-1) is the image of the inverse word, [x, y]^-1 = y x y^-1 x^-1,
-    so no series is inverted.
+    Each commutator [x, c] = x c x^-1 c^-1 is a reduced word, imaged by
+    `magnus` like any other, so no series is multiplied or inverted.
     """
     order = COMMUTATOR_DEGREE + 1
-    gens = [(_syllable_image(v, 1, g, Z, order),
-             _syllable_image(v, -1, g, Z, order)) for v in g.vertices]
-    one = PCSeries.one(g, Z, order)
-    layer = gens  # (mu(c), mu(c^-1)) for each commutator c of weight n
+    gens = [reduce_word([(v, 1)], g) for v in g.vertices]
+    layer = gens  # the commutators of weight n
     ok = True
     parts: list[list[dict]] = []
     for n in range(1, COMMUTATOR_DEGREE + 1):
         if n > 1:
-            layer = [(x * y * xi * yi, y * x * yi * xi)
-                     for y, yi in layer for x, xi in gens]
+            layer = [multiply(multiply(x, c, g),
+                              multiply(invert(x, g), invert(c, g), g), g)
+                     for c in layer for x in gens]
         rows = []
-        for image, _ in layer:
-            lead = image - one
-            ok = ok and lead.min_degree() >= n
-            part = lead.homogeneous_part(n)
+        for c in layer:
+            image = magnus(c, g, Z, order)
+            ok = ok and _omega(image).value >= n
+            part = {t: a for t, a in image.coeffs.items() if len(t) == n}
             if part:
                 rows.append(part)
         parts.append(rows)
@@ -97,6 +97,10 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
 
     def check(name: str, ok: bool, detail: str = ""):
         results.append(CheckResult(name, bool(ok), detail))
+
+    # the restricted ranks by the series route first: they reject a bad p
+    # before any other work
+    d_series = series_rank_restricted(g, p, LIE_DEGREE).values
 
     # clique polynomial vs a second count of the cliques
     counts = phi_S(g)
@@ -131,7 +135,6 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     b_span = tuple(bracket_span_rank(g, n, Q) for n in range(1, LIE_DEGREE + 1))
     check("lower-central ranks: series recursion = bracket span",
           b_series == b_span, f"values={b_series}")
-    d_series = series_rank_restricted(g, p, LIE_DEGREE).values
     d_span = tuple(restricted_span_rank(g, n, p) for n in range(1, LIE_DEGREE + 1))
     check(f"restricted ranks agree at p={p}",
           d_series == d_span, f"values={d_series}")

@@ -13,7 +13,9 @@ from raag.graph import Graph
 from raag.growth import phi_A
 from raag.koszul import Fronts, _d_key, _s_key
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, _pair_degree
+from raag.series import (Domain, DomainError, Fp, LinComb, PCSeries, Z,
+                         _pair_degree)
+from raag.verify import COMMUTATOR_DEGREE
 from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
                         enumerate_traces, reduce_word, word_length)
 
@@ -321,6 +323,40 @@ def leading_monomial_bruteforce(w, g: Graph, p: int, order: int):
     ties = [r for r in scored if (r[0], r[1]) == (neg_k, deg)]
     assert len(ties) == 1, f"leading monomial not unique: {ties}"
     return t, c
+
+
+def _syllable_image(v: str, e: int, g: Graph, domain: Domain,
+                    order: int) -> PCSeries:
+    """(1+v)^e, truncated below degree `order`, by series products (and
+    `invert_unit` for e < 0) instead of the binomial coefficients."""
+    one = PCSeries.one(g, domain, order)
+    return (one + PCSeries.generator(v, g, domain, order)) ** e
+
+
+def commutator_parts_by_products(g: Graph) -> tuple[bool, list[list[dict]]]:
+    """`verify._commutator_parts` by general series products: each
+    commutator is carried as the pair (mu(c), mu(c^-1)), and the images of
+    [x, c] and its inverse are x c x^-1 c^-1 and c x c^-1 x^-1 of them."""
+    order = COMMUTATOR_DEGREE + 1
+    gens = [(_syllable_image(v, 1, g, Z, order),
+             _syllable_image(v, -1, g, Z, order)) for v in g.vertices]
+    one = PCSeries.one(g, Z, order)
+    layer = gens
+    ok = True
+    parts: list[list[dict]] = []
+    for n in range(1, COMMUTATOR_DEGREE + 1):
+        if n > 1:
+            layer = [(x * y * xi * yi, y * x * yi * xi)
+                     for y, yi in layer for x, xi in gens]
+        rows = []
+        for image, _ in layer:
+            lead = (image - one).coeffs
+            ok = ok and min(map(len, lead), default=order) >= n
+            part = {t: c for t, c in lead.items() if len(t) == n}
+            if part:
+                rows.append(part)
+        parts.append(rows)
+    return ok, parts
 
 
 def fraction_rank(rows, domain) -> int:

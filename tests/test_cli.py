@@ -324,6 +324,15 @@ def test_valuation_rejects_non_prime_p(graph_file, p):
     assert "prime" in proc.stderr
 
 
+def test_valuation_rejects_p_before_the_image(c5_file):
+    # the image of a^-1 to order 3000 would exceed the state cap
+    proc, _ = _run_child(c5_file, "valuation", "a^-1", "--order", "3000",
+                         "--p", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "p-valuation needs a prime" in proc.stderr
+
+
 def _run_child(graph_file, *argv):
     """The CLI in a child process, so that a hang fails the test instead of
     stalling the suite; returns the process and its wall time."""
@@ -369,12 +378,15 @@ def test_koszul_on_graph_with_no_vertex(tmp_path):
 
 
 @pytest.mark.parametrize("word,order", [("a^-1", "3000"),
-                                        ("a c^-1 e b^-1 d " * 8, "12")],
-                         ids=["order-3000", "40-letters-order-12"])
+                                        ("a c^-1 e b^-1 d " * 8, "12"),
+                                        ("a^-1000000000", "20000")],
+                         ids=["order-3000", "40-letters-order-12",
+                              "huge-exponent-order-20000"])
 def test_magnus_resource_limit(c5_file, word, order):
     # the letter work of each syllable step (3000 x 3000 for the first, 5.4M
-    # in all for the second) is charged before the step; a child process
-    # keeps a hang from stalling the suite
+    # in all for the second) is charged before the step, and before its
+    # binomials are built (those of the third reach 100,000 digits);
+    # a child process keeps a hang from stalling the suite
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("RAAG_MAX_STATES", None)
@@ -395,11 +407,23 @@ def test_magnus_resource_limit(c5_file, word, order):
     {"vertices": ["1", "a"]},
     {"vertices": ["a b", "c"]},
     {"vertices": ["a^2", "c"]},
+    {"vertices": {"a": 1}},
+    {"vertices": ["a", "b"], "edges": {"a": "b"}},
+    {"vertices": ["a", "b"], "edges": [{"a": 1, "b": 2}]},
 ], ids=["string-vertices", "string-edges", "vertex-1", "vertex-space",
-        "vertex-caret"])
+        "vertex-caret", "mapping-vertices", "mapping-edges", "mapping-edge"])
 def test_bad_graph_json_exit_code(tmp_path, capsys, graph):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(graph))
     code, out = run(capsys, "--graph", str(f), "nf", "1")
     assert code == 2
     assert out == ""
+
+
+def test_deeply_nested_graph_json_exit_code(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200_000)
+    assert main(["--graph", str(f), "nf", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "nested too deeply" in err

@@ -90,6 +90,20 @@ def test_string_edges_rejected():
         Graph.from_dict({"vertices": ["a", "b"], "edges": ["ab"]})
 
 
+def test_mapping_rejected():
+    # a mapping would otherwise be read as the list of its keys
+    for data in ({"vertices": {"a": 1}},
+                 {"vertices": ["a", "b"], "edges": {"a": "b"}},
+                 {"vertices": ["a", "b"], "edges": [{"a": 1, "b": 2}]}):
+        with pytest.raises(GraphError, match="must be a list"):
+            Graph.from_dict(data)
+
+
+def test_deeply_nested_json_rejected():
+    with pytest.raises(GraphError):
+        Graph.from_json("[" * 200_000)
+
+
 def test_vertex_named_one_rejected():
     # parse_word reads the token "1" as the identity
     with pytest.raises(GraphError):

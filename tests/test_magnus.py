@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 import raag.magnus
 from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from raag.koszul import verify_resolution
-from raag.magnus import (_syllable_image, _syllable_step, injectivity_witness,
+from raag.magnus import (_binomials, _syllable_step, injectivity_witness,
                          leading_monomial_char_p, magnus, magnus_exp,
                          omega_p_valuation, omega_valuation)
-from raag.series import Fp, PCSeries, Q, Z, is_grouplike
+from raag.series import Fp, PCSeries, Q, Z, exp_series, is_grouplike
 from raag.words import (IDENTITY, GroupWord, Syllable, format_word, invert,
                         multiply, parse_word, reduce_word)
 
 from conftest import SUITE, random5_graph
-from oracles import ball, bigraded_ranks
+from oracles import _syllable_image, ball, bigraded_ranks
 
 P3 = path_graph(3)
 R5 = random5_graph()
@@ -67,7 +67,7 @@ def test_multiplicative(s1, s2):
        st.integers(1, 6))
 def test_syllable_step_is_product_with_syllable_image(terms, v, e, dom, order):
     y = PCSeries.from_terms(terms, R5, dom, order)
-    assert (_syllable_step(y, v, e, {})
+    assert (_syllable_step(y, v, _binomials(e, order), {})
             == y * _syllable_image(v, e, R5, dom, order))
 
 
@@ -82,6 +82,17 @@ def test_inverse_maps_to_inverse(sylls):
 def test_magnus_exp_grouplike():
     w = parse_word("a^2 c^-1", P3)
     assert is_grouplike(magnus_exp(w, P3, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(syllables_st, st.integers(1, 6))
+def test_magnus_exp_is_product_of_exponentials(sylls, order):
+    w = reduce_word(sylls, R5)
+    prod = PCSeries.one(R5, Q, order)
+    for s in w.syllables:
+        v = PCSeries.generator(s.generator, R5, Q, order)
+        prod = prod * exp_series(v.scale(s.exponent))
+    assert magnus_exp(w, R5, order) == prod
 
 
 def test_omega_valuation_examples():

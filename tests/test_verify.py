@@ -9,9 +9,13 @@ import raag.magnus
 import raag.verify
 import raag.words
 from raag.graph import cycle_graph, path_graph
-from raag.verify import verify_all
+from raag.magnus import magnus_exp
+from raag.series import DomainError, PCSeries
+from raag.verify import _commutator_parts, verify_all
+from raag.words import GroupWord, parse_word
 
 from conftest import SUITE
+from oracles import commutator_parts_by_products
 
 COMMUTATOR_CHECKS = ("commutator images over Q have rank b_n in degree n",
                      "commutator images over F2 have rank b_n in degree n")
@@ -39,6 +43,51 @@ def test_commutator_check_catches_wrong_b3(monkeypatch):
     for name in COMMUTATOR_CHECKS:
         assert not results[name].ok
         assert results[name].detail == "ranks=(5, 5, 15)"
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_commutator_parts_match_series_products(name):
+    # the commutators as reduced words, imaged by `magnus`, against the
+    # images of their letters multiplied as series
+    g = SUITE[name]
+    assert _commutator_parts(g) == commutator_parts_by_products(g)
+
+
+def test_commutator_parts_and_magnus_exp_form_no_series_product(monkeypatch):
+    calls = []
+    real = PCSeries.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(PCSeries, "__mul__", counting)
+    g = cycle_graph(5)
+    ok, parts = _commutator_parts(g)
+    assert ok and [len(rows) for rows in parts] == [5, 10, 40]
+    magnus_exp(parse_word("a^2 c^-1 b e^3", g), g, 6)
+    assert calls == []
+
+
+def test_commutator_checks_catch_a_dropped_syllable(monkeypatch):
+    # every word imaged without its last syllable: [x, c] loses c^-1
+    real = raag.verify.magnus
+    monkeypatch.setattr(
+        raag.verify, "magnus",
+        lambda w, *args: real(GroupWord(w.syllables[:-1]), *args))
+    results = {r.name: r for r in verify_all(cycle_graph(5))}
+    for name in COMMUTATOR_CHECKS:
+        assert not results[name].ok
+
+
+def test_bad_p_is_rejected_before_any_check(monkeypatch):
+    calls = []
+    real = raag.verify.phi_S
+    monkeypatch.setattr(raag.verify, "phi_S",
+                        lambda g: calls.append(g) or real(g))
+    with pytest.raises(DomainError, match="got 4"):
+        verify_all(cycle_graph(5), p=4)
+    assert calls == []
 
 
 def test_clique_check_catches_wrong_count(monkeypatch):
@@ -124,7 +173,7 @@ MUTATIONS = {
     COMMUTATOR_CHECKS[0]: (raag.verify, "rank_of_rows", _plus_one),
     COMMUTATOR_CHECKS[1]: (raag.verify, "rank_of_rows", _plus_one),
     "truncated images pairwise distinct on the ball":
-        (raag.magnus, "_syllable_step", lambda real: lambda y, v, e, appends: y),
+        (raag.magnus, "_syllable_step", lambda real: lambda y, v, cs, appends: y),
     "Koszul contraction identity over Q":
         (raag.koszul, "_s_key", _dropped_s_image),
     "Koszul contraction identity over F2":
