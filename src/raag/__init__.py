@@ -22,11 +22,10 @@ residues mod a prime).
 """
 
 from raag.errors import RaagError, ResourceLimitError, UnknownGeneratorError
-from raag.graph import Graph, GraphMorphism
+from raag.graph import Graph
 
 __all__ = [
     "Graph",
-    "GraphMorphism",
     "RaagError",
     "ResourceLimitError",
     "UnknownGeneratorError",

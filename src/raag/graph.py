@@ -1,4 +1,4 @@
-"""Finite simple graphs with a fixed vertex order, cliques, and morphisms.
+"""Finite simple graphs with a fixed vertex order, and their cliques.
 
 The vertex order (declaration order) is the single global tie-breaker used
 by every canonical form in the package, so it is part of a graph's
@@ -8,7 +8,6 @@ identity: graphs that differ only in vertex order are unequal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from raag.errors import (RaagError, UnknownGeneratorError, check_states,
@@ -233,47 +232,3 @@ def clique_counts(g: Graph) -> list[int]:
     for c in g.cliques():
         counts[len(c)] += 1
     return counts
-
-
-# -- morphisms ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    """Vertex map sending edges to edges."""
-
-    source: Graph
-    target: Graph
-    vertex_map: Mapping[str, str]
-
-    def __post_init__(self):
-        for v in self.source.vertices:
-            if v not in self.vertex_map:
-                raise GraphError(f"morphism undefined on vertex {v!r}")
-            if self.vertex_map[v] not in self.target:
-                raise GraphError(f"image {self.vertex_map[v]!r} not in target graph")
-        for e in self.source.edges:
-            u, w = tuple(e)
-            fu, fw = self.vertex_map[u], self.vertex_map[w]
-            if fu == fw or not self.target.adjacent(fu, fw):
-                raise GraphError(f"edge {{{u},{w}}} is not sent to an edge")
-
-    def __call__(self, v: str) -> str:
-        return self.vertex_map[v]
-
-
-def identity_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism(g, g, {v: v for v in g.vertices})
-
-
-def check_full_injective(m: GraphMorphism) -> bool:
-    """True iff the vertex map is injective and reflects edges."""
-    images = [m(v) for v in m.source.vertices]
-    if len(set(images)) != len(images):
-        return False
-    vs = m.source.vertices
-    for i, u in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if m.target.adjacent(m(u), m(w)) != m.source.adjacent(u, w):
-                return False
-    return True

@@ -13,7 +13,7 @@ from itertools import count, islice
 from typing import Iterator, Sequence
 
 from raag.errors import RaagError, check_states
-from raag.graph import Graph, clique_counts
+from raag.graph import Graph, clique_counts, disjoint_union, join
 from raag.series import DomainError
 
 
@@ -165,8 +165,6 @@ class IdentityReport:
 def union_join_identities(g1: Graph, g2: Graph, order: int) -> list[IdentityReport]:
     """Coefficientwise checks of the disjoint-union reciprocal-additivity
     identities and the join multiplicativity identities."""
-    from raag.graph import disjoint_union, join
-
     gu, gj = disjoint_union(g1, g2), join(g1, g2)
     _check_order(gu, order)
 

@@ -43,13 +43,12 @@ from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_small_prime
+from raag.series import Domain, DomainError, Fp, PCSeries, _is_small_prime
 from raag.words import Trace, _concat, _slot
 
 
 @dataclass(frozen=True)
 class RankTable:
-    graph: Graph
     kind: str  # "lower_central" | "restricted" | "exponent_p"
     values: tuple[int, ...]  # indexed by degree, starting at 1
     method: str  # "bracket_span" | "series_recursion" | "partial_sums"
@@ -356,7 +355,7 @@ def _mobius_ranks(g: Graph, upto: int, p: int | None) -> tuple[int, ...]:
 def series_rank_lcs(g: Graph, upto: int) -> RankTable:
     """Ranks b_n solving prod (1 - t^n)^{-b_n} = Phi_R(t), by Moebius
     inversion of c_m = sum_{n|m} n b_n (see _mobius_ranks)."""
-    return RankTable(g, "lower_central", _mobius_ranks(g, upto, None),
+    return RankTable("lower_central", _mobius_ranks(g, upto, None),
                      "series_recursion")
 
 
@@ -365,7 +364,7 @@ def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
     prime p, by Moebius inversion (see _mobius_ranks)."""
     if not _is_small_prime(p):
         raise DomainError(f"restricted ranks need a prime p < 2^31, got {p}")
-    return RankTable(g, "restricted", _mobius_ranks(g, upto, p),
+    return RankTable("restricted", _mobius_ranks(g, upto, p),
                      "series_recursion", p=p)
 
 
@@ -383,18 +382,4 @@ def lambda_dims(g: Graph, p: int, upto: int) -> RankTable:
     for n in range(upto):
         acc += b[n]
         partial.append(acc)
-    return RankTable(g, "exponent_p", tuple(partial), "partial_sums", p=p)
-
-
-def primitivity_check(g: Graph, n: int, order: int):
-    """Every degree-n spanning bracket is primitive for the coproduct; returns
-    None on success, else a witness PCSeries."""
-    from raag.series import is_primitive
-
-    if order <= n:
-        raise DomainError("truncation order must exceed the degree")
-    for e in lyndon_brackets(g, n).values():
-        x = PCSeries(g, Q, order, e.items())
-        if not is_primitive(x):
-            return x
-    return None
+    return RankTable("exponent_p", tuple(partial), "partial_sums", p=p)

@@ -9,21 +9,20 @@ exponent-p series (for p >= 3).
 
 Images are built one syllable step at a time: y.(1+v)^e is the sum of
 c_k y.v^k, and each y.v^k is y.v^(k-1) with one letter appended, so no
-general series product is formed (the exponential image steps with e^k/k!
-for c_k).  The appends recur (t.v.v is (t.v).v when t.v is a term too, and
-a prefix's image is extended by v^+1 and by v^-1), so each call keeps a
-memo of them (`Appends`) and forms each t.v once.
+general series product is formed.  The appends recur (t.v.v is (t.v).v
+when t.v is a term too, and a prefix's image is extended by v^+1 and by
+v^-1), so each call keeps a memo of them (`Appends`) and forms each t.v
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
-from raag.series import Domain, DomainError, PCSeries, Q, Z, _is_small_prime
+from raag.series import Domain, DomainError, PCSeries, Z, _is_small_prime
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
 
@@ -81,17 +80,6 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
         work += len(out.coeffs) * width * order
         check_states(work, "magnus", cap)
         out = _syllable_step(out, s.generator, _binomials(e, order), appends)
-    return out
-
-
-def magnus_exp(w: GroupWord, g: Graph, order: int) -> PCSeries:
-    """Image under the exponential variant v -> sum v^n/n! (rationals only):
-    the syllable v^e steps by exp(e v), with coefficients e^k/k!."""
-    out = PCSeries.one(g, Q, order)
-    appends: Appends = {}
-    for s in w.syllables:
-        cs = [Fraction(s.exponent**k, factorial(k)) for k in range(order)]
-        out = _syllable_step(out, s.generator, cs, appends)
     return out
 
 
@@ -175,6 +163,7 @@ def leading_monomial_char_p(w: GroupWord, g: Graph, p: int) -> LeadingMonomial:
     minimal (p-power) exponents, read off the canonical form: the syllable
     v^e with e = p^s * l, p not dividing l, contributes v^{p^s} and a
     factor l to the coefficient."""
+    _check_prime(p)
     if not w.syllables:
         raise ValueError("identity has no leading monomial")
     letters: list[str] = []

@@ -196,16 +196,8 @@ class PCSeries(LinComb):
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, graph: Graph, domain: Domain, order: int) -> "PCSeries":
-        return cls(graph, domain, order)
-
-    @classmethod
-    def constant(cls, c, graph: Graph, domain: Domain, order: int) -> "PCSeries":
-        return cls(graph, domain, order, [((), c)])
-
-    @classmethod
     def one(cls, graph: Graph, domain: Domain, order: int) -> "PCSeries":
-        return cls.constant(1, graph, domain, order)
+        return cls(graph, domain, order, [((), 1)])
 
     @classmethod
     def generator(cls, v: str, graph: Graph, domain: Domain, order: int) -> "PCSeries":
@@ -271,6 +263,21 @@ class PCSeries(LinComb):
 # -- module-level operations ------------------------------------------
 
 
+def _power_sum(u: PCSeries, coeff) -> PCSeries:
+    """The sum of coeff(n) * u^n over n >= 0, for u with zero constant
+    term: each power starts one degree higher, so the loop stops at the
+    first power that vanishes below the truncation order."""
+    terms = []
+    pw = PCSeries.one(u.graph, u.domain, u.order)
+    n = 0
+    while pw.coeffs:
+        c = coeff(n)
+        terms.extend((t, c * a) for t, a in pw.coeffs.items())
+        pw = pw * u
+        n += 1
+    return u._like(terms)
+
+
 def invert_unit(x: PCSeries) -> PCSeries:
     """Inverse of a series whose constant term is a unit, by the geometric
     series on the augmentation-ideal part."""
@@ -280,16 +287,7 @@ def invert_unit(x: PCSeries) -> PCSeries:
         raise DomainError(f"constant term {c0!r} is not invertible")
     c0_inv = d.inv(c0)
     u = x.scale(c0_inv) - PCSeries.one(x.graph, d, x.order)  # u in the ideal
-    out = PCSeries.one(x.graph, d, x.order)
-    pw = PCSeries.one(x.graph, d, x.order)
-    sign = -1
-    for _ in range(1, x.order):
-        pw = pw * u
-        if not pw.coeffs:
-            break
-        out = out + pw.scale(sign)
-        sign = -sign
-    return out.scale(c0_inv)
+    return _power_sum(u, lambda n: (-1) ** n * c0_inv)
 
 
 def exp_series(x: PCSeries) -> PCSeries:
@@ -297,14 +295,7 @@ def exp_series(x: PCSeries) -> PCSeries:
         raise DomainError("exp needs rational coefficients")
     if x.constant_term() != 0:
         raise DomainError("exp needs zero constant term")
-    out = PCSeries.one(x.graph, x.domain, x.order)
-    pw = PCSeries.one(x.graph, x.domain, x.order)
-    for n in range(1, x.order):
-        pw = pw * x
-        if not pw.coeffs:
-            break
-        out = out + pw.scale(Fraction(1, factorial(n)))
-    return out
+    return _power_sum(x, lambda n: Fraction(1, factorial(n)))
 
 
 def log_series(y: PCSeries) -> PCSeries:
@@ -313,21 +304,7 @@ def log_series(y: PCSeries) -> PCSeries:
     if y.constant_term() != 1:
         raise DomainError("log needs constant term 1")
     u = y - PCSeries.one(y.graph, y.domain, y.order)
-    out = PCSeries.zero(y.graph, y.domain, y.order)
-    pw = PCSeries.one(y.graph, y.domain, y.order)
-    for n in range(1, y.order):
-        pw = pw * u
-        if not pw.coeffs:
-            break
-        out = out + pw.scale(Fraction((-1) ** (n + 1), n))
-    return out
-
-
-def antipode(x: PCSeries) -> PCSeries:
-    """The anti-automorphism sending each generator v to -v."""
-    g = x.graph
-    return x._like((canonicalize_trace(t[::-1], g), -c if len(t) % 2 else c)
-                   for t, c in x.coeffs.items())
+    return _power_sum(u, lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
 
 
 class TensorSeries(LinComb):

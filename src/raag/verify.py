@@ -75,21 +75,29 @@ def _commutator_parts(g: Graph) -> tuple[bool, list[list[dict]]]:
 def _clique_counts_by_deletion(g: Graph) -> list[int]:
     """The clique counts again, independently of `enumerate_cliques`: the
     clique polynomial obeys c(G) = c(G - v) + t * c(G[N(v)]), run here on
-    vertex bitmasks with one table entry per induced subgraph reached."""
+    vertex bitmasks with one table entry per induced subgraph reached.  The
+    masks still to count wait on an explicit stack, so the depth of the
+    recurrence, up to |V|, is not bounded by Python's recursion limit."""
     n = len(g.vertices)
     nbrs = g._nbrs
+    full = (1 << n) - 1
     memo = {0: [1] + [0] * n}  # coefficients of t^0..t^n
-
-    def poly(mask: int) -> list[int]:
-        if mask not in memo:
-            v = mask.bit_length() - 1
-            rest = mask & ~(1 << v)
-            # G[N(v)] has fewer than n vertices, so its t^n coefficient is 0
-            within = poly(rest & nbrs[v])
-            memo[mask] = [a + b for a, b in zip(poly(rest), [0] + within[:-1])]
-        return memo[mask]
-
-    return poly((1 << n) - 1)
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        if mask in memo:
+            continue
+        v = mask.bit_length() - 1
+        rest = mask & ~(1 << v)
+        within = rest & nbrs[v]
+        missing = [m for m in (rest, within) if m not in memo]
+        if missing:
+            stack += [mask] + missing
+            continue
+        # G[N(v)] has fewer than n vertices, so its t^n coefficient is 0
+        memo[mask] = [a + b for a, b in
+                      zip(memo[rest], [0] + memo[within][:-1])]
+    return memo[full]
 
 
 def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:

@@ -276,10 +276,3 @@ def sphere_sizes(g: Graph, r: int) -> list[int]:
     for w in geodesic_words(g, r):
         counts[len(w)] += 1
     return counts
-
-
-def substitute_word(u: GroupWord, vertex_map, target: Graph) -> GroupWord:
-    """Image of u under the homomorphism induced by a graph morphism."""
-    return reduce_word(
-        [(vertex_map[s.generator], s.exponent) for s in u.syllables], target
-    )

@@ -377,6 +377,24 @@ def test_koszul_on_graph_with_no_vertex(tmp_path):
     assert json.loads(proc.stdout) == {"checked": 1, "ok": True}
 
 
+@pytest.mark.parametrize("edges", [False, True], ids=["edgeless", "path"])
+def test_verify_all_on_1100_vertices_exits_at_the_cap(tmp_path, monkeypatch,
+                                                      edges):
+    # the clique recount reaches 1,100 vertex masks deep, past Python's
+    # recursion limit; it must finish, so that the trace enumeration after
+    # it stops the run at the state cap
+    names = [f"v{i}" for i in range(1100)]
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"vertices": names,
+                             "edges": list(zip(names, names[1:])) if edges else []}))
+    monkeypatch.setenv("RAAG_MAX_STATES", "100000")
+    proc, _ = _run_child(str(f), "verify-all")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "resource limit: enumerate_traces" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("word,order", [("a^-1", "3000"),
                                         ("a c^-1 e b^-1 d " * 8, "12"),
                                         ("a^-1000000000", "20000")],

@@ -1,10 +1,9 @@
 import pytest
 
 from raag.errors import ResourceLimitError
-from raag.graph import (Graph, GraphError, GraphMorphism, check_full_injective,
-                        clique_counts, complete_graph, cycle_graph,
-                        disjoint_union, empty_graph, enumerate_cliques,
-                        identity_morphism, join, path_graph)
+from raag.graph import (Graph, GraphError, clique_counts, complete_graph,
+                        cycle_graph, disjoint_union, empty_graph,
+                        enumerate_cliques, join, path_graph)
 
 from conftest import SUITE
 from oracles import _truncated_mul, subset_cliques
@@ -148,28 +147,3 @@ def test_clique_enumeration_respects_state_cap(monkeypatch):
         clique_counts(complete_graph(10))
     monkeypatch.setenv("RAAG_MAX_STATES", "1024")
     assert clique_counts(complete_graph(10))[5] == 252
-
-
-def test_identity_morphism_full_injective():
-    g = cycle_graph(4)
-    assert check_full_injective(identity_morphism(g))
-
-
-def test_non_induced_inclusion_not_full():
-    # the two path endpoints map to adjacent vertices of the triangle
-    src = path_graph(3)
-    tgt = complete_graph(3)
-    m = GraphMorphism(src, tgt, {"a": "a", "b": "b", "c": "c"})
-    assert not check_full_injective(m)
-
-
-def test_induced_path_in_cycle_is_full():
-    c5 = cycle_graph(5)
-    src = path_graph(3)
-    m = GraphMorphism(src, c5, {"a": "a", "b": "b", "c": "c"})
-    assert check_full_injective(m)
-
-
-def test_edge_collapse_rejected():
-    with pytest.raises(GraphError):
-        GraphMorphism(complete_graph(2), complete_graph(2), {"a": "a", "b": "a"})

@@ -10,9 +10,9 @@ from raag.errors import ResourceLimitError
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         empty_graph, path_graph)
 from raag.lie import (bracket_span_rank, lambda_dims, lyndon_brackets,
-                      primitivity_check, restricted_span_rank,
-                      series_rank_lcs, series_rank_restricted)
-from raag.series import DomainError, Fp, Q
+                      restricted_span_rank, series_rank_lcs,
+                      series_rank_restricted)
+from raag.series import DomainError, Fp, PCSeries, Q, is_primitive
 
 from conftest import SUITE, graphs_st, small_suite
 from oracles import (left_normed_brackets, left_normed_span_rank,
@@ -153,9 +153,12 @@ def test_commuting_bracket_vanishes():
 
 
 def test_primitivity():
+    # every degree-n Lyndon bracket is primitive for the coproduct, at
+    # truncation order n + 1
     for g in small_suite().values():
         for n in (1, 2, 3):
-            assert primitivity_check(g, n, n + 1) is None
+            for e in lyndon_brackets(g, n).values():
+                assert is_primitive(PCSeries(g, Q, n + 1, e.items()))
 
 
 def test_lyndon_route_matches_left_normed_oracle_c5():

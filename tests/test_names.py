@@ -6,6 +6,11 @@ src/raag must occur as a whole word in src/, tests/ or scripts/ outside
 its own definition; a name that occurs nowhere else is dead code.  This
 holds for private helpers (`_name`) at the top level as well.
 
+A public name must also have a consumer: it occurs in src/, scripts/,
+perfbench/ or the acceptance criteria, not only in its own unit tests.
+The names kept for the library alone are listed in `LIBRARY_ONLY`, each
+with its reason.
+
 No module binds a mutable container at its top level or in a class body:
 a memo there would outlive the call, and the graph, it was built for.  A
 cache is local to one call, or an `lru_cache` keyed by the graph.
@@ -20,9 +25,25 @@ PACKAGE = ROOT / "src" / "raag"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _sources() -> dict[Path, list[str]]:
-    files = [p for d in ("src", "tests", "scripts")
-             for p in sorted((ROOT / d).rglob("*.py"))]
+USERS = ("src/**/*.py", "tests/**/*.py", "scripts/**/*.py")
+CONSUMERS = ("src/**/*.py", "scripts/**/*.py", "perfbench/*.py",
+             "tests/test_acceptance.py")
+
+# public names that no consumer reaches, kept for the library's users
+LIBRARY_ONLY = {
+    "exterior.py: ExtElement":
+        "the cohomology ring of the group, named in the paper's abstract",
+    "graph.py: Graph.to_dict":
+        "the inverse of Graph.from_dict, for writing graph JSON",
+    "series.py: LinComb.is_zero":
+        "the zero test of the one sparse linear-combination type",
+    "series.py: PCSeries.from_terms":
+        "builds a series from letter sequences that need not be canonical",
+}
+
+
+def _sources(patterns) -> dict[Path, list[str]]:
+    files = sorted({p for pattern in patterns for p in ROOT.glob(pattern)})
     return {p: p.read_text(encoding="utf-8").splitlines() for p in files}
 
 
@@ -47,8 +68,10 @@ def _private_definitions(tree: ast.Module):
             yield node.name, node.name, node.lineno, node.end_lineno
 
 
-def _unused(definitions) -> list[str]:
-    sources = _sources()
+def _unused(definitions, patterns=USERS) -> list[str]:
+    """The definitions whose name occurs in no file matching `patterns`,
+    outside the definition itself."""
+    sources = _sources(patterns)
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path]
@@ -72,6 +95,10 @@ def test_every_public_name_is_used():
 
 def test_every_private_helper_is_used():
     assert _unused(_private_definitions) == []
+
+
+def test_every_public_name_has_a_consumer():
+    assert sorted(_unused(_public_definitions, CONSUMERS)) == sorted(LIBRARY_ONLY)
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,

@@ -11,7 +11,7 @@ from raag.growth import phi_A, phi_R
 from raag.words import (IDENTITY, GroupWord, Syllable, canonicalize_trace,
                         enumerate_traces, format_word, geodesic_words, invert,
                         multiply, parse_word, reduce_word, sphere_sizes,
-                        substitute_word, word_length)
+                        word_length)
 
 from conftest import SUITE, graphs_st, random5_graph
 from oracles import ball, m3_orbit, m_move_closure, piling_is_identity
@@ -237,10 +237,3 @@ def test_sphere_sizes_reduce_nothing(monkeypatch):
 def test_word_length():
     assert word_length(parse_word("a^3 c^-2", P3)) == 5
     assert word_length(IDENTITY) == 0
-
-
-def test_substitute_word():
-    from raag.graph import cycle_graph
-    c5 = cycle_graph(5)
-    w = parse_word("a b^-1", P3)
-    assert format_word(substitute_word(w, {"a": "a", "b": "b", "c": "c"}, c5)) == "a b^-1"
