@@ -1,15 +1,25 @@
 """Command-line frontend: one subcommand per computation, JSON output.
 
+    raag --graph PATH COMMAND [ARGS]
+
+The command line is read against `COMMANDS`, one immutable table: `--graph`
+comes before the command; after it, positionals and options come in any
+order, an option as `--name value` or `--name=value` (the value may start
+with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
+`--help` prints the usage, built from the table, and exits 0.
+
 Big integers are printed as decimal strings so downstream consumers never
-lose precision.  Exit codes: 0 success, 1 verification failure, 2 parse
-error, 3 resource bound exceeded.
+lose precision, however many digits they have: Python's 4,300-digit limit on
+int-to-str conversion is lifted once the graph is read, since the work caps
+already bound every answer.  Exit codes: 0 success, 1 verification failure,
+2 parse error, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from raag.errors import RaagError, ResourceLimitError
 from raag.graph import Graph, GraphError, clique_counts
@@ -26,6 +36,146 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
+
+# One row per command: (name, help, positionals, options).  An option is
+# (name, default, choices, help); one with no choices takes an int.
+COMMANDS = (
+    ("cliques", "enumerate cliques and their counts", (), ()),
+    ("nf", "canonical form of a word", ("word",), ()),
+    ("mul", "product of two words, in canonical form", ("left", "right"), ()),
+    ("growth", "growth series of the group", (), (
+        ("upto", 12, (), "number of coefficients"),
+        ("oracle", None, (), "also count spheres up to this radius from the "
+                             "streamed geodesic words"),
+    )),
+    ("poincare", "Poincare series data", (), ()),
+    ("magnus", "truncated series image of a word", ("word",), (
+        ("order", 8, (), "truncation order"),
+        ("domain", "Z", ("Z", "Q", "Fp"), "coefficient domain"),
+        ("p", None, (), "the prime of Fp"),
+    )),
+    ("valuation", "filtration valuations of a word", ("word",), (
+        ("order", 8, (), "truncation order"),
+        ("domain", "Q", ("Z", "Q", "Fp"), "coefficient domain"),
+        ("p", 3, (), "the prime of Fp and of the p-valuation"),
+        ("depth", None, (), "also answer membership in the given dimension "
+                            "subgroup"),
+    )),
+    ("ranks", "graded Lie algebra ranks", (), (
+        ("kind", "lcs", ("lcs", "restricted", "lambda"),
+         "lower central, restricted (p-central) or exponent-p"),
+        ("p", 3, (), "the prime of the restricted and exponent-p kinds"),
+        ("upto", 6, (), "highest degree"),
+    )),
+    ("koszul", "resolution certificate", (), (
+        ("upto", 6, (), "check the basis below this total degree"),
+        ("domain", "Q", ("Q", "Fp"), "coefficient domain"),
+        ("p", None, (), "the prime of Fp"),
+    )),
+    ("verify-all", "run the full cross-check suite", (), (
+        ("p", 3, (), "the prime of the p-central and exponent-p checks"),
+    )),
+)
+
+
+class _UsageError(RaagError):
+    """A command line that `COMMANDS` does not admit."""
+
+
+def _usage(row=None) -> str:
+    """The help text: the list of commands, or one command's synopsis and
+    options."""
+    if row is None:
+        lines = ["usage: raag --graph PATH COMMAND [ARGS]", "", "commands:"]
+        lines += [f"  {name:<11} {text}" for name, text, _, _ in COMMANDS]
+        lines += ["", "raag --graph PATH COMMAND --help describes one "
+                  "command."]
+        return "\n".join(lines) + "\n"
+    name, text, positionals, options = row
+    metavar = {o: "|".join(choices) or "INT" for o, _, choices, _ in options}
+    synopsis = [name, *(p.upper() for p in positionals),
+                *(f"[--{o} {metavar[o]}]" for o, _, _, _ in options)]
+    lines = ["usage: raag --graph PATH " + " ".join(synopsis), "", text]
+    if options:
+        lines += ["", "options:"]
+        for o, default, _, help_text in options:
+            flag = f"--{o} {metavar[o]}"
+            if default is not None:
+                help_text += f" (default {default})"
+            lines.append(f"  {flag:<22} {help_text}")
+    return "\n".join(lines) + "\n"
+
+
+def _value(option, text: str):
+    """The value of `option` read from `text`: one of its choices, or an
+    int."""
+    name, _, choices, _ = option
+    if choices:
+        if text not in choices:
+            raise _UsageError(f"--{name}: {text!r} is not one of "
+                              f"{', '.join(choices)}")
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"--{name}: {text!r} is not an int") from None
+
+
+def _parse(argv: list[str]):
+    """The namespace that `run` reads, or the help text if argv asks for
+    it.  A command line that `COMMANDS` does not admit raises _UsageError."""
+    args = SimpleNamespace(graph=None)
+    rest = iter(argv)
+    for tok in rest:
+        if tok in ("-h", "--help"):
+            return _usage()
+        name, eq, text = tok.partition("=")
+        if name == "--graph":
+            args.graph = text if eq else next(rest, None)
+            if args.graph is None:
+                raise _UsageError("--graph needs a value")
+        elif tok.startswith("-"):
+            raise _UsageError(f"unknown option {tok!r}")
+        else:
+            break
+    else:
+        raise _UsageError("no command given")
+    row = next((r for r in COMMANDS if r[0] == tok), None)
+    if row is None:
+        raise _UsageError(f"unknown command {tok!r}; the commands are "
+                          f"{', '.join(r[0] for r in COMMANDS)}")
+    args.command, _, positionals, options = row
+    by_name = {o[0]: o for o in options}
+    for o, default, _, _ in options:
+        setattr(args, o, default)
+    given = []
+    for tok in rest:
+        name, eq, text = tok.partition("=")
+        option = by_name.get(name[2:]) if name.startswith("--") else None
+        if tok == "--":
+            given.extend(rest)
+        elif tok in ("-h", "--help"):
+            return _usage(row)
+        elif option is not None:
+            if not eq:
+                text = next(rest, None)
+                if text is None:
+                    raise _UsageError(f"{name} needs a value")
+            setattr(args, option[0], _value(option, text))
+        elif tok.startswith("--") and " " not in tok:
+            raise _UsageError(f"{args.command}: unknown option {tok!r}")
+        else:
+            # as with argparse, a word with a space ("--x y") is a positional
+            given.append(tok)
+    if len(given) != len(positionals):
+        want = " ".join(p.upper() for p in positionals) or "no positional"
+        raise _UsageError(f"{args.command} takes {want}, got {len(given)} "
+                          f"positional{'s' if len(given) != 1 else ''}")
+    for name, tok in zip(positionals, given):
+        setattr(args, name, tok)
+    if args.graph is None:
+        raise _UsageError("--graph PATH is required")
+    return args
 
 
 def _load_graph(path: str) -> Graph:
@@ -51,61 +201,20 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="raag")
-    ap.add_argument("--graph", required=True, help="path to a graph JSON file")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("cliques", help="enumerate cliques and their counts")
-
-    p = sub.add_parser("nf", help="canonical form of a word")
-    p.add_argument("word")
-
-    p = sub.add_parser("mul", help="product of two words, in canonical form")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("growth", help="growth series of the group")
-    p.add_argument("--upto", type=int, default=12)
-    p.add_argument("--oracle", type=int, default=None,
-                   help="also count spheres up to this radius from the "
-                        "streamed geodesic words")
-
-    sub.add_parser("poincare", help="Poincare series data")
-
-    p = sub.add_parser("magnus", help="truncated series image of a word")
-    p.add_argument("word")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--domain", choices=["Z", "Q", "Fp"], default="Z")
-    p.add_argument("--p", type=int, default=None)
-
-    p = sub.add_parser("valuation", help="filtration valuations of a word")
-    p.add_argument("word")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--domain", choices=["Z", "Q", "Fp"], default="Q")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--depth", type=int, default=None,
-                   help="also answer membership in the given dimension subgroup")
-
-    p = sub.add_parser("ranks", help="graded Lie algebra ranks")
-    p.add_argument("--kind", choices=["lcs", "restricted", "lambda"],
-                   default="lcs")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--upto", type=int, default=6)
-
-    p = sub.add_parser("koszul", help="resolution certificate")
-    p.add_argument("--upto", type=int, default=6)
-    p.add_argument("--domain", choices=["Q", "Fp"], default="Q")
-    p.add_argument("--p", type=int, default=None)
-
-    p = sub.add_parser("verify-all", help="run the full cross-check suite")
-    p.add_argument("--p", type=int, default=3)
-
-    return ap
-
-
 def run(args) -> int:
     g = _load_graph(args.graph)
+    # the graph JSON is read under Python's limit on the digits of an int,
+    # which keeps a huge number there from taking seconds to parse; the
+    # answers are bounded by the work caps instead, so they print whole
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _answer(g, args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _answer(g: Graph, args) -> int:
     cmd = args.command
 
     if cmd == "cliques":
@@ -182,11 +291,14 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return EXIT_OK
     try:
         return run(args)
     except ResourceLimitError as exc:

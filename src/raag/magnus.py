@@ -18,7 +18,6 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
@@ -31,12 +30,16 @@ Appends = dict[str, dict[Trace, Trace]]  # v -> t -> t.v, for one call
 
 
 def _binomials(e: int, order: int) -> list[int]:
-    # the coefficients of (1+v)^e below degree `order`; for e < 0 the
-    # generalized binomial coefficients comb(e, k) = (-1)^k * comb(-e+k-1, k)
-    # are still integers
-    if e >= 0:
-        return [comb(e, k) for k in range(min(e + 1, order))]
-    return [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
+    # the coefficients of (1+v)^e below degree `order`, stepped by
+    # c_{k+1} = c_k (e - k) / (k + 1), a division that is exact; for e < 0
+    # they are the generalized binomial coefficients, still integers, and
+    # for e >= 0 they stop at v^e
+    cs = []
+    c = 1
+    for k in range(min(e + 1, order) if e >= 0 else order):
+        cs.append(c)
+        c = c * (e - k) // (k + 1)
+    return cs
 
 
 def _syllable_step(y: PCSeries, v: str, cs: list,

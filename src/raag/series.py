@@ -55,6 +55,12 @@ class Domain:
             raise DomainError("p is only meaningful for Fp")
 
     def coerce(self, x):
+        # nearly every coefficient is a plain int; testing for it first
+        # skips the ABCMeta check of isinstance(x, Fraction)
+        if type(x) is int:
+            if self.kind == "Z":
+                return x
+            return Fraction(x) if self.kind == "Q" else x % self.p
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

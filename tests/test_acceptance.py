@@ -6,7 +6,6 @@ Each test prints a single `PASS <criterion>` line on success (visible with
 
 import random
 from fractions import Fraction
-from math import comb
 
 from raag.graph import (complete_graph, cycle_graph, empty_graph, path_graph)
 from raag.growth import (RatFunc, phi_A, phi_R, phi_S,

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from raag.cli import main
+from raag.cli import COMMANDS, main
 from raag.graph import complete_graph, cycle_graph, path_graph
 
 from conftest import SUITE
@@ -445,3 +446,119 @@ def test_deeply_nested_graph_json_exit_code(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "nested too deeply" in err
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"]):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: raag --graph PATH COMMAND")
+        for name, text, _, _ in COMMANDS:
+            assert f"  {name}" in out and text in out
+
+
+@pytest.mark.parametrize("row", COMMANDS, ids=[row[0] for row in COMMANDS])
+def test_command_help(graph_file, capsys, row):
+    command, _, _, options = row
+    code, out = run(capsys, "--graph", graph_file, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: raag --graph PATH {command}")
+    # every option is named with its default
+    for name, default, _, _ in options:
+        assert f"--{name} " in out
+        if default is not None:
+            assert f"(default {default})" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--graph", "G", "frobnicate"),
+    ("--graph", "G", "lambda"),
+    ("--verbose", "--graph", "G", "cliques"),
+    ("--graph", "G", "ranks", "--frob", "1"),
+    ("--graph", "G", "ranks", "--up", "7"),
+    ("--graph", "G", "cliques", "--graph", "G"),
+    ("--graph",),
+    ("--graph", "G", "ranks", "--upto"),
+    ("--graph", "G", "ranks", "--upto", "x"),
+    ("--graph", "G", "ranks", "--upto=1.5"),
+    ("--graph", "G", "magnus", "a", "--order", "9" * 5000),
+    ("--graph", "G", "ranks", "--kind", "bogus"),
+    ("--graph", "G", "koszul", "--domain", "Z"),
+    ("--graph", "G", "nf"),
+    ("--graph", "G", "nf", "a", "b"),
+    ("--graph", "G", "mul", "a"),
+    ("--graph", "G", "cliques", "a"),
+    ("cliques",),
+    (),
+    ("--graph", "G"),
+], ids=["unknown-command", "lambda", "unknown-global-option",
+        "unknown-option", "abbreviation", "graph-after-command",
+        "graph-no-value", "missing-value", "not-int", "not-int-equals",
+        "int-past-digit-limit", "not-a-choice", "domain-not-a-choice",
+        "nf-no-word", "nf-two-words", "mul-one-word", "cliques-positional",
+        "no-graph", "empty", "no-command"])
+def test_parse_errors(graph_file, capsys, argv):
+    code = main([graph_file if a == "G" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spaced,other", [
+    (("magnus", "a b", "--order", "3"), ("magnus", "--order", "3", "a b")),
+    (("magnus", "a b", "--order", "3"), ("magnus", "a b", "--order=3")),
+    (("ranks", "--kind", "restricted", "--p", "2", "--upto", "5"),
+     ("ranks", "--upto=5", "--kind=restricted", "--p=2")),
+    (("mul", "a c", "c^-1 a"), ("mul", "a c", "--", "c^-1 a")),
+])
+def test_option_spellings_agree(graph_file, capsys, spaced, other):
+    code, want = run(capsys, "--graph", graph_file, *spaced)
+    assert code == 0
+    assert run(capsys, f"--graph={graph_file}", *other) == (0, want)
+
+
+def test_words_that_look_like_options(tmp_path, capsys):
+    # after `--`, and with a space in it, a word is never an option
+    f = tmp_path / "dash.json"
+    f.write_text(json.dumps({"vertices": ["--x", "y"]}))
+    code, out = run(capsys, "--graph", str(f), "nf", "--", "--x")
+    assert code == 0 and json.loads(out)["normal_form"] == "--x"
+    code, out = run(capsys, "--graph", str(f), "nf", "--x y")
+    assert code == 0 and json.loads(out)["normal_form"] == "--x y"
+
+
+def test_cli_does_not_import_argparse(graph_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = ("import sys, raag.cli\n"
+              "rc = raag.cli.main(sys.argv[1:])\n"
+              "sys.stderr.write('argparse' in sys.modules and 'ARGPARSE' or '')\n"
+              "sys.exit(rc)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--graph", graph_file, "ranks",
+         "--upto", "4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["values"] == {"1": 3, "2": 1, "3": 2, "4": 3}
+    assert "ARGPARSE" not in proc.stderr
+
+
+def test_answer_past_the_int_digit_limit(c5_file, capsys, monkeypatch):
+    # the a^700 coefficient of (1+a)^(-10^9) has 4,611 digits, past the
+    # 4,300 that Python converts by default; the CLI prints it whole and
+    # puts the limit back
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "--graph", c5_file, "magnus", "a^-1000000000",
+                    "--order", "701")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    coeff = {tuple(t["trace"]): t["coeff"] for t in json.loads(out)["series"]}
+    top = coeff[("a",) * 700]
+    assert len(top) == 4611
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(top) == comb(10**9 + 699, 700)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -3,7 +3,7 @@ import pytest
 from raag.exterior import ExtElement, quadratic_dual_check
 from raag.graph import clique_counts, complete_graph, path_graph
 from raag.growth import phi_S
-from raag.series import DomainError, Q, Z
+from raag.series import DomainError, Z
 
 from conftest import SUITE
 

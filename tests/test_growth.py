@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from raag.graph import (complete_graph, cycle_graph, disjoint_union,
-                        empty_graph, join, path_graph)
+from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from raag.growth import (RatFunc, SeriesError, phi_A, phi_A_ratfunc, phi_R,
                          phi_R_ratfunc, phi_S, union_join_identities)
 from raag.words import enumerate_traces, sphere_sizes

@@ -1,10 +1,8 @@
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 
 import raag.koszul
-from raag.graph import (clique_counts, complete_graph, cycle_graph, empty_graph,
+from raag.graph import (clique_counts, complete_graph, cycle_graph,
                         enumerate_cliques, path_graph)
 from raag.koszul import ResolutionReport, _d_key, _s_key, verify_resolution
 from raag.series import DomainError, Fp, LinComb, Q

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raag.magnus
-from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
+from raag.graph import cycle_graph, empty_graph, path_graph
 from raag.koszul import verify_resolution
 from raag.magnus import (_binomials, _syllable_step, injectivity_witness,
                          leading_monomial_char_p, magnus, omega_p_valuation,
                          omega_valuation)
 from raag.series import Fp, PCSeries, Q, Z
-from raag.words import (IDENTITY, GroupWord, Syllable, format_word, invert,
-                        multiply, parse_word, reduce_word)
+from raag.words import (IDENTITY, format_word, invert, multiply, parse_word,
+                        reduce_word)
 
 from conftest import SUITE, random5_graph
 from oracles import _syllable_image, ball, bigraded_ranks
@@ -50,6 +50,18 @@ def test_positive_power_binomials():
     x = magnus(parse_word("a^3", P3), P3, Z, 4)
     for k in range(4):
         assert x.coefficient(("a",) * k) == comb(3, k)
+
+
+def test_binomials_step_matches_comb():
+    # the step recurrence against the closed forms, past v^e for e >= 0
+    from math import comb
+    for e in range(-6, 7):
+        for order in range(1, 13):
+            if e >= 0:
+                want = [comb(e, k) for k in range(min(e + 1, order))]
+            else:
+                want = [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
+            assert _binomials(e, order) == want
 
 
 @settings(max_examples=40, deadline=None)

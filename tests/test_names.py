@@ -14,6 +14,8 @@ with its reason.
 No module binds a mutable container at its top level or in a class body:
 a memo there would outlive the call, and the graph, it was built for.  A
 cache is local to one call, or an `lru_cache` keyed by the graph.
+
+A test module uses every name it imports (`from __future__` aside).
 """
 
 import ast
@@ -137,3 +139,22 @@ def test_no_module_binds_a_mutable_container():
             if node.value is not None and _is_container(node.value):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_tests_import_only_names_they_use():
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # `import a.b` binds a
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}"
+                       for name in bound if name not in used]
+    assert unused == []

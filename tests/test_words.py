@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import raag.words
 from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from raag.growth import phi_A, phi_R
-from raag.words import (IDENTITY, GroupWord, Syllable, canonicalize_trace,
+from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
                         enumerate_traces, format_word, geodesic_words, invert,
                         multiply, parse_word, reduce_word, sphere_sizes,
                         word_length)
