@@ -10,8 +10,9 @@ with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
 
 Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
-int-to-str conversion is lifted once the graph is read, since the work caps
-already bound every answer.  Exit codes: 0 success, 1 verification failure,
+int-to-str conversion is lifted once the graph and the words are read, and
+what they admit is charged to the work caps (a syllable's binomials by their
+digits), which exit 3 past the cap.  Exit codes: 0 success, 1 verification failure,
 2 parse error, 3 resource bound exceeded.
 """
 
@@ -29,8 +30,8 @@ from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
 from raag.magnus import _check_prime, _omega, _omega_p, magnus
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
-from raag.words import (format_word, multiply, parse_word, sphere_sizes,
-                        word_length)
+from raag.words import (GroupWord, format_word, multiply, parse_word,
+                        sphere_sizes, word_length)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -203,18 +204,21 @@ def _emit(obj) -> None:
 
 def run(args) -> int:
     g = _load_graph(args.graph)
-    # the graph JSON is read under Python's limit on the digits of an int,
-    # which keeps a huge number there from taking seconds to parse; the
-    # answers are bounded by the work caps instead, so they print whole
+    # the graph JSON and the words (every positional is one) are read under
+    # Python's limit on the digits of an int, which keeps a huge number
+    # there from taking seconds to parse; the answers are charged to the
+    # work caps instead, so they print whole
+    row = next(r for r in COMMANDS if r[0] == args.command)
+    words = [parse_word(getattr(args, name), g) for name in row[2]]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _answer(g, args)
+        return _answer(g, args, words)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def _answer(g: Graph, args) -> int:
+def _answer(g: Graph, args, words: list[GroupWord]) -> int:
     cmd = args.command
 
     if cmd == "cliques":
@@ -223,12 +227,11 @@ def _answer(g: Graph, args) -> int:
             "counts": clique_counts(g),
         })
     elif cmd == "nf":
-        w = parse_word(args.word, g)
+        w, = words
         _emit({"input": args.word, "normal_form": format_word(w),
                "length": word_length(w)})
     elif cmd == "mul":
-        u = parse_word(args.left, g)
-        v = parse_word(args.right, g)
+        u, v = words
         _emit({"product": format_word(multiply(u, v, g))})
     elif cmd == "growth":
         out = {
@@ -245,12 +248,12 @@ def _answer(g: Graph, args) -> int:
             "phi_R_closed_form": str(phi_R_ratfunc(g)),
         })
     elif cmd == "magnus":
-        w = parse_word(args.word, g)
+        w, = words
         x = magnus(w, g, _domain(args), args.order)
         _emit({"word": format_word(w), "order": args.order,
                "series": x.to_json_obj()})
     elif cmd == "valuation":
-        w = parse_word(args.word, g)
+        w, = words
         dom = _domain(args)
         _check_prime(args.p)
         # one integer image: Z -> Q and Z -> F_p are ring maps, so the

@@ -42,6 +42,20 @@ def _binomials(e: int, order: int) -> list[int]:
     return cs
 
 
+def _binomial_digits(e: int, width: int, order: int) -> int:
+    """A bound on the size of the binomials c_k, k < width, of (1+v)^e, in
+    decimal digits, with a c_k past 4,300 digits counted as its square over
+    4,300: converting an int to decimal is quadratic in its digits, which is
+    why Python refuses more than 4,300 of them by default.  c_k is at most
+    (|e| + order)^min(k, |e|), since C(n, k) = C(n, n - k)."""
+    d = (abs(e) + order).bit_length() * 30103 // 100000 + 1
+    total = 0
+    for k in range(1, width):
+        c = min(k, abs(e)) * d
+        total += c if c <= 4300 else c * c // 4300
+    return total
+
+
 def _syllable_step(y: PCSeries, v: str, cs: list,
                    appends: Appends) -> PCSeries:
     """y * (c_0 + c_1 v + c_2 v^2 + ...) for the coefficients cs, cs[0] = 1,
@@ -69,12 +83,14 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
 
     Before each syllable step, its letter work (terms in x terms out per
     term x order) is added to a running total charged to the state cap
-    under the stage "magnus", so a long word or a high order exits with
-    `ResourceLimitError` instead of running unbounded."""
+    under the stage "magnus", and the digits of its binomials, once per
+    term in, to another under "magnus (coefficient digits)", so a long
+    word, a high order or a huge exponent exits with `ResourceLimitError`
+    instead of running unbounded."""
     cap = max_states()
     out = PCSeries.one(g, domain, order)
     appends: Appends = {}
-    work = 0
+    work = digits = 0
     for s in w.syllables:
         e = s.exponent
         # charged before the binomials are built, since for a large |e| they
@@ -82,6 +98,8 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
         width = min(e + 1, order) if e >= 0 else order
         work += len(out.coeffs) * width * order
         check_states(work, "magnus", cap)
+        digits += len(out.coeffs) * _binomial_digits(e, width, order)
+        check_states(digits, "magnus (coefficient digits)", cap)
         out = _syllable_step(out, s.generator, _binomials(e, order), appends)
     return out
 

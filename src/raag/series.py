@@ -55,21 +55,17 @@ class Domain:
             raise DomainError("p is only meaningful for Fp")
 
     def coerce(self, x):
-        # nearly every coefficient is a plain int; testing for it first
-        # skips the ABCMeta check of isinstance(x, Fraction)
-        if type(x) is int:
-            if self.kind == "Z":
-                return x
-            return Fraction(x) if self.kind == "Q" else x % self.p
+        # nearly every coefficient is a plain int, which the type test
+        # passes without the ABCMeta check of isinstance(x, Fraction)
         if self.kind == "Z":
-            if isinstance(x, Fraction):
+            if type(x) is not int and isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise DomainError(f"{x} is not an integer")
                 return x.numerator
             return int(x)
         if self.kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
+        if type(x) is not int and isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
             if not den:

@@ -544,6 +544,28 @@ def test_cli_does_not_import_argparse(graph_file):
     assert "ARGPARSE" not in proc.stderr
 
 
+@pytest.mark.parametrize("exponent,order,code", [
+    ("-" + "9" * 100_000, "8", 2),
+    ("-" + "9" * 4_200, "50", 3),
+    ("-1000000000", "2000", 3),
+], ids=["100000-digit-exponent", "4200-digit-exponent-order-50",
+        "exponent-1e9-order-2000"])
+def test_huge_exponent_exits_at_once(c5_file, monkeypatch, exponent, order,
+                                     code):
+    # the words are read under Python's 4,300-digit limit, so a longer
+    # exponent is a parse error; a shorter one is charged by the digits of
+    # its binomials (past 100,000 for the last two cases) before they are
+    # built or printed
+    monkeypatch.delenv("RAAG_MAX_STATES", raising=False)
+    proc, elapsed = _run_child(c5_file, "magnus", f"a^{exponent}",
+                               "--order", order)
+    assert elapsed < 5
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    if code == 3:
+        assert "magnus (coefficient digits)" in proc.stderr
+
+
 def test_answer_past_the_int_digit_limit(c5_file, capsys, monkeypatch):
     # the a^700 coefficient of (1+a)^(-10^9) has 4,611 digits, past the
     # 4,300 that Python converts by default; the CLI prints it whole and

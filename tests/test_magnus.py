@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -46,22 +47,20 @@ def test_inverse_image_is_geometric_series():
 
 
 def test_positive_power_binomials():
-    from math import comb
     x = magnus(parse_word("a^3", P3), P3, Z, 4)
     for k in range(4):
         assert x.coefficient(("a",) * k) == comb(3, k)
 
 
-def test_binomials_step_matches_comb():
+@pytest.mark.parametrize("e", range(-6, 7))
+def test_binomials_step_matches_comb(e):
     # the step recurrence against the closed forms, past v^e for e >= 0
-    from math import comb
-    for e in range(-6, 7):
-        for order in range(1, 13):
-            if e >= 0:
-                want = [comb(e, k) for k in range(min(e + 1, order))]
-            else:
-                want = [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
-            assert _binomials(e, order) == want
+    for order in range(1, 13):
+        if e >= 0:
+            want = [comb(e, k) for k in range(min(e + 1, order))]
+        else:
+            want = [(-1) ** k * comb(-e + k - 1, k) for k in range(order)]
+        assert _binomials(e, order) == want
 
 
 @settings(max_examples=40, deadline=None)

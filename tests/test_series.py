@@ -216,25 +216,6 @@ def test_constructor_sums_repeats_and_truncates(g, p, data):
     assert x.coeffs == {t: Fraction(1, 2)}
 
 
-def _coerce_by_fraction_first(dom, x):
-    """`Domain.coerce` with its int fast path taken out: the Fraction test
-    comes first, as it did before the fast path."""
-    if dom.kind == "Z":
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise DomainError(f"{x} is not an integer")
-            return x.numerator
-        return int(x)
-    if dom.kind == "Q":
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        num = x.numerator % dom.p
-        den = x.denominator % dom.p
-        if not den:
-            raise DomainError(f"{x} is not an element of F_{dom.p}")
-        return (num * pow(den, -1, dom.p)) % dom.p
-    return int(x) % dom.p
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([Z, Q, Fp(2), Fp(3), Fp(5)]),
@@ -242,12 +223,21 @@ def _coerce_by_fraction_first(dom, x):
                  st.fractions(max_denominator=30)))
 @example(Fp(3), Fraction(1, 6))  # a denominator divisible by p
 @example(Z, Fraction(1, 2))
-def test_coerce_matches_the_fraction_first_branches(dom, x):
-    try:
-        want = _coerce_by_fraction_first(dom, x)
-    except DomainError:
+def test_coerce_is_the_map_from_q(dom, x):
+    # an int, bool or Fraction lands as an int in Z, a Fraction in Q and a
+    # residue in F_p; one with no image raises
+    q = Fraction(x)
+    if dom.kind == "Q":
+        want = q
+    elif dom.kind == "Z":
+        want = q.numerator if q.denominator == 1 else None
+    elif q.denominator % dom.p:
+        want = q.numerator * pow(q.denominator, -1, dom.p) % dom.p
+    else:
+        want = None
+    if want is None:
         with pytest.raises(DomainError):
             dom.coerce(x)
-        return
-    got = dom.coerce(x)
-    assert got == want and type(got) is type(want)
+    else:
+        got = dom.coerce(x)
+        assert got == want and type(got) is type(want)
