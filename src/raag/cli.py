@@ -12,8 +12,8 @@ Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
 int-to-str conversion is lifted once the graph and the words are read, and
 what they admit is charged to the work caps (a syllable's binomials by their
-digits), which exit 3 past the cap.  Exit codes: 0 success, 1 verification failure,
-2 parse error, 3 resource bound exceeded.
+digits), which exit 3 past the cap.  Exit codes: 0 success, 1 verification
+failure, 2 parse error, 3 resource bound exceeded.
 """
 
 from __future__ import annotations
