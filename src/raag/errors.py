@@ -17,6 +17,10 @@ class ResourceLimitError(RaagError, RuntimeError):
     pass
 
 
+class DomainError(RaagError, ValueError):
+    pass
+
+
 def max_states() -> int:
     """Enumeration cap, overridable through RAAG_MAX_STATES."""
     raw = os.environ.get("RAAG_MAX_STATES")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from raag.errors import RaagError, check_states
+from raag.errors import DomainError, RaagError, check_states
 from raag.graph import Graph, clique_counts, disjoint_union, join
-from raag.series import DomainError
 
 
 class SeriesError(RaagError, ValueError):
@@ -49,9 +48,6 @@ class RatFunc:
     def series(self, order: int) -> list[int]:
         """The coefficients of t^0, ..., t^(order - 1)."""
         return list(islice(self.coefficients(), order))
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:

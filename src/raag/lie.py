@@ -51,7 +51,7 @@ from raag.words import Trace, _concat, _slot
 class RankTable:
     kind: str  # "lower_central" | "restricted" | "exponent_p"
     values: tuple[int, ...]  # indexed by degree, starting at 1
-    method: str  # "bracket_span" | "series_recursion" | "partial_sums"
+    method: str  # "series_recursion" | "partial_sums"
     p: int | None = None
 
     def to_json_obj(self) -> dict:

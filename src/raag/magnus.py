@@ -133,10 +133,6 @@ def _omega(x: PCSeries) -> Valuation:
     return Valuation(d, d < x.order)
 
 
-def omega_valuation(w: GroupWord, g: Graph, domain: Domain, order: int) -> Valuation:
-    return _omega(magnus(w, g, domain, order))
-
-
 def _vp(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero")

@@ -3,8 +3,9 @@
 Elements are finite maps from canonical traces of length < N to nonzero
 coefficients, over Z, Q, or F_p.  All arithmetic is exact; binary
 operations insist on equal graph, domain and truncation order.  The
-shared sparse arithmetic lives in `LinComb`, which the tensor square and
-the clique algebra use as well.
+shared sparse arithmetic lives in `LinComb`, which the clique algebra
+uses as well.  The tensor square of the ring over g is the ring over
+`join(g, g)`, so the Hopf maps need no type of their own.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from itertools import chain
 from math import factorial
 from typing import Hashable, Iterable
 
-from raag.errors import RaagError
-from raag.graph import Graph
+from raag.errors import DomainError
+from raag.graph import Graph, join
 from raag.words import Trace, _concat, canonicalize_trace
-
-
-class DomainError(RaagError, ValueError):
-    pass
 
 
 def _is_small_prime(p: int) -> bool:
@@ -104,11 +101,6 @@ Q = Domain("Q")
 
 def Fp(p: int) -> Domain:
     return Domain("Fp", p)
-
-
-def _pair_degree(key) -> int:
-    a, b = key
-    return len(a) + len(b)
 
 
 class LinComb:
@@ -309,55 +301,40 @@ def log_series(y: PCSeries) -> PCSeries:
     return _power_sum(u, lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
 
 
-class TensorSeries(LinComb):
-    """Element of the (truncated) tensor square of the series ring; the keys
-    are pairs of canonical traces."""
-
-    __slots__ = ()
-    _degree = staticmethod(_pair_degree)
-
-    def __mul__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check(other)
-        g, order = self.graph, self.order
-        return self._like(
-            ((_concat(a1, a2, g), _concat(b1, b2, g)), c1 * c2)
-            for (a1, b1), c1 in self.coeffs.items()
-            for (a2, b2), c2 in other.coeffs.items()
-            if len(a1) + len(a2) + len(b1) + len(b2) < order)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{c}*({''.join(a) or '1'}(x){''.join(b) or '1'})"
-            for (a, b), c in sorted(self.coeffs.items())
-        )
+def _side(x: PCSeries, tag: str) -> PCSeries:
+    """x in one factor of the tensor square, the series ring of
+    `join(g, g)`: a graph's names all collide with its own, so the join
+    renames v to `disjoint_union`'s collision tags, v.1 on the left and
+    v.2 on the right.  The copies keep g's order and edges, so renamed
+    traces stay canonical."""
+    g = x.graph
+    return PCSeries(join(g, g), x.domain, x.order,
+                    [(tuple(v + tag for v in t), c) for t, c in x.coeffs.items()])
 
 
-def tensor(x: PCSeries, y: PCSeries) -> TensorSeries:
-    x._check(y)
-    return TensorSeries(x.graph, x.domain, x.order,
-                        (((t1, t2), c1 * c2)
-                         for t1, c1 in x.coeffs.items()
-                         for t2, c2 in y.coeffs.items()))
+def tensor(x: PCSeries, y: PCSeries) -> PCSeries:
+    """x (x) y in the series ring of `join(g, g)`.  Every left letter
+    commutes with every right one and precedes it in vertex order, so a
+    canonical trace there is a left trace followed by a right trace."""
+    return _side(x, ".1") * _side(y, ".2")
 
 
-def coproduct(x: PCSeries) -> TensorSeries:
-    """Algebra map determined by v -> v(x)1 + 1(x)v.
+def coproduct(x: PCSeries) -> PCSeries:
+    """Algebra map determined by v -> v.1 + v.2, into the tensor square.
 
     On a trace it expands as a sum over subsets of letter positions, the
     chosen letters going left and the rest right.
     """
     g = x.graph
+    gj = join(g, g)
     terms = []
     for t, c in x.coeffs.items():
         k = len(t)
         for mask in range(1 << k):
-            left = tuple(t[i] for i in range(k) if mask >> i & 1)
-            right = tuple(t[i] for i in range(k) if not mask >> i & 1)
-            terms.append(((canonicalize_trace(left, g),
-                           canonicalize_trace(right, g)), c))
-    return TensorSeries(g, x.domain, x.order, terms)
+            tagged = (v + (".1" if mask >> i & 1 else ".2")
+                      for i, v in enumerate(t))
+            terms.append((_concat((), tagged, gj), c))
+    return PCSeries(gj, x.domain, x.order, terms)
 
 
 def is_primitive(x: PCSeries) -> bool:
@@ -367,4 +344,3 @@ def is_primitive(x: PCSeries) -> bool:
 
 def is_grouplike(x: PCSeries) -> bool:
     return x.constant_term() == x.domain.one and coproduct(x) == tensor(x, x)
-

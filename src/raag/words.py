@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from raag.errors import UnknownGeneratorError, check_states, max_states
 from raag.graph import Graph
+from raag.growth import phi_A
 
 Trace = tuple[str, ...]
 
@@ -248,13 +249,9 @@ def geodesic_words(g: Graph, r: int) -> Iterator[tuple[tuple[str, int], ...]]:
     are lex-normal geodesic words, so each element is reached once, from
     its prefix.  No word is reduced or looked up, and no layer is held.
     """
-    # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of
-    # Phi_A; imported here since raag.growth imports raag.series, which
-    # imports this module
-    from raag.growth import phi_A
-
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of Phi_A
     check_states(sum(phi_A(g, r + 1)), "ball")
     yield ()
     # words still to extend, with their generators; at most 2|V| wait at

@@ -9,12 +9,11 @@ from itertools import combinations, product
 from math import comb
 
 from raag.errors import check_states
-from raag.graph import Graph
+from raag.graph import Graph, join
 from raag.growth import phi_A
 from raag.koszul import Fronts, _d_key, _s_key
 from raag.linalg import rank_of_rows
-from raag.series import (Domain, DomainError, Fp, LinComb, PCSeries, Z,
-                         _pair_degree)
+from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, Z
 from raag.verify import COMMUTATOR_DEGREE
 from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
                         enumerate_traces, reduce_word, word_length)
@@ -185,6 +184,28 @@ def ball(g: Graph, r: int) -> list[GroupWord]:
             tuple((g.index(s.generator), s.exponent) for s in u.syllables),
         )
     return sorted(seen, key=key)
+
+
+def coproduct_by_pairs(x: PCSeries) -> PCSeries:
+    """The coproduct as a sum over subsets of letter positions, each into a
+    pair (left trace, right trace) canonical in x's graph; the pair is then
+    written as one trace of `join(g, g)`, its letters tagged .1 and .2."""
+    g = x.graph
+    terms = []
+    for t, c in x.coeffs.items():
+        for mask in range(1 << len(t)):
+            left = canonicalize_trace(
+                [v for i, v in enumerate(t) if mask >> i & 1], g)
+            right = canonicalize_trace(
+                [v for i, v in enumerate(t) if not mask >> i & 1], g)
+            terms.append((tuple(v + ".1" for v in left)
+                          + tuple(v + ".2" for v in right), c))
+    return PCSeries(join(g, g), x.domain, x.order, terms)
+
+
+def _pair_degree(key) -> int:
+    a, b = key
+    return len(a) + len(b)
 
 
 class KoszulElement(LinComb):

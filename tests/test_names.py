@@ -2,9 +2,10 @@
 module binds a mutable container.
 
 A top-level function or class, or a public method, of a module in
-src/raag must occur as a whole word in src/, tests/ or scripts/ outside
-its own definition; a name that occurs nowhere else is dead code.  This
-holds for private helpers (`_name`) at the top level as well.
+src/raag must occur as an identifier in src/, tests/ or scripts/ outside
+its own definition; a name that occurs nowhere else is dead code.  A word
+in a string literal or a comment is not an identifier.  This holds for
+private helpers (`_name`) at the top level as well.
 
 A public name must also have a consumer: it occurs in src/, scripts/,
 perfbench/ or the acceptance criteria, not only in its own unit tests.
@@ -15,11 +16,13 @@ No module binds a mutable container at its top level or in a class body:
 a memo there would outlive the call, and the graph, it was built for.  A
 cache is local to one call, or an `lru_cache` keyed by the graph.
 
-A test module uses every name it imports (`from __future__` aside).
+A test module uses every name it imports (`from __future__` aside), and
+no function in src/raag imports: each module imports at its top level.
 """
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,9 +47,17 @@ LIBRARY_ONLY = {
 }
 
 
-def _sources(patterns) -> dict[Path, list[str]]:
+def _identifiers(patterns) -> dict[Path, list[tuple[int, str]]]:
+    """The (line, identifier) of each NAME token in each file: a word
+    inside a string literal or a comment is not a use."""
     files = sorted({p for pattern in patterns for p in ROOT.glob(pattern)})
-    return {p: p.read_text(encoding="utf-8").splitlines() for p in files}
+    out = {}
+    for p in files:
+        tokens = tokenize.generate_tokens(
+            io.StringIO(p.read_text(encoding="utf-8")).readline)
+        out[p] = [(t.start[0], t.string) for t in tokens
+                  if t.type == tokenize.NAME]
+    return out
 
 
 def _public_definitions(tree: ast.Module):
@@ -71,19 +82,17 @@ def _private_definitions(tree: ast.Module):
 
 
 def _unused(definitions, patterns=USERS) -> list[str]:
-    """The definitions whose name occurs in no file matching `patterns`,
-    outside the definition itself."""
-    sources = _sources(patterns)
+    """The definitions whose name is an identifier in no file matching
+    `patterns`, outside the definition itself."""
+    sources = _identifiers(patterns)
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = sources[path]
         for qualname, name, first, last in definitions(
-                ast.parse("\n".join(lines))):
-            word = re.compile(rf"\b{re.escape(name)}\b")
+                ast.parse(path.read_text(encoding="utf-8"))):
             used = any(
-                word.search(line)
-                for p, text in sources.items()
-                for i, line in enumerate(text, 1)
+                word == name
+                for p, names in sources.items()
+                for i, word in names
                 if not (p == path and first <= i <= last)
             )
             if not used:
@@ -158,3 +167,16 @@ def test_tests_import_only_names_they_use():
             unused += [f"{path.name}:{node.lineno}: {name}"
                        for name in bound if name not in used]
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    # an import hidden in a function body is how an import cycle gets
+    # papered over; every module imports at its top level
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{inner.lineno}: {ast.unparse(inner)}"
+                          for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []

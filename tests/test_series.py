@@ -10,10 +10,10 @@ from raag.graph import (Graph, complete_graph, empty_graph, enumerate_cliques,
 from raag.series import (DomainError, Fp, PCSeries, Q, Z, coproduct, exp_series,
                          invert_unit, is_grouplike, is_primitive, log_series,
                          tensor)
-from raag.words import canonicalize_trace
+from raag.words import canonicalize_trace, enumerate_traces
 
 from conftest import graphs_st, random5_graph
-from oracles import KoszulElement, differential
+from oracles import KoszulElement, coproduct_by_pairs, differential
 
 P3 = path_graph(3)
 R5 = random5_graph()
@@ -144,6 +144,38 @@ def test_log_of_grouplike_is_primitive():
 def test_tensor_bilinear():
     a, b = gen("a", dom=Q, order=3), gen("b", dom=Q, order=3)
     assert tensor(a + b, a) == tensor(a, a) + tensor(b, a)
+
+
+def _check_tensor_square(x, y):
+    # coproduct agrees with the pair expansion, and x (x) y has one key per
+    # pair of terms: the left trace tagged .1, then the right tagged .2
+    assert coproduct(x) == coproduct_by_pairs(x)
+    assert coproduct(y) == coproduct_by_pairs(y)
+    want = {tuple(v + ".1" for v in t1) + tuple(v + ".2" for v in t2): c1 * c2
+            for t1, c1 in x.coeffs.items() for t2, c2 in y.coeffs.items()
+            if len(t1) + len(t2) < x.order}
+    assert tensor(x, y).coeffs == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_st(max_vertices=4), st.data())
+def test_tensor_square_matches_pair_expansion(g, data):
+    order = 4
+    coeff = st.integers(min_value=-5, max_value=5)
+    letters = st.lists(st.sampled_from(g.vertices), max_size=order - 1)
+    series = st.lists(st.tuples(letters, coeff), max_size=6).map(
+        lambda terms: PCSeries.from_terms(terms, g, Z, order))
+    _check_tensor_square(data.draw(series), data.draw(series))
+
+
+def test_tensor_square_with_dotted_names():
+    # names that look like the join's own tags: a.1 and a.2 are vertices
+    g = Graph(["a.1", "a", "b", "a.2"], [("a.1", "b"), ("a", "a.2"), ("b", "a")])
+    order = 4
+    traces = [t for n in range(order) for t in enumerate_traces(g, n)]
+    x = PCSeries(g, Z, order, ((t, i % 7 - 3) for i, t in enumerate(traces)))
+    y = PCSeries(g, Z, order, ((t, i % 5 - 2) for i, t in enumerate(traces)))
+    _check_tensor_square(x, y)
 
 
 def test_map_domain_reduction():
