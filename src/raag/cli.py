@@ -198,7 +198,10 @@ def _domain(args) -> Domain:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    # one line of compact JSON: json.dumps runs the C encoder, which
+    # json.dump never does; the newline is written apart, so the answer is
+    # not copied
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")
 
 
@@ -257,9 +260,10 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
         dom = _domain(args)
         _check_prime(args.p)
         # one integer image: Z -> Q and Z -> F_p are ring maps, so the
-        # image over `dom` is this one, mapped
+        # image over `dom` is this one, mapped; Z -> Q is injective, so
+        # only F_p can lose terms
         image = magnus(w, g, Z, args.order)
-        val = _omega(image.map_domain(dom))
+        val = _omega(image.map_domain(dom) if dom.kind == "Fp" else image)
         pval = _omega_p(image, args.p)
         out = {
             "word": format_word(w),

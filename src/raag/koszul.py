@@ -17,8 +17,13 @@ done in D throughout.
 The front products v.t recur: d(x), d of each face of x and d(s(x)) of
 many keys multiply the same letter into the same trace.  Each call of
 `verify_resolution` keeps a memo of them (`Fronts`), so each is formed
-once per call by one `_concat`; the memo lives no longer than the call,
-so no product outlives its graph.
+once per call, and formed by the prefix route: v.t = (v.t[:-1]).t[-1] is
+one `_slot` insertion into the product for the prefix of t, which the
+memo nearly always holds, since the keys come in ascending trace degree
+(`_front`).  The faces of each clique with their signs (`Faces`) and the
+letters the contraction may move into it (`Candidates`) are kept per
+call as well.  The memos live no longer than the call, so nothing
+outlives its graph.
 """
 
 from __future__ import annotations
@@ -31,48 +36,84 @@ from raag.growth import phi_R_ratfunc
 from raag.series import Domain, DomainError
 from raag.words import Trace, _concat, enumerate_traces
 
-BasisKey = tuple[tuple[str, ...], Trace]  # (ascending clique, canonical trace)
+Clique = tuple[str, ...]  # ascending
+BasisKey = tuple[Clique, Trace]  # (clique, canonical trace)
 Fronts = dict[Trace, dict[str, Trace]]  # t -> v -> v.t, for one call
+Faces = dict[Clique, list[tuple[str, Clique, int]]]  # c -> [(v, c - v, sign)]
+Candidates = dict[Clique, int]  # c -> the letters s may move into c
 
 
-def _d_key(key: BasisKey, g: Graph,
-           fronts: Fronts) -> list[tuple[BasisKey, int]]:
+def _front(v: str, t: Trace, g: Graph, fronts: Fronts) -> Trace:
+    """v.t, read from `fronts` or formed there as (v.t[:-1]).t[-1], one
+    insertion into the product for the prefix.  The walk back to the
+    longest prefix whose product is known is a loop, not a recursion, and
+    stores every product it forms."""
+    k = len(t)
+    rows = []
+    while k:
+        row = fronts.get(t[:k])
+        if row is None:
+            row = fronts[t[:k]] = {}
+        vt = row.get(v)
+        if vt is not None:
+            break
+        rows.append(row)
+        k -= 1
+    else:
+        vt = (v,)
+    for row in reversed(rows):
+        vt = row[v] = _concat(vt, (t[k],), g)
+        k += 1
+    return vt
+
+
+def _d_key(key: BasisKey, g: Graph, fronts: Fronts,
+           faces: Faces) -> list[tuple[BasisKey, int]]:
     """d of one basis key.  c is ascending and the basis product is written
     in decreasing order, so removing the j-th smallest vertex v carries
-    sign (-1)^j; v is multiplied into the trace at the front.  The product
-    v.t is read from `fronts`, or formed and stored there."""
+    sign (-1)^j; v is multiplied into the trace at the front.  The faces
+    of c with their signs are read from `faces`, or listed there once; the
+    product v.t is read from `fronts`, or formed by `_front`."""
     c, t = key
     if not c:
         return []
+    cf = faces.get(c)
+    if cf is None:
+        cf = faces[c] = [(v, c[:j] + c[j + 1:], -1 if j % 2 else 1)
+                         for j, v in enumerate(c)]
     row = fronts.get(t)
     if row is None:
         row = fronts[t] = {}
     out = []
-    for j, v in enumerate(c):
+    for v, face, sign in cf:
         vt = row.get(v)
         if vt is None:
-            vt = row[v] = _concat((v,), t, g)
-        out.append(((c[:j] + c[j + 1:], vt), -1 if j % 2 else 1))
+            vt = _front(v, t, g, fronts)
+        out.append(((face, vt), sign))
     return out
 
 
-def _s_key(key: BasisKey, g: Graph) -> BasisKey | None:
+def _s_key(key: BasisKey, g: Graph, cands: Candidates) -> BasisKey | None:
     """s of one basis key: the least letter v of t that commuting swaps can
     bring to the front, is adjacent to all of c and precedes min(c) moves
     into the clique; None if no letter qualifies.
 
     One scan of t on neighbour bitmasks: t[i] can come to the front iff it
     is adjacent to every letter before it.  `cand` holds the letters that
-    could still qualify at the current position.  Removing v can break
-    lex-normality (on path_graph(4), s sends ((d,), (b, c, a)) to
-    ((c, d), (a, b)): c moves and (b, a) is not lex-normal), so the rest is
-    re-canonicalised.
+    could still qualify at the current position; it starts from the
+    letters below min(c) adjacent to all of c, read from `cands` or
+    computed there once.  Removing v can break lex-normality (on
+    path_graph(4), s sends ((d,), (b, c, a)) to ((c, d), (a, b)): c moves
+    and (b, a) is not lex-normal), so the rest is re-canonicalised.
     """
     c, t = key
     index, nbrs = g._index, g._nbrs
-    cand = (1 << index[c[0]]) - 1 if c else -1
-    for u in c:
-        cand &= nbrs[index[u]]
+    cand = cands.get(c)
+    if cand is None:
+        cand = (1 << index[c[0]]) - 1 if c else -1
+        for u in c:
+            cand &= nbrs[index[u]]
+        cands[c] = cand
     pos = None
     for i, v in enumerate(t):
         if not cand:
@@ -119,9 +160,11 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     The keys are taken clique by clique, and each identity is summed for
     each key in turn.  One `Fronts` memo serves the whole call, so a front
     product v.t needed by d(x), by d of a face of x or by d(s(x)) is formed
-    once however many keys need it.  A sum whose integer coefficients are
-    all zero, or that has no terms (d.d on a clique of size <= 1), is zero
-    in every domain and is not reduced into it."""
+    once however many keys need it, from the product for t's prefix; the
+    clique tables `Faces` and `Candidates` are filled once per clique.  A
+    sum whose integer coefficients are all zero, or that has no terms (d.d
+    on a clique of size <= 1), is zero in every domain and is not reduced
+    into it."""
     if order < 1:
         raise DomainError("order must be >= 1")
     # count the basis before enumerating it: the degree-n traces number r_n,
@@ -139,28 +182,30 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     cliques = [c for c in g.cliques() if len(c) < order]
     traces = [enumerate_traces(g, n) for n in range(degrees)]
     fronts: Fronts = {}
+    faces: Faces = {}
+    cands: Candidates = {}
     checked = 0
     for c in cliques:
         for layer in traces[:order - len(c)]:
             for t in layer:
                 x = (c, t)
                 checked += 1
-                dx = _d_key(x, g, fronts)
+                dx = _d_key(x, g, fronts, faces)
                 acc: dict[BasisKey, int] = {}
                 for y, a in dx:
-                    for z, b in _d_key(y, g, fronts):
+                    for z, b in _d_key(y, g, fronts, faces):
                         acc[z] = acc.get(z, 0) + a * b
                 if any(acc.values()) and not _vanishes(acc, domain):
                     return ResolutionReport(False, checked, x, "d^2 != 0")
                 # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
                 acc = {x: -1} if c or t else {}
                 for y, a in dx:
-                    z = _s_key(y, g)
+                    z = _s_key(y, g, cands)
                     if z is not None:
                         acc[z] = acc.get(z, 0) + a
-                sx = _s_key(x, g)
+                sx = _s_key(x, g, cands)
                 if sx is not None:
-                    for z, b in _d_key(sx, g, fronts):
+                    for z, b in _d_key(sx, g, fronts, faces):
                         acc[z] = acc.get(z, 0) + b
                 if any(acc.values()) and not _vanishes(acc, domain):
                     return ResolutionReport(False, checked, x,

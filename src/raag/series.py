@@ -52,17 +52,21 @@ class Domain:
             raise DomainError("p is only meaningful for Fp")
 
     def coerce(self, x):
-        # nearly every coefficient is a plain int, which the type test
-        # passes without the ABCMeta check of isinstance(x, Fraction)
+        # nearly every coefficient is a plain int: it is mapped before the
+        # ABCMeta check of isinstance(x, Fraction)
+        if type(x) is int:
+            if self.kind == "Z":
+                return x
+            return Fraction(x) if self.kind == "Q" else x % self.p
         if self.kind == "Z":
-            if type(x) is not int and isinstance(x, Fraction):
+            if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise DomainError(f"{x} is not an integer")
                 return x.numerator
             return int(x)
         if self.kind == "Q":
             return Fraction(x)
-        if type(x) is not int and isinstance(x, Fraction):
+        if isinstance(x, Fraction):
             num = x.numerator % self.p
             den = x.denominator % self.p
             if not den:
@@ -234,18 +238,15 @@ class PCSeries(LinComb):
         return self.coeffs.get((), self.domain.zero)
 
     def sorted_terms(self) -> list[tuple[Trace, object]]:
-        g = self.graph
-        return sorted(
-            self.coeffs.items(),
-            key=lambda item: (len(item[0]), tuple(g.index(v) for v in item[0])),
-        )
+        rank = self.graph._index.__getitem__
+        return sorted(self.coeffs.items(),
+                      key=lambda item: (len(item[0]), tuple(map(rank, item[0]))))
 
     def to_json_obj(self) -> list[dict]:
-        # a trace is a list of vertex names: joining them is ambiguous
-        # once a name is the concatenation of others
-        return [
-            {"trace": list(t), "coeff": str(c)} for t, c in self.sorted_terms()
-        ]
+        # a trace is a list of vertex names (JSON writes the tuple as a
+        # list): joining them is ambiguous once a name is the concatenation
+        # of others
+        return [{"trace": t, "coeff": str(c)} for t, c in self.sorted_terms()]
 
     def __repr__(self) -> str:
         terms = self.sorted_terms()

@@ -11,7 +11,7 @@ from math import comb
 from raag.errors import check_states
 from raag.graph import Graph, join
 from raag.growth import phi_A
-from raag.koszul import Fronts, _d_key, _s_key
+from raag.koszul import _d_key, _s_key
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, Z
 from raag.verify import COMMUTATOR_DEGREE
@@ -235,15 +235,16 @@ class KoszulElement(LinComb):
 
 def differential(x: KoszulElement) -> KoszulElement:
     """d on elements: the linear extension of the library kernel `_d_key`."""
-    fronts: Fronts = {}
+    fronts, faces = {}, {}
     return x._like((y, a * b) for k, a in x.coeffs.items()
-                   for y, b in _d_key(k, x.graph, fronts))
+                   for y, b in _d_key(k, x.graph, fronts, faces))
 
 
 def contraction(x: KoszulElement) -> KoszulElement:
     """s on elements: the linear extension of the library kernel `_s_key`."""
+    cands = {}
     return x._like((y, a) for k, a in x.coeffs.items()
-                   if (y := _s_key(k, x.graph)) is not None)
+                   if (y := _s_key(k, x.graph, cands)) is not None)
 
 
 def epsilon(x: KoszulElement) -> KoszulElement:

@@ -310,6 +310,38 @@ def test_deterministic_output(graph_file, capsys):
     assert out1 == out2
 
 
+# the arguments after the command name, for each command on P3
+ONE_LINE_ARGS = {
+    "cliques": (),
+    "nf": ("a b a^-1",),
+    "mul": ("a b", "b^-1 c"),
+    "growth": ("--upto", "6", "--oracle", "3"),
+    "poincare": (),
+    "magnus": ("a b^-1", "--order", "4"),
+    "valuation": ("a b a^-1 b^-1", "--order", "4", "--depth", "2"),
+    "ranks": ("--upto", "4"),
+    "koszul": ("--upto", "4"),
+    "verify-all": (),
+}
+
+
+@pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
+def test_answer_is_one_line_of_compact_json(graph_file, capsys, name):
+    code, out = run(capsys, "--graph", graph_file, name, *ONE_LINE_ARGS[name])
+    assert code == 0
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True,
+                             separators=(",", ":")) + "\n"
+
+
+def test_long_magnus_answer_is_written_compactly(c5_file):
+    # a^-1 to order 2000 passes every cap: 2,000 terms and 1,999,000 trace
+    # letters, which the indenting encoder wrote as 26.1 MB
+    proc, _ = _run_child(c5_file, "magnus", "a^-1", "--order", "2000")
+    assert proc.returncode == 0
+    assert len(proc.stdout) < 8_500_000
+
+
 @pytest.mark.parametrize("p", ["0", "1", "4"])
 def test_valuation_rejects_non_prime_p(graph_file, p):
     # p = 1 used to loop forever in the p-adic valuation; run in a child

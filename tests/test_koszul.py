@@ -1,12 +1,16 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 import raag.koszul
-from raag.graph import (clique_counts, complete_graph, cycle_graph,
+import raag.words
+from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         enumerate_cliques, path_graph)
-from raag.koszul import ResolutionReport, _d_key, _s_key, verify_resolution
+from raag.koszul import (ResolutionReport, _d_key, _front, _s_key,
+                         verify_resolution)
 from raag.series import DomainError, Fp, LinComb, Q
-from raag.words import enumerate_traces
+from raag.words import canonicalize_trace, enumerate_traces
 
 from conftest import SUITE, graphs_st, small_suite
 from oracles import (KoszulElement, bigraded_ranks, contraction,
@@ -91,11 +95,12 @@ def test_counterexample_json_lists_names():
 
 
 def _check_contraction_against_oracle(g, order):
+    cands = {}
     for c in enumerate_cliques(g):
         for n in range(order - len(c)):
             for t in enumerate_traces(g, n):
                 x = KoszulElement.basis(c, t, g, Q, order)
-                image = _s_key((c, t), g)
+                image = _s_key((c, t), g, cands)
                 want = koszul_contraction(x)
                 assert want.coeffs == ({} if image is None else {image: 1})
                 assert contraction(x) == want
@@ -116,7 +121,7 @@ def test_s_key_recanonicalises_the_rest():
     # is below d and adjacent to it, and (b, a) must become (a, b)
     g = path_graph(4)
     image = (("c", "d"), ("a", "b"))
-    assert _s_key((("d",), ("b", "c", "a")), g) == image
+    assert _s_key((("d",), ("b", "c", "a")), g, {}) == image
     x = KoszulElement.basis(("d",), ("b", "c", "a"), g, Q, ORDER)
     assert koszul_contraction(x).coeffs == {image: 1}
 
@@ -134,9 +139,9 @@ def test_sign_flip_in_d_fails_d_squared(monkeypatch):
     k3 = complete_graph(3)
     key = (("b", "c"), ("a",))
 
-    def flipped(k, g, fronts):
+    def flipped(k, g, fronts, faces):
         return [(y, -a if k == key and j == 1 else a)
-                for j, (y, a) in enumerate(_d_key(k, g, fronts))]
+                for j, (y, a) in enumerate(_d_key(k, g, fronts, faces))]
 
     monkeypatch.setattr(raag.koszul, "_d_key", flipped)
     rep = verify_resolution(k3, ORDER, Q)
@@ -144,8 +149,8 @@ def test_sign_flip_in_d_fails_d_squared(monkeypatch):
 
 
 def test_dropped_s_image_fails_homotopy(monkeypatch):
-    def dropped(key, g):
-        return None if key == ((), ("b",)) else _s_key(key, g)
+    def dropped(key, g, cands):
+        return None if key == ((), ("b",)) else _s_key(key, g, cands)
 
     monkeypatch.setattr(raag.koszul, "_s_key", dropped)
     rep = verify_resolution(P3, ORDER, Q)
@@ -156,36 +161,49 @@ def test_dropped_s_image_fails_homotopy(monkeypatch):
 
 def test_verify_resolution_builds_no_element(monkeypatch):
     # C5 to order 7 uses front products v.t 23,160 times (10,640 for d,
-    # 3,760 for d.d and 8,760 for d.s), but each of the 6,880 distinct ones
-    # is formed once per call; the other 606 calls of the kernel
-    # re-canonicalise the rest of a trace whose s moves a letter other than
-    # the first
+    # 3,760 for d.d and 8,760 for d.s), and each of the 6,880 distinct ones
+    # is formed once per call: the 5 with t = () are (v,), and each of the
+    # other 6,875 is one letter inserted into the product for t's prefix.
+    # The other 606 calls of the kernel re-canonicalise the rest of a trace
+    # whose s moves a letter other than the first (1,422 letters), so the
+    # check inserts 8,297 letters in all; the trace layers are enumerated
+    # before counting
     def no_element(*args):
         raise AssertionError("verify_resolution built a LinComb")
 
-    calls = [0]
-    real_concat = raag.koszul._concat
+    calls, slots = [0], [0]
+    real_concat, real_slot = raag.koszul._concat, raag.words._slot
 
     def counting_concat(*args):
         calls[0] += 1
         return real_concat(*args)
 
+    def counting_slot(*args):
+        slots[0] += 1
+        return real_slot(*args)
+
+    g = cycle_graph(5)
+    layers = [enumerate_traces(g, n) for n in range(7)]
     monkeypatch.setattr(LinComb, "__init__", no_element)
+    monkeypatch.setattr(raag.koszul, "enumerate_traces", lambda g, n: layers[n])
     monkeypatch.setattr(raag.koszul, "_concat", counting_concat)
-    rep = verify_resolution(cycle_graph(5), 7, Q)
+    monkeypatch.setattr(raag.words, "_slot", counting_slot)
+    rep = verify_resolution(g, 7, Q)
     assert (rep.ok, rep.checked) == (True, 13761)
-    assert calls[0] == 6880 + 606
+    assert calls[0] == 6875 + 606
+    assert slots[0] == 8297
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(2)], ids=["Q", "F2"])
 def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
-    # one wrong product c.(a, b) on K3 is stored once and served to every
-    # key that needs it; the check must fail at the same key and for the
-    # same reason as when each use formed the product anew
+    # one wrong product c.(a, b) on K3, formed as (c.(a)).b = (a, c).b, is
+    # stored once and served to every key that needs it, and to the
+    # products built on it; the check must fail at the same key and for
+    # the same reason as when each use formed the product anew
     real_concat = raag.koszul._concat
 
     def faulty(t1, letters, g):
-        if (t1, tuple(letters)) == (("c",), ("a", "b")):
+        if (t1, tuple(letters)) == (("a", "c"), ("b",)):
             return ("c", "a", "b")
         return real_concat(t1, letters, g)
 
@@ -193,3 +211,32 @@ def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
     rep = verify_resolution(complete_graph(3), ORDER, dom)
     assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
         False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=5))
+def test_front_from_prefix_is_canonical(g):
+    # v.t built from the product for t's prefix, whether the memo is empty
+    # (the walk goes back to t = ()) or shared with every shorter trace
+    shared = {}
+    for n in range(5):
+        for t in enumerate_traces(g, n):
+            for v in g.vertices:
+                want = canonicalize_trace((v,) + t, g)
+                assert _front(v, t, g, {}) == want
+                assert _front(v, t, g, shared) == want
+
+
+def test_front_walk_is_iterative():
+    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; an
+    # empty memo makes the walk go back 300 prefixes
+    g = Graph(["a"])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        rep = verify_resolution(g, 300, Q)
+        front = _front("a", ("a",) * 300, g, {})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (rep.ok, rep.checked) == (True, 599)
+    assert front == ("a",) * 301

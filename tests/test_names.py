@@ -18,6 +18,9 @@ cache is local to one call, or an `lru_cache` keyed by the graph.
 
 A test module uses every name it imports (`from __future__` aside), and
 no function in src/raag imports: each module imports at its top level.
+
+No code in src/raag calls `json.dump` or passes `indent=`: both run the
+pure-Python encoder, and every answer is one line from `json.dumps`.
 """
 
 import ast
@@ -179,4 +182,17 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{inner.lineno}: {ast.unparse(inner)}"
                           for inner in ast.walk(node)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_json_is_written_by_the_c_encoder():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "dump" or any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []

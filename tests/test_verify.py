@@ -145,7 +145,8 @@ def _wrong_last_value(real):
 
 def _dropped_s_image(real):
     # the existing homotopy mutation: s forgets its image of b
-    return lambda key, g: None if key == ((), ("b",)) else real(key, g)
+    return lambda key, g, cands: (None if key == ((), ("b",))
+                                  else real(key, g, cands))
 
 
 # For every check of verify_all at p = 3: (module, attribute, mutation of
