@@ -8,27 +8,30 @@ moves the least eligible front letter of the trace into the clique.
 
 The differential sends a basis key to |clique| keys and the contraction
 to at most one, all with coefficients +-1, so each map is written once as
-a per-key kernel, `_d_key` and `_s_key`.  `verify_resolution` builds no
-element: it applies the kernels to each basis key, sums each identity in
-a dict of Python ints and reduces the sums into the domain once, where
-they are compared with zero.  Z -> D is a ring map, so this is the check
-done in D throughout.
+a per-key kernel, `_d_key` and `_s_key`.  The check builds no element:
+it applies the kernels to each basis key, sums each identity in a dict
+of Python ints and reduces the sums into the domain once, where they are
+compared with zero.  Z -> D is a ring map, so this is the check done in
+D throughout.  The integer sums are the same for every domain, so one
+pass (`_resolution_reports`) judges them in several domains at once:
+`verify-all` checks Q and F_2 together, `verify_resolution` one domain.
 
 The front products v.t recur: d(x), d of each face of x and d(s(x)) of
-many keys multiply the same letter into the same trace.  Each call of
-`verify_resolution` keeps a memo of them (`Fronts`), so each is formed
-once per call, and formed by the prefix route: v.t = (v.t[:-1]).t[-1] is
-one `_slot` insertion into the product for the prefix of t, which the
-memo nearly always holds, since the keys come in ascending trace degree
-(`_front`).  The faces of each clique with their signs (`Faces`) and the
-letters the contraction may move into it (`Candidates`) are kept per
-call as well.  The memos live no longer than the call, so nothing
+many keys multiply the same letter into the same trace.  Each pass
+keeps a memo of them (`Fronts`), so each is formed once per pass, and
+formed by the prefix route: v.t = (v.t[:-1]).t[-1] is one `_slot`
+insertion into the product for the prefix of t, which the memo nearly
+always holds, since the keys come in ascending trace degree (`_front`).
+The faces of each clique with their signs (`Faces`) and the letters
+the contraction may move into it (`Candidates`) are kept per pass as
+well.  The memos live no longer than the pass, so nothing
 outlives its graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from raag.errors import check_states
 from raag.graph import Graph, clique_counts
@@ -155,16 +158,27 @@ def _vanishes(acc: dict[BasisKey, int], domain: Domain) -> bool:
 
 def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     """Check d.d = 0 and s.d + d.s = 1 - eps on every basis element of total
-    degree < order; reports the first counterexample.
+    degree < order in `domain`; reports the first counterexample.  This is
+    `_resolution_reports` for the one domain."""
+    return _resolution_reports(g, order, (domain,))[0]
+
+
+def _resolution_reports(g: Graph, order: int,
+                        domains: Sequence[Domain]) -> list[ResolutionReport]:
+    """`verify_resolution` in each of `domains` at once: one report per
+    domain, each equal to the report of a call for that domain alone.
 
     The keys are taken clique by clique, and each identity is summed for
-    each key in turn.  One `Fronts` memo serves the whole call, so a front
-    product v.t needed by d(x), by d of a face of x or by d(s(x)) is formed
-    once however many keys need it, from the product for t's prefix; the
-    clique tables `Faces` and `Candidates` are filled once per clique.  A
-    sum whose integer coefficients are all zero, or that has no terms (d.d
-    on a clique of size <= 1), is zero in every domain and is not reduced
-    into it."""
+    each key in turn, in integers, once for all the domains.  Each domain
+    still in the pass then judges the sum with `_vanishes`; a domain it
+    fails gets its report there and leaves the pass, which ends when none
+    is left.  One `Fronts` memo serves the whole call, so a front product
+    v.t needed by d(x), by d of a face of x or by d(s(x)) is formed once
+    however many keys need it, from the product for t's prefix; the clique
+    tables `Faces` and `Candidates` are filled once per clique.  A sum
+    whose integer coefficients are all zero, or that has no terms (d.d on
+    a clique of size <= 1), is zero in every domain and is not reduced
+    into any."""
     if order < 1:
         raise DomainError("order must be >= 1")
     # count the basis before enumerating it: the degree-n traces number r_n,
@@ -184,7 +198,17 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
     fronts: Fronts = {}
     faces: Faces = {}
     cands: Candidates = {}
+    reports: list[ResolutionReport | None] = [None] * len(domains)
     checked = 0
+
+    def failed_everywhere(acc: dict[BasisKey, int], x: BasisKey,
+                          reason: str) -> bool:
+        # a sum with a nonzero integer, judged by each domain still passing
+        for i, dom in enumerate(domains):
+            if reports[i] is None and not _vanishes(acc, dom):
+                reports[i] = ResolutionReport(False, checked, x, reason)
+        return all(reports)
+
     for c in cliques:
         for layer in traces[:order - len(c)]:
             for t in layer:
@@ -195,8 +219,8 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
                 for y, a in dx:
                     for z, b in _d_key(y, g, fronts, faces):
                         acc[z] = acc.get(z, 0) + a * b
-                if any(acc.values()) and not _vanishes(acc, domain):
-                    return ResolutionReport(False, checked, x, "d^2 != 0")
+                if any(acc.values()) and failed_everywhere(acc, x, "d^2 != 0"):
+                    return reports
                 # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
                 acc = {x: -1} if c or t else {}
                 for y, a in dx:
@@ -207,7 +231,7 @@ def verify_resolution(g: Graph, order: int, domain: Domain) -> ResolutionReport:
                 if sx is not None:
                     for z, b in _d_key(sx, g, fronts, faces):
                         acc[z] = acc.get(z, 0) + b
-                if any(acc.values()) and not _vanishes(acc, domain):
-                    return ResolutionReport(False, checked, x,
-                                            "sd + ds != 1 - eps")
-    return ResolutionReport(True, checked)
+                if any(acc.values()) and failed_everywhere(
+                        acc, x, "sd + ds != 1 - eps"):
+                    return reports
+    return [rep or ResolutionReport(True, checked) for rep in reports]

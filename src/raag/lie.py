@@ -44,7 +44,7 @@ from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, _is_small_prime
-from raag.words import Trace, _concat, _slot
+from raag.words import Trace, _concat, _follow, _slot
 
 
 @dataclass(frozen=True)
@@ -92,29 +92,34 @@ def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, 
 
 
 @lru_cache(maxsize=256)
-def _pyramids(g: Graph, n: int) -> tuple[Trace, ...]:
+def _pyramids(g: Graph, n: int) -> tuple[tuple[Trace, ...], tuple[int, ...]]:
     """Lex-normal traces of length n whose first letter has the highest
-    index among their letters.
+    index among their letters, and the follow set (`words._follow`) of
+    each.
 
     These are the traces with a single minimal letter, that letter being
     the highest-index one: a later letter with no letter below it in the
     heap would commute with everything before it and precede the first
     letter in vertex order, so it would not stay behind in the lex-normal
     form.  Prefixes keep the property, so each candidate of length n is one
-    of length n - 1 extended by a letter, of index at most its first
-    letter's, whose insertion lands at the end.
+    of length n - 1 extended by a letter of its follow set, of index at
+    most its first letter's.
     """
+    keep, reset = _follow(g)
     if n == 1:
-        return tuple((v,) for v in g.vertices)
+        return (tuple((v,) for v in g.vertices),
+                tuple(k | r for k, r in zip(keep, reset)))
     rank = g._index
     cap = max_states()
     out: list[Trace] = []
-    for t in _pyramids(g, n - 1):
-        for v in g.vertices[:rank[t[0]] + 1]:
-            if _slot(t, v, g) == n - 1:
+    follows: list[int] = []
+    for t, follow in zip(*_pyramids(g, n - 1)):
+        for i, v in enumerate(g.vertices[:rank[t[0]] + 1]):
+            if follow >> i & 1:
                 out.append(t + (v,))
+                follows.append(follow & keep[i] | reset[i])
         check_states(len(out), "lyndon candidates", cap)
-    return tuple(out)
+    return tuple(out), tuple(follows)
 
 
 def _principal_factors(t: Trace, g: Graph):
@@ -170,21 +175,24 @@ def _k_key(g: Graph) -> Callable[[Trace], tuple[int, ...]]:
 
 @lru_cache(maxsize=256)
 def _lyndon(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]],
+                                       dict[Trace, tuple[Trace, Trace]],
                                        frozenset[tuple[str, Trace]]]:
     """The standard bracketings P(t) of the Lyndon traces t of degree n,
-    keyed by t in candidate order, and the keys (x, v) of the closure rows
-    they took over: a Lyndon trace with standard factorisation (x, v) takes
-    the closure row [x, P(v)] as its P(t)."""
+    keyed by t in candidate order; the standard factorisation (u, v) of
+    each t, for n > 1; and the keys (x, v) of the closure rows they took
+    over: a Lyndon trace with standard factorisation ((x,), v) takes the
+    closure row [x, P(v)] as its P(t)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
-        return {t: {t: 1} for t in _pyramids(g, 1)}, frozenset()
+        return {t: {t: 1} for t in _pyramids(g, 1)[0]}, {}, frozenset()
     key = _k_key(g)
     lyndon: dict[Trace, dict[Trace, int]] = {}
+    factors: dict[Trace, tuple[Trace, Trace]] = {}
     taken: set[tuple[str, Trace]] = set()
     products: dict[str, dict[Trace, tuple[Trace, Trace]]] = {}
     lower = lyndon_brackets(g, n - 1)
-    for t in _pyramids(g, n):
+    for t in _pyramids(g, n)[0]:
         kv, v, rest = min((key(v), v, rest)
                           for v, rest in _principal_factors(t, g))
         if kv < key(t):
@@ -192,13 +200,15 @@ def _lyndon(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]],
         # t is Lyndon, with standard factorisation (u, v)
         if len(rest) == 1:  # u = (x,)
             x = rest[0]
+            u = (x,)
             taken.add((x, v))
             lyndon[t] = _closure_row(x, lower[v], g, products.setdefault(x, {}))
         else:
             u = _concat((), rest, g)
             lyndon[t] = _bracket(lyndon_brackets(g, len(u))[u],
                                  lyndon_brackets(g, len(v))[v], g)
-    return lyndon, frozenset(taken)
+        factors[t] = u, v
+    return lyndon, factors, frozenset(taken)
 
 
 def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
@@ -246,7 +256,7 @@ def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
     trace is t with coefficient +-1) and the nonzero remainders of every
     other row (the closure rows no Lyndon row took over, and the P(t) that
     failed the check) after `_reduce`."""
-    lyndon, taken = _lyndon(g, n)
+    lyndon, _, taken = _lyndon(g, n)
     key = _k_key(g)
     others: list[dict[Trace, int]] = []
     if n > 1:

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from raag.exterior import quadratic_dual_check
 from raag.graph import Graph
 from raag.growth import _poly_mul, phi_A, phi_R, phi_S
-from raag.koszul import verify_resolution
-from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
-                      series_rank_lcs, series_rank_restricted)
+from raag.koszul import _resolution_reports
+from raag.lie import (_lyndon, bracket_span_rank, lambda_dims,
+                      restricted_span_rank, series_rank_lcs,
+                      series_rank_restricted)
 from raag.linalg import rank_of_rows
 from raag.magnus import _omega, injectivity_witness, magnus
 from raag.series import Fp, Q, Z
-from raag.words import (enumerate_traces, invert, multiply, reduce_word,
-                        sphere_sizes)
+from raag.words import (GroupWord, Trace, enumerate_traces, invert,
+                        reduce_word, sphere_sizes)
 
 # Desk-scale sizes of the checks.
 SERIES_ORDER = 8
@@ -43,29 +44,40 @@ class CheckResult:
         return out
 
 
-def _commutator_parts(g: Graph) -> tuple[bool, list[list[dict]]]:
-    """Magnus images of the left-normed commutators [v1,[v2,...,vn]] of
-    generators, n = 1..COMMUTATOR_DEGREE, over Z: whether every mu(c) - 1
-    starts in degree >= n, and the degree-n parts, degree by degree.
+def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
+    """Magnus images over Z of the basic commutators of degree
+    n = 1..upto: whether every mu(c) - 1 starts in degree >= n, and the
+    degree-n parts, degree by degree.
 
-    Each commutator [x, c] = x c x^-1 c^-1 is a reduced word, imaged by
-    `magnus` like any other, so no series is multiplied or inverted.
+    There is one basic commutator c_t for each Lyndon trace t of degree n:
+    the generator t for n = 1, and c_t = [c_u, c_v] = c_u c_v c_u^-1 c_v^-1
+    for the standard factorisation (u, v) of t that `lie._lyndon` records
+    (Duchamp & Krob, Semigroup Forum 45, 1992; Lalonde, TCS 117, 1993).
+    The degree-n part of mu(c_t) is the standard bracketing P(t), so the
+    check is square: b_n words, whose parts have rank b_n iff they are
+    independent.  That they span the degree-n Lie component rests on the
+    bracket-span check.  Each c_t is a reduced word, imaged by `magnus`
+    like any other at its own order n + 1, so no series is multiplied or
+    inverted.
     """
-    order = COMMUTATOR_DEGREE + 1
-    gens = [reduce_word([(v, 1)], g) for v in g.vertices]
-    layer = gens  # the commutators of weight n
+    words: dict[Trace, GroupWord] = {}
     ok = True
     parts: list[list[dict]] = []
-    for n in range(1, COMMUTATOR_DEGREE + 1):
-        if n > 1:
-            layer = [multiply(multiply(x, c, g),
-                              multiply(invert(x, g), invert(c, g), g), g)
-                     for c in layer for x in gens]
+    for n in range(1, upto + 1):
+        lyndon, factors, _ = _lyndon(g, n)
         rows = []
-        for c in layer:
-            image = magnus(c, g, Z, order)
+        for t in lyndon:
+            if n == 1:
+                c = reduce_word([(t[0], 1)], g)
+            else:
+                cu, cv = (words[f] for f in factors[t])
+                c = reduce_word(cu.syllables + cv.syllables
+                                + invert(cu, g).syllables
+                                + invert(cv, g).syllables, g)
+            words[t] = c
+            image = magnus(c, g, Z, n + 1)
             ok = ok and _omega(image).value >= n
-            part = {t: a for t, a in image.coeffs.items() if len(t) == n}
+            part = {s: a for s, a in image.coeffs.items() if len(s) == n}
             if part:
                 rows.append(part)
         parts.append(rows)
@@ -152,9 +164,10 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
         check("exponent-p dims are partial sums of lower-central ranks",
               lam == partial, f"values={lam}")
 
-    # group commutators of weight n: mu(c) - 1 starts in degree n, and the
-    # degree-n parts span a space of rank b_n (a third route to b_n)
-    in_filtration, parts = _commutator_parts(g)
+    # the b_n basic commutators of weight n: mu(c) - 1 starts in degree n,
+    # and the degree-n parts are independent, rank b_n (a third route to
+    # b_n)
+    in_filtration, parts = _commutator_parts(g, COMMUTATOR_DEGREE)
     for dom, name in ((Q, "Q"), (Fp(2), "F2")):
         ranks = tuple(rank_of_rows(rows, dom) for rows in parts)
         check(f"commutator images over {name} have rank b_n in degree n",
@@ -166,9 +179,9 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     check("truncated images pairwise distinct on the ball",
           wit is None, "" if wit is None else f"collision: {wit}")
 
-    # Koszul certificate
-    for dom, name in ((Q, "Q"), (Fp(2), "F2")):
-        rep = verify_resolution(g, KOSZUL_ORDER, dom)
+    # Koszul certificate, over Q and F_2 in one pass
+    reports = _resolution_reports(g, KOSZUL_ORDER, (Q, Fp(2)))
+    for rep, name in zip(reports, ("Q", "F2")):
         check(f"Koszul contraction identity over {name}",
               rep.ok, f"checked={rep.checked}")
 

@@ -13,10 +13,15 @@ A group element is stored as a syllable sequence (generator, nonzero
 exponent), reduced so that the syllable count is minimal (moves M1/M2/M3)
 and lexicographically least among its M3-equivalents.
 
-Balls in the word metric are streamed, not searched: the elements of
-length n are exactly the lex-normal geodesic words of length n, and the
-same kernel, plus a check that the new letter cancels nothing, extends
-each such word to the next ones (Hermiller & Meier, 1995).
+Enumeration needs no insertion.  A lex-normal word extends to a
+lex-normal word exactly by the letters that `_slot` would leave at its
+end, its follow set, and the follow set of the extension is one bitmask
+step from the word's own (`_follow`).  So traces are enumerated, and
+balls in the word metric streamed, by carrying the follow set of each
+word; `_slot` stays the one kernel that inserts a letter.  The elements
+of length n are exactly the lex-normal geodesic words of length n, so a
+ball is streamed, not searched: each word is extended by its follow set
+less the letters that would cancel (Hermiller & Meier, 1995).
 """
 
 from __future__ import annotations
@@ -191,50 +196,51 @@ def format_word(u: GroupWord) -> str:
     )
 
 
+def _follow(g: Graph) -> tuple[list[int], list[int]]:
+    """The step of the follow set, per letter i: (keep[i], reset[i]).
+
+    The follow set of a lex-normal word t is the bitmask of the letters x
+    with `_slot(t, x) == len(t)`, those that stay at the end of t.x; it is
+    every letter for t = ().  Appending i steps it to
+    (follow & keep[i]) | reset[i]: a letter not adjacent to i (i itself
+    among them) stops at i, and a letter adjacent to i passes it, so it
+    stays at the end iff it stayed at the end of t and i precedes it in
+    vertex order."""
+    nbrs = g._nbrs
+    full = (1 << len(nbrs)) - 1
+    keep = [m & ~((2 << i) - 1) for i, m in enumerate(nbrs)]
+    reset = [full & ~m for m in nbrs]
+    return keep, reset
+
+
 def enumerate_traces(g: Graph, n: int) -> list[Trace]:
     """All canonical traces of length exactly n, sorted by vertex order.
 
     Prefixes of lex-normal words are lex-normal, so each trace arises once,
-    from its prefix, by a letter whose insertion lands at the end.  Each
-    layer is generated in sorted order from the sorted layer before it.
+    from its prefix, by a letter in the prefix's follow set (`_follow`).
+    Each layer is generated in sorted order from the sorted layer before
+    it, each trace with its follow set.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     cap = max_states()
+    keep, reset = _follow(g)
+    # per letter v: its bit, the tuple (v,) and the follow step
+    moves = [(1 << i, (v,), keep[i], reset[i])
+             for i, v in enumerate(g.vertices)]
     layer: list[Trace] = [()]
+    follows = [(1 << len(moves)) - 1]  # the follow set of each trace
     for _ in range(n):
         nxt: list[Trace] = []
-        for t in layer:
-            end = len(t)
-            for v in g.vertices:
-                if _slot(t, v, g) == end:
-                    nxt.append(t + (v,))
+        steps: list[int] = []
+        for t, follow in zip(layer, follows):
+            for bit, one, kept, reset_v in moves:
+                if follow & bit:
+                    nxt.append(t + one)
+                    steps.append(follow & kept | reset_v)
             check_states(len(nxt), "enumerate_traces", cap)
-        layer = nxt
+        layer, follows = nxt, steps
     return layer
-
-
-def _extensions(word: tuple[tuple[str, int], ...], gens: tuple[str, ...],
-                g: Graph) -> list[tuple[str, int]]:
-    """The letters x^e that extend the lex-normal geodesic `word` (whose
-    generators are `gens`) to a lex-normal geodesic word.  x must land at
-    the end under `_slot`, and the first letter before the suffix of
-    letters adjacent to x must not be x^-e: that is the only x^-e which
-    could commute to the end and cancel."""
-    end = len(gens)
-    out: list[tuple[str, int]] = []
-    for x in g.vertices:
-        if _slot(gens, x, g) != end:
-            continue
-        near = g._adj[x]
-        i = end
-        while i and gens[i - 1] in near:
-            i -= 1
-        blocked = word[i - 1][1] if i and gens[i - 1] == x else 0
-        for e in (-1, 1):
-            if e != -blocked:
-                out.append((x, e))
-    return out
 
 
 def geodesic_words(g: Graph, r: int) -> Iterator[tuple[tuple[str, int], ...]]:
@@ -248,23 +254,47 @@ def geodesic_words(g: Graph, r: int) -> Iterator[tuple[tuple[str, int], ...]]:
     groups*, J. Algebra 171, 1995).  Prefixes of lex-normal geodesic words
     are lex-normal geodesic words, so each element is reached once, from
     its prefix.  No word is reduced or looked up, and no layer is held.
+
+    Each word u carries three bitmasks: its follow set (`_follow`, the
+    letters x that stay at the end of u.x), and `plus` and `minus`, the
+    letters x whose last letter before the suffix of letters adjacent to
+    x is x^+1, resp. x^-1: that is the only x^-e which could commute to
+    the end of u.x^e and cancel.  Appending i^e keeps the bits of the
+    letters adjacent to i, since the suffix only grows, and the letter
+    before the (empty) suffix of any other letter is i^e itself.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     # the ball holds sum_{n <= r} a_n elements, a_n the coefficients of Phi_A
     check_states(sum(phi_A(g, r + 1)), "ball")
     yield ()
-    # words still to extend, with their generators; at most 2|V| wait at
-    # each depth
-    stack: list[tuple[tuple[tuple[str, int], ...], tuple[str, ...]]] = (
-        [((), ())] if r else [])
+    keep, reset = _follow(g)
+    nbrs = g._nbrs
+    # per letter x: its bit, its neighbours, the follow step, and the
+    # one-letter tuples x^-1 and x^+1
+    moves = [(1 << i, nbrs[i], keep[i], reset[i], ((x, -1),), ((x, 1),))
+             for i, x in enumerate(g.vertices)]
+    # words still to extend, with their follow, plus and minus masks; at
+    # most 2|V| wait at each depth
+    stack: list[tuple[tuple[tuple[str, int], ...], int, int, int]] = (
+        [((), (1 << len(moves)) - 1, 0, 0)] if r else [])
     while stack:
-        word, gens = stack.pop()
-        for x, e in _extensions(word, gens, g):
-            child = word + ((x, e),)
-            yield child
-            if len(child) < r:
-                stack.append((child, gens + (x,)))
+        word, follow, plus, minus = stack.pop()
+        deeper = len(word) + 1 < r
+        for bit, near, kept, reset_x, down, up in moves:
+            if not follow & bit:
+                continue
+            step = follow & kept | reset_x
+            if not plus & bit:  # no x^+1 that x^-1 would cancel
+                child = word + down
+                yield child
+                if deeper:
+                    stack.append((child, step, plus & near, minus & near | bit))
+            if not minus & bit:  # no x^-1 that x^+1 would cancel
+                child = word + up
+                yield child
+                if deeper:
+                    stack.append((child, step, plus & near | bit, minus & near))
 
 
 def sphere_sizes(g: Graph, r: int) -> list[int]:

@@ -13,10 +13,11 @@ from raag.graph import Graph, join
 from raag.growth import phi_A
 from raag.koszul import _d_key, _s_key
 from raag.linalg import rank_of_rows
+from raag.magnus import _omega, magnus
 from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, Z
-from raag.verify import COMMUTATOR_DEGREE
 from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
-                        enumerate_traces, reduce_word, word_length)
+                        enumerate_traces, invert, multiply, reduce_word,
+                        word_length)
 
 
 def subset_cliques(g: Graph) -> list[tuple[str, ...]]:
@@ -330,9 +331,6 @@ def leading_monomial_bruteforce(w, g: Graph, p: int, order: int):
     truncated series: among nonzero terms, take maximal syllable count,
     then minimal degree; assert that term is unique.  Returns
     (trace, coefficient)."""
-    from raag.magnus import magnus
-    from raag.series import Fp
-
     x = magnus(w, g, Fp(p), order)
     scored = [
         (-min_syllable_count(t, g), len(t), t, c)
@@ -355,26 +353,64 @@ def _syllable_image(v: str, e: int, g: Graph, domain: Domain,
     return (one + PCSeries.generator(v, g, domain, order)) ** e
 
 
-def commutator_parts_by_products(g: Graph) -> tuple[bool, list[list[dict]]]:
-    """`verify._commutator_parts` by general series products: each
-    commutator is carried as the pair (mu(c), mu(c^-1)), and the images of
-    [x, c] and its inverse are x c x^-1 c^-1 and c x c^-1 x^-1 of them."""
-    order = COMMUTATOR_DEGREE + 1
-    gens = [(_syllable_image(v, 1, g, Z, order),
-             _syllable_image(v, -1, g, Z, order)) for v in g.vertices]
-    one = PCSeries.one(g, Z, order)
-    layer = gens
+def left_normed_commutator_parts(g: Graph,
+                                 upto: int) -> tuple[bool, list[list[dict]]]:
+    """The Magnus images over Z of all |V|^n left-normed commutators
+    [v1,[v2,...,vn]] of generators, n = 1..upto, at order upto + 1: whether
+    every mu(c) - 1 starts in degree >= n, and the nonzero degree-n parts,
+    degree by degree.  These span the degree-n Lie component, so their
+    rank bounds that of the basic commutators from above.
+
+    Each commutator [x, c] = x c x^-1 c^-1 is a reduced word, imaged by
+    `magnus` like any other."""
+    order = upto + 1
+    gens = [reduce_word([(v, 1)], g) for v in g.vertices]
+    layer = gens  # the commutators of weight n
     ok = True
     parts: list[list[dict]] = []
-    for n in range(1, COMMUTATOR_DEGREE + 1):
+    for n in range(1, upto + 1):
         if n > 1:
-            layer = [(x * y * xi * yi, y * x * yi * xi)
-                     for y, yi in layer for x, xi in gens]
+            layer = [multiply(multiply(x, c, g),
+                              multiply(invert(x, g), invert(c, g), g), g)
+                     for c in layer for x in gens]
         rows = []
-        for image, _ in layer:
-            lead = (image - one).coeffs
+        for c in layer:
+            image = magnus(c, g, Z, order)
+            ok = ok and _omega(image).value >= n
+            part = {t: a for t, a in image.coeffs.items() if len(t) == n}
+            if part:
+                rows.append(part)
+        parts.append(rows)
+    return ok, parts
+
+
+def commutator_parts_by_products(g: Graph,
+                                 upto: int) -> tuple[bool, list[list[dict]]]:
+    """`verify._commutator_parts` by general series products, all at order
+    upto + 1.  The Lyndon traces and their standard factorisations are
+    found by brute force (`lyndon_traces_bruteforce`,
+    `standard_factorisation_bruteforce`).  Each basic commutator is carried
+    as the pair (mu(c), mu(c^-1)), and the images of c_t = [c_u, c_v] and
+    its inverse are c_u c_v c_u^-1 c_v^-1 and c_v c_u c_v^-1 c_u^-1 of
+    them."""
+    order = upto + 1
+    one = PCSeries.one(g, Z, order)
+    images = {}
+    ok = True
+    parts: list[list[dict]] = []
+    for n in range(1, upto + 1):
+        rows = []
+        for t in lyndon_traces_bruteforce(g, n):
+            if n == 1:
+                images[t] = (_syllable_image(t[0], 1, g, Z, order),
+                             _syllable_image(t[0], -1, g, Z, order))
+            else:
+                u, v = standard_factorisation_bruteforce(t, g)
+                (x, xi), (y, yi) = images[u], images[v]
+                images[t] = (x * y * xi * yi, y * x * yi * xi)
+            lead = (images[t][0] - one).coeffs
             ok = ok and min(map(len, lead), default=order) >= n
-            part = {t: c for t, c in lead.items() if len(t) == n}
+            part = {s: c for s, c in lead.items() if len(s) == n}
             if part:
                 rows.append(part)
         parts.append(rows)
@@ -444,11 +480,25 @@ def reverse_rank_key(g: Graph):
     return lambda t: tuple(-g.index(v) for v in t)
 
 
+def _right_factors(t: tuple[str, ...], g: Graph):
+    """(u, v) with t = uv, for every proper right factor v of the trace t:
+    every nonempty proper set of positions closed under later
+    non-commuting letters, read in order and canonicalised, and u the
+    other letters."""
+    n = len(t)
+    for mask in range(1, 2**n - 1):
+        if any(mask >> i & 1 and not mask >> j & 1
+               and not g.adjacent(t[i], t[j])
+               for i in range(n) for j in range(i + 1, n)):
+            continue  # not a right factor
+        yield (canonicalize_trace([t[i] for i in range(n)
+                                   if not mask >> i & 1], g),
+               canonicalize_trace([t[i] for i in range(n) if mask >> i & 1], g))
+
+
 def lyndon_traces_bruteforce(g: Graph, n: int) -> list[tuple[str, ...]]:
     """Traces of length n whose letters are connected in the non-commutation
-    graph and with K(t) < K(v) for every proper right factor v: every
-    nonempty proper set of positions closed under later non-commuting
-    letters, read in order and canonicalised."""
+    graph and with K(t) < K(v) for every proper right factor v."""
     key = reverse_rank_key(g)
     out = []
     for t in enumerate_traces(g, n):
@@ -459,19 +509,17 @@ def lyndon_traces_bruteforce(g: Graph, n: int) -> list[tuple[str, ...]]:
             if x not in reached:
                 reached.add(x)
                 todo += [y for y in letters if not g.adjacent(x, y)]
-        if reached != letters:
-            continue
-        for mask in range(1, 2**n - 1):
-            if any(mask >> i & 1 and not mask >> j & 1
-                   and not g.adjacent(t[i], t[j])
-                   for i in range(n) for j in range(i + 1, n)):
-                continue  # not a right factor
-            v = canonicalize_trace([t[i] for i in range(n) if mask >> i & 1], g)
-            if not key(t) < key(v):
-                break
-        else:
+        if reached == letters and all(key(t) < key(v)
+                                      for _, v in _right_factors(t, g)):
             out.append(t)
     return out
+
+
+def standard_factorisation_bruteforce(t: tuple[str, ...], g: Graph):
+    """(u, v) with t = uv and v the K-least proper right factor of the
+    Lyndon trace t."""
+    key = reverse_rank_key(g)
+    return min(_right_factors(t, g), key=lambda uv: key(uv[1]))
 
 
 def multigraded_ranks(g: Graph, upto: int) -> dict[tuple[int, ...], int]:

@@ -7,8 +7,8 @@ import raag.koszul
 import raag.words
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         enumerate_cliques, path_graph)
-from raag.koszul import (ResolutionReport, _d_key, _front, _s_key,
-                         verify_resolution)
+from raag.koszul import (ResolutionReport, _d_key, _front,
+                         _resolution_reports, _s_key, verify_resolution)
 from raag.series import DomainError, Fp, LinComb, Q
 from raag.words import canonicalize_trace, enumerate_traces
 
@@ -132,27 +132,39 @@ def test_verify_resolution_rejects_order_below_one(order):
         verify_resolution(P3, order, Q)
 
 
-def test_sign_flip_in_d_fails_d_squared(monkeypatch):
-    # s reaches no key ((b, c), (a, ...)) of K3 from a smaller clique (it
-    # would move a, not b), so a sign flip in d there leaves every earlier
-    # homotopy check intact, and d.d = 0 is the check that must catch it
-    k3 = complete_graph(3)
+def _scaled_d(factor):
+    # multiplies one coefficient of d((b, c), (a)) on K3 by `factor`.  s
+    # reaches no key ((b, c), (a, ...)) of K3 from a smaller clique (it
+    # would move a, not b), so the change leaves every earlier homotopy
+    # check intact, and d.d = 0 is the check that must catch it.  A sign
+    # flip (-1) and an even change (3) are invisible over F_2
     key = (("b", "c"), ("a",))
+    return lambda real: lambda k, g, fronts, faces: [
+        (y, factor * a if k == key and j == 1 else a)
+        for j, (y, a) in enumerate(real(k, g, fronts, faces))]
 
-    def flipped(k, g, fronts, faces):
-        return [(y, -a if k == key and j == 1 else a)
-                for j, (y, a) in enumerate(_d_key(k, g, fronts, faces))]
 
-    monkeypatch.setattr(raag.koszul, "_d_key", flipped)
-    rep = verify_resolution(k3, ORDER, Q)
-    assert (rep.ok, rep.reason, rep.counterexample) == (False, "d^2 != 0", key)
+def _dropped_s(real):
+    return lambda key, g, cands: (None if key == ((), ("b",))
+                                  else real(key, g, cands))
+
+
+def _faulty_front(real):
+    # one wrong product c.(a, b) on K3, formed as (c.(a)).b = (a, c).b
+    return lambda t1, letters, g: (
+        ("c", "a", "b") if (t1, tuple(letters)) == (("a", "c"), ("b",))
+        else real(t1, letters, g))
+
+
+def test_sign_flip_in_d_fails_d_squared(monkeypatch):
+    monkeypatch.setattr(raag.koszul, "_d_key", _scaled_d(-1)(_d_key))
+    rep = verify_resolution(complete_graph(3), ORDER, Q)
+    assert (rep.ok, rep.reason, rep.counterexample) == (
+        False, "d^2 != 0", (("b", "c"), ("a",)))
 
 
 def test_dropped_s_image_fails_homotopy(monkeypatch):
-    def dropped(key, g, cands):
-        return None if key == ((), ("b",)) else _s_key(key, g, cands)
-
-    monkeypatch.setattr(raag.koszul, "_s_key", dropped)
+    monkeypatch.setattr(raag.koszul, "_s_key", _dropped_s(_s_key))
     rep = verify_resolution(P3, ORDER, Q)
     assert (rep.ok, rep.reason) == (False, "sd + ds != 1 - eps")
     assert rep.counterexample == ((), ("b",))
@@ -196,18 +208,12 @@ def test_verify_resolution_builds_no_element(monkeypatch):
 
 @pytest.mark.parametrize("dom", [Q, Fp(2)], ids=["Q", "F2"])
 def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
-    # one wrong product c.(a, b) on K3, formed as (c.(a)).b = (a, c).b, is
-    # stored once and served to every key that needs it, and to the
-    # products built on it; the check must fail at the same key and for
-    # the same reason as when each use formed the product anew
-    real_concat = raag.koszul._concat
-
-    def faulty(t1, letters, g):
-        if (t1, tuple(letters)) == (("a", "c"), ("b",)):
-            return ("c", "a", "b")
-        return real_concat(t1, letters, g)
-
-    monkeypatch.setattr(raag.koszul, "_concat", faulty)
+    # one wrong product c.(a, b) on K3 (`_faulty_front`) is stored once and
+    # served to every key that needs it, and to the products built on it;
+    # the check must fail at the same key and for the same reason as when
+    # each use formed the product anew
+    monkeypatch.setattr(raag.koszul, "_concat",
+                        _faulty_front(raag.koszul._concat))
     rep = verify_resolution(complete_graph(3), ORDER, dom)
     assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
         False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)
@@ -240,3 +246,46 @@ def test_front_walk_is_iterative():
         sys.setrecursionlimit(limit)
     assert (rep.ok, rep.checked) == (True, 599)
     assert front == ("a",) * 301
+
+
+DOMAINS = (Q, Fp(2))
+
+
+def _one_pass(g, order):
+    # the reports of one pass over Q and F_2, which must equal the reports
+    # of a pass for each domain alone
+    reports = _resolution_reports(g, order, DOMAINS)
+    assert reports == [verify_resolution(g, order, dom) for dom in DOMAINS]
+    return reports
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_one_pass_reports_match_single_domain_reports(name):
+    assert all(rep.ok for rep in _one_pass(SUITE[name], 6))
+
+
+# fault: (graph, kernel, mutation, (ok over Q, ok over F_2))
+FAULTS = {
+    "dropped s image": (P3, "_s_key", _dropped_s, (False, False)),
+    "sign flip in d": (complete_graph(3), "_d_key", _scaled_d(-1),
+                       (False, True)),
+    "faulty front product": (complete_graph(3), "_concat", _faulty_front,
+                             (False, False)),
+    "tripled coefficient of d": (complete_graph(3), "_d_key", _scaled_d(3),
+                                 (False, True)),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_one_pass_reports_match_single_domain_reports_under_faults(
+        fault, monkeypatch):
+    # each domain keeps its own verdict, key count, counterexample and
+    # reason; a sign flip and an even change in d are invisible over F_2,
+    # so that domain runs on to the end in the pass where Q fails
+    g, attr, mutate, verdicts = FAULTS[fault]
+    monkeypatch.setattr(raag.koszul, attr,
+                        mutate(getattr(raag.koszul, attr)))
+    reports = _one_pass(g, ORDER)
+    assert tuple(rep.ok for rep in reports) == verdicts
+    if verdicts[1]:
+        assert reports[1].checked == sum(bigraded_ranks(g, ORDER).values())

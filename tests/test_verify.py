@@ -9,12 +9,15 @@ import raag.magnus
 import raag.verify
 import raag.words
 from raag.graph import cycle_graph, path_graph
-from raag.series import DomainError, PCSeries
-from raag.verify import _commutator_parts, verify_all
+from raag.koszul import verify_resolution
+from raag.linalg import rank_of_rows
+from raag.series import DomainError, Fp, PCSeries, Q
+from raag.verify import (COMMUTATOR_DEGREE, KOSZUL_ORDER, _commutator_parts,
+                         verify_all)
 from raag.words import GroupWord
 
-from conftest import SUITE
-from oracles import commutator_parts_by_products
+from conftest import SUITE, random5_graph
+from oracles import commutator_parts_by_products, left_normed_commutator_parts
 
 COMMUTATOR_CHECKS = ("commutator images over Q have rank b_n in degree n",
                      "commutator images over F2 have rank b_n in degree n")
@@ -46,10 +49,27 @@ def test_commutator_check_catches_wrong_b3(monkeypatch):
 
 @pytest.mark.parametrize("name", list(SUITE))
 def test_commutator_parts_match_series_products(name):
-    # the commutators as reduced words, imaged by `magnus`, against the
-    # images of their letters multiplied as series
+    # the basic commutators as reduced words, imaged by `magnus`, against
+    # the images of their letters multiplied as series, on Lyndon traces
+    # and factorisations found by brute force
     g = SUITE[name]
-    assert _commutator_parts(g) == commutator_parts_by_products(g)
+    assert (_commutator_parts(g, COMMUTATOR_DEGREE)
+            == commutator_parts_by_products(g, COMMUTATOR_DEGREE))
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_left_normed_commutators_have_the_basic_rank(name):
+    # the |V|^n left-normed commutators span the degree-n Lie component, so
+    # their rank bounds the b_n independent basic ones from above: equal
+    # ranks show that the basic commutators span it too
+    g = SUITE[name]
+    ok, basic = _commutator_parts(g, 4)
+    ok_ln, left_normed = left_normed_commutator_parts(g, 4)
+    assert ok and ok_ln
+    for dom in (Q, Fp(2)):
+        assert ([rank_of_rows(rows, dom) for rows in left_normed]
+                == [rank_of_rows(rows, dom) for rows in basic]
+                == [len(rows) for rows in basic])
 
 
 def test_commutator_parts_form_no_series_product(monkeypatch):
@@ -62,9 +82,43 @@ def test_commutator_parts_form_no_series_product(monkeypatch):
 
     monkeypatch.setattr(PCSeries, "__mul__", counting)
     g = cycle_graph(5)
-    ok, parts = _commutator_parts(g)
-    assert ok and [len(rows) for rows in parts] == [5, 10, 40]
+    ok, parts = _commutator_parts(g, COMMUTATOR_DEGREE)
+    assert ok and [len(rows) for rows in parts] == [5, 5, 15]
     assert calls == []
+
+
+@pytest.mark.parametrize("g, words", [(cycle_graph(5), 25),
+                                      (random5_graph(), 26)],
+                         ids=["C5", "R5"])
+def test_verify_all_images_one_word_per_lyndon_trace(g, words, monkeypatch):
+    # b_1 + b_2 + b_3 basic commutators, where the left-normed words were
+    # 5 + 25 + 125 = 155 on five vertices; each is imaged at its own order
+    orders = []
+    real = raag.verify.magnus
+    monkeypatch.setattr(raag.verify, "magnus",
+                        lambda w, g, dom, order: orders.append(order)
+                        or real(w, g, dom, order))
+    assert all(r.ok for r in verify_all(g))
+    b = raag.verify.series_rank_lcs(g, COMMUTATOR_DEGREE).values
+    assert len(orders) == sum(b) == words
+    assert orders == [n + 1 for n in range(1, 4) for _ in range(b[n - 1])]
+
+
+def test_verify_all_runs_one_koszul_pass(monkeypatch):
+    # Q and F_2 are judged on the same integer sums: the kernel runs as
+    # often as in one single-domain check
+    calls = []
+    real = raag.koszul._d_key
+    monkeypatch.setattr(raag.koszul, "_d_key",
+                        lambda *args: calls.append(1) or real(*args))
+    g = cycle_graph(5)
+    assert verify_resolution(g, KOSZUL_ORDER, Q).ok
+    single = len(calls)
+    calls.clear()
+    results = {r.name: r for r in verify_all(g)}
+    assert len(calls) == single > 0
+    for name in ("Q", "F2"):
+        assert results[f"Koszul contraction identity over {name}"].ok
 
 
 def test_commutator_checks_catch_a_dropped_syllable(monkeypatch):
@@ -149,6 +203,15 @@ def _dropped_s_image(real):
                                   else real(key, g, cands))
 
 
+def _dropped_follower(real):
+    # the last vertex never follows a letter it is not adjacent to
+    def follow(g):
+        keep, reset = real(g)
+        top = ~(1 << len(g.vertices) - 1)
+        return keep, [m & top for m in reset]
+    return follow
+
+
 # For every check of verify_all at p = 3: (module, attribute, mutation of
 # the real attribute) that makes that check fail on P3.
 MUTATIONS = {
@@ -160,7 +223,7 @@ MUTATIONS = {
         (raag.verify, "phi_R",
          lambda real: lambda g, n: real(g, n)[:-1] + [0]),
     "sphere sizes match Phi_A coefficients":
-        (raag.words, "_extensions", lambda real: lambda *a: real(*a)[:-1]),
+        (raag.words, "_follow", _dropped_follower),
     "quadratic relation spaces are dual":
         (raag.exterior, "rank_of_rows", _plus_one),
     "lower-central ranks: series recursion = bracket span":

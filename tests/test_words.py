@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import raag.words
 from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from raag.growth import phi_A, phi_R
-from raag.words import (IDENTITY, GroupWord, canonicalize_trace,
-                        enumerate_traces, format_word, geodesic_words, invert,
-                        multiply, parse_word, reduce_word, sphere_sizes,
-                        word_length)
+from raag.words import (IDENTITY, GroupWord, _follow, _slot,
+                        canonicalize_trace, enumerate_traces, format_word,
+                        geodesic_words, invert, multiply, parse_word,
+                        reduce_word, sphere_sizes, word_length)
 
 from conftest import SUITE, graphs_st, random5_graph
 from oracles import ball, m3_orbit, m_move_closure, piling_is_identity
@@ -215,7 +215,8 @@ def test_streamed_words_are_distinct_normal_forms(g, r):
 
 def test_sphere_sizes_reduce_nothing(monkeypatch):
     # the stream visits each element of the ball once, extending each word
-    # shorter than r by trying every vertex once
+    # shorter than r by the letters of its follow set, and neither inserts
+    # a letter nor reduces a word
     def no_reduce(*args):
         raise AssertionError("sphere_sizes called reduce_word")
 
@@ -231,7 +232,30 @@ def test_sphere_sizes_reduce_nothing(monkeypatch):
     monkeypatch.setattr(raag.words, "reduce_word", no_reduce)
     monkeypatch.setattr(raag.words, "_slot", counting_slot)
     assert sphere_sizes(g, 5) == a
-    assert slots[0] == len(g.vertices) * sum(a[:5])
+    assert slots[0] == 0
+    assert enumerate_traces(g, 5) and slots[0] == 0
+
+
+@st.composite
+def graph_and_trace_st(draw):
+    g = draw(graphs_st())
+    word = draw(st.lists(st.sampled_from(g.vertices), max_size=8))
+    return g, canonicalize_trace(word, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_trace_st())
+def test_follow_set_is_where_slot_lands_at_the_end(gt):
+    # the follow set stepped along the trace from every letter holds x
+    # exactly when the insertion kernel leaves x at the end
+    g, t = gt
+    keep, reset = _follow(g)
+    follow = (1 << len(g.vertices)) - 1
+    for v in t:
+        i = g.index(v)
+        follow = follow & keep[i] | reset[i]
+    for i, v in enumerate(g.vertices):
+        assert bool(follow >> i & 1) == (_slot(t, v, g) == len(t))
 
 
 def test_word_length():
