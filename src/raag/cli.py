@@ -27,7 +27,7 @@ from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
-from raag.magnus import _check_prime, _omega, _omega_p, magnus
+from raag.magnus import _check_prime, _image, _omega, _omega_p, magnus
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
 from raag.words import (GroupWord, format_word, multiply, parse_word,
@@ -185,16 +185,14 @@ def _load_graph(path: str) -> Graph:
 
 
 def _domain(args) -> Domain:
-    tag = getattr(args, "domain", "Z")
-    if tag == "Z":
+    # each caller's command has a --domain option, whose choices `_value` checks
+    if args.domain == "Z":
         return Z
-    if tag == "Q":
+    if args.domain == "Q":
         return Q
-    if tag == "Fp":
-        if args.p is None:
-            raise DomainError("--domain Fp needs --p")
-        return Fp(args.p)
-    raise DomainError(f"unknown domain {tag!r}")
+    if args.p is None:
+        raise DomainError("--domain Fp needs --p")
+    return Fp(args.p)
 
 
 def _emit(obj) -> None:
@@ -260,11 +258,12 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
         dom = _domain(args)
         _check_prime(args.p)
         # one integer image: Z -> Q and Z -> F_p are ring maps, so the
-        # image over `dom` is this one, mapped; Z -> Q is injective, so
-        # only F_p can lose terms
-        image = magnus(w, g, Z, args.order)
-        val = _omega(image.map_domain(dom) if dom.kind == "Fp" else image)
-        pval = _omega_p(image, args.p)
+        # image over `dom` is this one, reduced; Z -> Q is injective, so
+        # only F_p loses terms, those whose coefficients p divides
+        image = _image(w, g, args.order)
+        val = _omega(image if dom.p is None else
+                     {t: c for t, c in image.items() if c % dom.p}, args.order)
+        pval = _omega_p(image, args.order, args.p)
         out = {
             "word": format_word(w),
             "order": args.order,

@@ -12,7 +12,9 @@ c_k y.v^k, and each y.v^k is y.v^(k-1) with one letter appended, so no
 general series product is formed.  The appends recur (t.v.v is (t.v).v
 when t.v is a term too, and a prefix's image is extended by v^+1 and by
 v^-1), so each call keeps a memo of them (`Appends`) and forms each t.v
-once.
+once.  An image is a dict from trace to integer coefficient: Z -> Q and
+Z -> F_p are ring maps, so one integer image, reduced mod p after each step
+for F_p, serves every domain, and `magnus` alone builds a series from it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
-from raag.series import Domain, DomainError, PCSeries, Z, _is_small_prime
+from raag.series import Domain, DomainError, PCSeries, _is_small_prime
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
 
@@ -56,30 +58,31 @@ def _binomial_digits(e: int, width: int, order: int) -> int:
     return total
 
 
-def _syllable_step(y: PCSeries, v: str, cs: list,
-                   appends: Appends) -> PCSeries:
-    """y * (c_0 + c_1 v + c_2 v^2 + ...) for the coefficients cs, cs[0] = 1,
-    as the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with one letter
-    appended.  The append t.v is read from `appends`, or formed by one
-    `_concat` and stored there."""
-    g, order = y.graph, y.order
-    col = appends.get(v)
-    if col is None:
-        col = appends[v] = {}
-    terms = []
-    for t, c in y.coeffs.items():
-        terms.append((t, c))  # cs[0] = 1
+def _syllable_step(y: dict[Trace, int], v: str, cs: list[int], order: int,
+                   g: Graph, appends: Appends,
+                   p: int | None = None) -> dict[Trace, int]:
+    """y * (c_0 + c_1 v + c_2 v^2 + ...) below degree `order`, cs[0] = 1, as
+    the sum of c_k y.v^k: each y.v^k is y.v^(k-1) with one letter appended,
+    read from `appends` or formed by one `_concat` and stored there.  The
+    integer sums are reduced mod p when p is given, and zeros dropped."""
+    col = appends.setdefault(v, {})
+    out: dict[Trace, int] = {}
+    for t, c in y.items():
+        out[t] = out.get(t, 0) + c  # cs[0] = 1
         for ck in cs[1:order - len(t)]:
             tv = col.get(t)
             if tv is None:
                 tv = col[t] = _concat(t, (v,), g)
             t = tv
-            terms.append((t, c * ck))
-    return y._like(terms)
+            out[t] = out.get(t, 0) + c * ck
+    if p is None:
+        return {t: c for t, c in out.items() if c}
+    return {t: r for t, c in out.items() if (r := c % p)}
 
 
-def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
-    """The image of w, truncated below degree `order`.
+def _image(w: GroupWord, g: Graph, order: int,
+           p: int | None = None) -> dict[Trace, int]:
+    """The integer image of w below degree `order`, mod p when p is given.
 
     Before each syllable step, its letter work (terms in x terms out per
     term x order) is added to a running total charged to the state cap
@@ -87,8 +90,10 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
     term in, to another under "magnus (coefficient digits)", so a long
     word, a high order or a huge exponent exits with `ResourceLimitError`
     instead of running unbounded."""
+    if order < 1:
+        raise DomainError("truncation order must be >= 1")
     cap = max_states()
-    out = PCSeries.one(g, domain, order)
+    out = {(): 1}
     appends: Appends = {}
     work = digits = 0
     for s in w.syllables:
@@ -96,12 +101,18 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
         # charged before the binomials are built, since for a large |e| they
         # are huge integers: the width is len(_binomials(e, order))
         width = min(e + 1, order) if e >= 0 else order
-        work += len(out.coeffs) * width * order
+        work += len(out) * width * order
         check_states(work, "magnus", cap)
-        digits += len(out.coeffs) * _binomial_digits(e, width, order)
+        digits += len(out) * _binomial_digits(e, width, order)
         check_states(digits, "magnus (coefficient digits)", cap)
-        out = _syllable_step(out, s.generator, _binomials(e, order), appends)
+        out = _syllable_step(out, s.generator, _binomials(e, order), order,
+                             g, appends, p)
     return out
+
+
+def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
+    """The image of w over `domain`, truncated below degree `order`."""
+    return PCSeries(g, domain, order, _image(w, g, order, domain.p).items())
 
 
 # -- valuations --------------------------------------------------------
@@ -126,11 +137,11 @@ class Valuation:
         return "out" if self.decided else "undecided"
 
 
-def _omega(x: PCSeries) -> Valuation:
-    # the least degree of a nonconstant term of the image x; its constant
-    # term is 1, so these are the terms of x - 1
-    d = min((len(t) for t in x.coeffs if t), default=x.order)
-    return Valuation(d, d < x.order)
+def _omega(image: dict[Trace, int], order: int) -> Valuation:
+    # the least degree of a nonconstant term of an image truncated below
+    # `order`; its constant term is 1, so these are the terms of image - 1
+    d = min((len(t) for t in image if t), default=order)
+    return Valuation(d, d < order)
 
 
 def _vp(n: int, p: int) -> int:
@@ -149,12 +160,11 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p-valuation needs a prime p < 2^31, got {p}")
 
 
-def _omega_p(x: PCSeries, p: int) -> Valuation:
+def _omega_p(image: dict[Trace, int], order: int, p: int) -> Valuation:
     # the least weight len(trace) + v_p(coefficient) among the nonconstant
-    # terms of the integer image x, for a p that passed `_check_prime`
-    best = min([x.order] + [len(t) + _vp(c, p)
-                            for t, c in x.coeffs.items() if t])
-    return Valuation(best, best < x.order)
+    # terms of an integer image below `order`, p having passed `_check_prime`
+    best = min([order] + [len(t) + _vp(c, p) for t, c in image.items() if t])
+    return Valuation(best, best < order)
 
 
 def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
@@ -162,7 +172,7 @@ def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
     mu(w) - 1 over Z.  Exact whenever the result is below the truncation
     order, because hidden terms have trace length >= order."""
     _check_prime(p)
-    return _omega_p(magnus(w, g, Z, order), p)
+    return _omega_p(_image(w, g, order), order, p)
 
 
 # -- leading monomial in characteristic p ------------------------------
@@ -211,19 +221,21 @@ def injectivity_witness(g: Graph, r: int, order: int, domain: Domain):
     `Appends` memo, so each append t.x is formed once per call: u.x and
     u.x^-1 append x to the same terms, and the image of u.y keeps the
     terms of u's image, to which its own extensions append again."""
-    one = PCSeries.one(g, domain, order)
+    if order < 1:
+        raise DomainError("truncation order must be >= 1")
     steps = {e: _binomials(e, order) for e in (1, -1)}
     appends: Appends = {}
     images: dict = {}
     seen: dict = {}
     for letters in geodesic_words(g, r):
-        image = one
+        image = {(): 1}
         if letters:
             x, e = letters[-1]
-            image = _syllable_step(images[letters[:-1]], x, steps[e], appends)
+            image = _syllable_step(images[letters[:-1]], x, steps[e], order,
+                                   g, appends, domain.p)
         if len(letters) < r:
             images[letters] = image
-        key = frozenset(image.coeffs.items())
+        key = frozenset(image.items())
         if key in seen:
             return (reduce_word(seen[key], g), reduce_word(letters, g))
         seen[key] = letters

@@ -4,8 +4,10 @@ Elements are finite maps from canonical traces of length < N to nonzero
 coefficients, over Z, Q, or F_p.  All arithmetic is exact; binary
 operations insist on equal graph, domain and truncation order.  The
 shared sparse arithmetic lives in `LinComb`, which the clique algebra
-uses as well.  The tensor square of the ring over g is the ring over
-`join(g, g)`, so the Hopf maps need no type of their own.
+uses as well; its constructor is where a series reduces into the domain
+(`raag.magnus` steps its images as integer dicts, not as series).  The
+tensor square of the ring over g is the ring over `join(g, g)`, so the Hopf
+maps need no type of their own.
 """
 
 from __future__ import annotations
@@ -169,10 +171,6 @@ class LinComb:
     def scale(self, c):
         c = self.domain.coerce(c)
         return self._like((k, c * x) for k, x in self.coeffs.items())
-
-    def map_domain(self, domain: Domain):
-        """Reinterpret coefficients in another domain (Z -> Q or Z -> F_p)."""
-        return type(self)(self.graph, domain, self.order, self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         return (type(self) is type(other)

@@ -17,8 +17,8 @@ from raag.lie import (_lyndon, bracket_span_rank, lambda_dims,
                       restricted_span_rank, series_rank_lcs,
                       series_rank_restricted)
 from raag.linalg import rank_of_rows
-from raag.magnus import _omega, injectivity_witness, magnus
-from raag.series import Fp, Q, Z
+from raag.magnus import _image, _omega, injectivity_witness
+from raag.series import Fp, Q
 from raag.words import (GroupWord, Trace, enumerate_traces, invert,
                         reduce_word, sphere_sizes)
 
@@ -45,7 +45,7 @@ class CheckResult:
 
 
 def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
-    """Magnus images over Z of the basic commutators of degree
+    """Integer Magnus images of the basic commutators of degree
     n = 1..upto: whether every mu(c) - 1 starts in degree >= n, and the
     degree-n parts, degree by degree.
 
@@ -56,9 +56,9 @@ def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
     The degree-n part of mu(c_t) is the standard bracketing P(t), so the
     check is square: b_n words, whose parts have rank b_n iff they are
     independent.  That they span the degree-n Lie component rests on the
-    bracket-span check.  Each c_t is a reduced word, imaged by `magnus`
-    like any other at its own order n + 1, so no series is multiplied or
-    inverted.
+    bracket-span check.  Each c_t is a reduced word, imaged by `_image` like
+    any other at its own order n + 1, so no series is built, multiplied or
+    inverted: the parts are integer rows, for every domain.
     """
     words: dict[Trace, GroupWord] = {}
     ok = True
@@ -75,9 +75,9 @@ def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
                                 + invert(cu, g).syllables
                                 + invert(cv, g).syllables, g)
             words[t] = c
-            image = magnus(c, g, Z, n + 1)
-            ok = ok and _omega(image).value >= n
-            part = {s: a for s, a in image.coeffs.items() if len(s) == n}
+            image = _image(c, g, n + 1)
+            ok = ok and _omega(image, n + 1).value >= n
+            part = {s: a for s, a in image.items() if len(s) == n}
             if part:
                 rows.append(part)
         parts.append(rows)

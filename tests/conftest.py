@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from raag.graph import (Graph, complete_graph, cycle_graph, empty_graph,
                         path_graph)
+from raag.series import LinComb
 
 
 def random5_graph() -> Graph:
@@ -25,6 +26,17 @@ SUITE = {
     "C5": cycle_graph(5),
     "R5": random5_graph(),
 }
+
+
+@pytest.fixture()
+def lincomb_inits(monkeypatch):
+    """The class of every `LinComb` built while the test runs."""
+    calls = []
+    real = LinComb.__init__
+    monkeypatch.setattr(LinComb, "__init__",
+                        lambda self, *args: calls.append(type(self))
+                        or real(self, *args))
+    return calls
 
 
 @pytest.fixture(params=list(SUITE), ids=list(SUITE))

@@ -376,7 +376,7 @@ def left_normed_commutator_parts(g: Graph,
         rows = []
         for c in layer:
             image = magnus(c, g, Z, order)
-            ok = ok and _omega(image).value >= n
+            ok = ok and _omega(image.coeffs, order).value >= n
             part = {t: a for t, a in image.coeffs.items() if len(t) == n}
             if part:
                 rows.append(part)

@@ -1,17 +1,24 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raag.cli import COMMANDS, main
 from raag.graph import complete_graph, cycle_graph, path_graph
+from raag.magnus import _omega, magnus
+from raag.series import Fp
+from raag.words import format_word, reduce_word
 
-from conftest import SUITE
+from conftest import SUITE, random5_graph
 
 
 @pytest.fixture()
@@ -340,6 +347,51 @@ def test_long_magnus_answer_is_written_compactly(c5_file):
     proc, _ = _run_child(c5_file, "magnus", "a^-1", "--order", "2000")
     assert proc.returncode == 0
     assert len(proc.stdout) < 8_500_000
+
+
+@pytest.fixture(scope="module")
+def r5_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("graphs") / "r5.json"
+    f.write_text(json.dumps(random5_graph().to_dict()))
+    return str(f)
+
+
+def _valuation(r5_file, *args):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--graph", r5_file, "valuation", *args]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]),
+                          st.integers(-6, 6).filter(lambda e: e != 0)),
+                max_size=4),
+       st.sampled_from([2, 3, 5]), st.integers(1, 6))
+def test_valuation_fp_omega_from_the_integer_image(r5_file, sylls, p, order):
+    # the F_p valuation keeps the integer terms that p does not divide; the
+    # second route images the word over F_p itself
+    g = random5_graph()
+    w = reduce_word(sylls, g)
+    got = _valuation(r5_file, format_word(w), "--order", str(order),
+                     "--domain", "Fp", "--p", str(p))["omega_valuation"]
+    want = _omega(magnus(w, g, Fp(p), order).coeffs, order)
+    assert got == {"value": want.value, "decided": want.decided}
+
+
+def test_valuation_builds_no_series(r5_file, lincomb_inits):
+    for domain in ("Z", "Q", "Fp"):
+        _valuation(r5_file, "a^3 b c^-2 a", "--domain", domain, "--depth", "2")
+    assert lincomb_inits == []
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("command", ["magnus", "valuation"])
+def test_order_below_one_is_a_parse_error(graph_file, capsys, command, order):
+    assert main(["--graph", graph_file, command, "a b", "--order", order]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: truncation order must be >= 1\n"
 
 
 @pytest.mark.parametrize("p", ["0", "1", "4"])

@@ -5,6 +5,7 @@ import sys
 from itertools import permutations
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 import raag.magnus
 from raag.graph import cycle_graph, empty_graph, path_graph
 from raag.koszul import verify_resolution
-from raag.magnus import (_binomials, _omega, _syllable_step,
+from raag.magnus import (_binomials, _image, _omega, _syllable_step,
                          injectivity_witness, leading_monomial_char_p, magnus,
                          omega_p_valuation)
-from raag.series import Fp, PCSeries, Q, Z
+from raag.series import DomainError, Fp, PCSeries, Q, Z
 from raag.words import (IDENTITY, format_word, invert, multiply, parse_word,
                         reduce_word)
 
@@ -81,9 +82,58 @@ def test_multiplicative(s1, s2):
        st.sampled_from([Z, Q, Fp(2), Fp(3)]),
        st.integers(1, 6))
 def test_syllable_step_is_product_with_syllable_image(terms, v, e, dom, order):
-    y = PCSeries.from_terms(terms, R5, dom, order)
-    assert (_syllable_step(y, v, _binomials(e, order), {})
-            == y * _syllable_image(v, e, R5, dom, order))
+    # the integer step, reduced into dom once, or mod p after the step
+    y = PCSeries.from_terms(terms, R5, Z, order)
+    want = (PCSeries.from_terms(terms, R5, dom, order)
+            * _syllable_image(v, e, R5, dom, order))
+    for p in {None, dom.p}:
+        step = _syllable_step(y.coeffs, v, _binomials(e, order), order, R5, {},
+                              p)
+        assert PCSeries(R5, dom, order, step.items()) == want
+        assert p is None or all(0 < c < p for c in step.values())
+
+
+@pytest.mark.parametrize("text", ["", "a", "b c a^-2 c", "a b^3 c^-1 d e a"])
+@pytest.mark.parametrize("dom", [Z, Q, Fp(3)])
+def test_magnus_builds_one_series(text, dom, lincomb_inits):
+    # the steps run on integer dicts: one series per call, for the answer,
+    # whatever the syllable count
+    magnus(parse_word(text, R5), R5, dom, 6)
+    assert lincomb_inits == [PCSeries]
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_image_rejects_order_below_one_before_any_charge(order, monkeypatch):
+    charges = []
+    monkeypatch.setattr(raag.magnus, "check_states",
+                        lambda *args: charges.append(args))
+    w = parse_word("a^-1 b", R5)
+    with pytest.raises(DomainError, match="truncation order must be >= 1"):
+        _image(w, R5, order)
+    with pytest.raises(DomainError, match="truncation order must be >= 1"):
+        magnus(w, R5, Q, order)
+    assert charges == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(syllables_st, st.integers(1, 8))
+def test_printed_letters_are_bounded_by_the_charged_work(sylls, order):
+    # a step's terms out number at most terms in x width, each with fewer
+    # than `order` letters, so the letters of an answer never exceed the
+    # letter work already charged under "magnus"
+    w = reduce_word(sylls, R5)
+    charged = [0]
+    real = raag.magnus.check_states
+
+    def recording(n, stage, cap):
+        if stage == "magnus":
+            charged.append(n)
+        real(n, stage, cap)
+
+    with patch.object(raag.magnus, "check_states", recording):
+        image = _image(w, R5, order)
+    assert len(charged) == len(w.syllables) + 1
+    assert sum(len(t) for t in image) <= charged[-1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,11 +148,11 @@ def test_omega_valuation_examples():
     g = empty_graph(2)
     # [a,b] has valuation 2 in the free group
     comm = parse_word("a b a^-1 b^-1", g)
-    v = _omega(magnus(comm, g, Q, 6))
+    v = _omega(magnus(comm, g, Q, 6).coeffs, 6)
     assert v.decided and v.value == 2
-    v = _omega(magnus(parse_word("a", g), g, Q, 6))
+    v = _omega(magnus(parse_word("a", g), g, Q, 6).coeffs, 6)
     assert v.decided and v.value == 1
-    v = _omega(magnus(IDENTITY, g, Q, 6))
+    v = _omega(magnus(IDENTITY, g, Q, 6).coeffs, 6)
     assert not v.decided  # identity: valuation is +infinity at any order
 
 
@@ -119,11 +169,11 @@ def test_omega_p_valuation_weights_coefficients():
 def test_dimension_subgroup_membership():
     g = empty_graph(2)
     comm = parse_word("a b a^-1 b^-1", g)
-    assert _omega(magnus(comm, g, Q, 6)).membership(2) == "in"
-    assert _omega(magnus(comm, g, Q, 6)).membership(3) == "out"
-    assert _omega(magnus(IDENTITY, g, Q, 6)).membership(5) == "in"
+    assert _omega(magnus(comm, g, Q, 6).coeffs, 6).membership(2) == "in"
+    assert _omega(magnus(comm, g, Q, 6).coeffs, 6).membership(3) == "out"
+    assert _omega(magnus(IDENTITY, g, Q, 6).coeffs, 6).membership(5) == "in"
     # truncation order too low to decide for a trivial-looking element
-    assert _omega(magnus(IDENTITY, g, Q, 6)).membership(8) == "undecided"
+    assert _omega(magnus(IDENTITY, g, Q, 6).coeffs, 6).membership(8) == "undecided"
 
 
 def test_leading_monomial_simple_cases():
@@ -217,6 +267,30 @@ def test_injectivity_witness_steps_from_prefixes(case, monkeypatch):
         wit = injectivity_witness(g, r, order, dom)
         got = None if wit is None else tuple(map(format_word, wit))
         assert got == WITNESSES[case].get(name)
+
+
+def test_injectivity_witness_rejects_order_zero():
+    for dom in (Z, Q, Fp(2)):
+        with pytest.raises(DomainError, match="truncation order must be >= 1"):
+            injectivity_witness(P3, 2, 0, dom)
+
+
+@pytest.mark.parametrize("r, order, collisions", [(3, 5, 0), (4, 3, 5)])
+def test_injectivity_witness_same_over_z_and_q(r, order, collisions):
+    # Z -> Q is injective, so the integer images collide over Z exactly
+    # when they collide over Q; at order 3 the radius-4 ball collides on
+    # every suite graph but the abelian K3
+    found = {name: injectivity_witness(g, r, order, Z)
+             for name, g in SUITE.items()}
+    assert found == {name: injectivity_witness(g, r, order, Q)
+                     for name, g in SUITE.items()}
+    assert sum(w is not None for w in found.values()) == collisions
+
+
+def test_injectivity_witness_builds_no_series(lincomb_inits):
+    for dom in (Z, Q, Fp(2), Fp(3)):
+        injectivity_witness(R5, 3, 5, dom)
+    assert lincomb_inits == []
 
 
 def test_injectivity_witness_forms_each_append_once(monkeypatch):

@@ -6,6 +6,7 @@ import raag.exterior
 import raag.graph
 import raag.koszul
 import raag.magnus
+import raag.series
 import raag.verify
 import raag.words
 from raag.graph import cycle_graph, path_graph
@@ -87,6 +88,24 @@ def test_commutator_parts_form_no_series_product(monkeypatch):
     assert calls == []
 
 
+def test_commutator_parts_build_no_series(lincomb_inits):
+    # the images are integer dicts, stepped without a series object
+    ok, parts = _commutator_parts(cycle_graph(5), COMMUTATOR_DEGREE)
+    assert ok and [len(rows) for rows in parts] == [5, 5, 15]
+    assert lincomb_inits == []
+
+
+def test_verify_all_coerces_few_coefficients(monkeypatch):
+    # every Magnus image and Koszul sum stays an integer until it is
+    # reduced once; stepping series objects made 15,652 coercions here
+    calls = []
+    real = raag.series.Domain.coerce
+    monkeypatch.setattr(raag.series.Domain, "coerce",
+                        lambda self, x: calls.append(1) or real(self, x))
+    assert all(r.ok for r in verify_all(cycle_graph(5)))
+    assert len(calls) == 95
+
+
 @pytest.mark.parametrize("g, words", [(cycle_graph(5), 25),
                                       (random5_graph(), 26)],
                          ids=["C5", "R5"])
@@ -94,10 +113,10 @@ def test_verify_all_images_one_word_per_lyndon_trace(g, words, monkeypatch):
     # b_1 + b_2 + b_3 basic commutators, where the left-normed words were
     # 5 + 25 + 125 = 155 on five vertices; each is imaged at its own order
     orders = []
-    real = raag.verify.magnus
-    monkeypatch.setattr(raag.verify, "magnus",
-                        lambda w, g, dom, order: orders.append(order)
-                        or real(w, g, dom, order))
+    real = raag.verify._image
+    monkeypatch.setattr(raag.verify, "_image",
+                        lambda w, g, order, p=None: orders.append(order)
+                        or real(w, g, order, p))
     assert all(r.ok for r in verify_all(g))
     b = raag.verify.series_rank_lcs(g, COMMUTATOR_DEGREE).values
     assert len(orders) == sum(b) == words
@@ -123,9 +142,9 @@ def test_verify_all_runs_one_koszul_pass(monkeypatch):
 
 def test_commutator_checks_catch_a_dropped_syllable(monkeypatch):
     # every word imaged without its last syllable: [x, c] loses c^-1
-    real = raag.verify.magnus
+    real = raag.verify._image
     monkeypatch.setattr(
-        raag.verify, "magnus",
+        raag.verify, "_image",
         lambda w, *args: real(GroupWord(w.syllables[:-1]), *args))
     results = {r.name: r for r in verify_all(cycle_graph(5))}
     for name in COMMUTATOR_CHECKS:
@@ -235,7 +254,8 @@ MUTATIONS = {
     COMMUTATOR_CHECKS[0]: (raag.verify, "rank_of_rows", _plus_one),
     COMMUTATOR_CHECKS[1]: (raag.verify, "rank_of_rows", _plus_one),
     "truncated images pairwise distinct on the ball":
-        (raag.magnus, "_syllable_step", lambda real: lambda y, v, cs, appends: y),
+        (raag.magnus, "_syllable_step",
+         lambda real: lambda y, v, cs, order, g, appends, p=None: y),
     "Koszul contraction identity over Q":
         (raag.koszul, "_s_key", _dropped_s_image),
     "Koszul contraction identity over F2":
