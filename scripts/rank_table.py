@@ -3,12 +3,13 @@
 routes and report any disagreement.
 
 The series route solves the product forms of Phi_R by Moebius inversion.
-The span route takes, at each degree n, the standard bracketings of the
-Lyndon traces, which lead with their own traces at coefficient +-1.  It
-reduces against them, once and in integers, the closure rows [v, P(l)]
-for every vertex v and Lyndon trace l of degree n - 1, and for d_n also
-the p^i-th powers of lower Lyndon brackets; only nonzero remainders go
-through the general elimination.
+The span route eliminates over closure rows alone: at each degree n it
+builds [v, r] for every vertex v and every row r that degree n - 1 kept,
+reduces each in integers against the pivots found so far, and keeps the
+rows whose K-least trace has coefficient +-1 as pivots; for d_n it adds
+the p^i-th powers of the rows kept at degree n / p^i.  Only nonzero
+remainders go through the general elimination.  The Lyndon basis is not
+built: it is the oracle the tests check the pivot leads against.
 
     PYTHONPATH=src python3 scripts/rank_table.py GRAPH.json --upto 8 --p 2
 

@@ -3,33 +3,33 @@ independent routes: spans of bracket expansions inside the partially
 commuting polynomial ring, and Moebius inversion of the logarithmic
 derivative of the Poincare series.
 
-The span of degree n is built once and reduced once.  Its rows are the
-standard bracketings P(t) of the Lyndon traces t of degree n (the Lyndon
-rows, built and cached by `_lyndon`) and the closure rows [v, P(l)], for
-every vertex v and Lyndon trace l of degree n - 1, which span the
-degree-n brackets.  A Lyndon trace whose standard factorisation has
-u = (x,) takes the closure row (x, v) as its P(t), so that row is built
-once and serves as both.  `_span` builds the other closure rows and
-reduces them; asking for the Lyndon rows alone reduces nothing.
+The span of degree n is found by elimination over its closure rows
+[v, r], for every vertex v and every row r that degree n - 1 kept; degree
+1 keeps the letters.  Each closure row is reduced, as soon as it is
+built, against the pivots found so far, in plain integers: r -= c * lead
+* P at its K-least remaining pivot trace t, for the pivot row P that
+leads with t, with no gcd, no fraction and no reduction mod p.  A reduced
+row whose K-least trace has coefficient +1 or -1 becomes a pivot.  Any
+other nonzero row is held to the end of the degree and reduced again
+against the final pivots, and only what is left goes through
+`linalg.rank_of_rows`, the one general elimination.
 
-Each Lyndon row leads with its own trace: in the order K below, the
-least trace of P(t) is t, with coefficient +1 or -1.  The Lyndon rows are
-therefore unit-triangular pivots.  Every other row is reduced against
-them in plain integers, r -= c * lead * P(t) at its K-least remaining
-Lyndon trace t, until no Lyndon trace is left in it; there is no gcd, no
-fraction and no reduction mod p.  A nonzero combination of Lyndon rows
-has a nonzero entry at the K-least of their traces, so the remainders
-span a space that meets the span of the Lyndon rows only in 0, and the
-rank is the number of Lyndon rows plus the rank of the remainders.  Only
-the nonzero remainders go through `linalg.rank_of_rows`, the one general
-elimination.  The leads are units, so the Lyndon rows stay independent
-mod every prime and a remainder that is zero over Z is zero over every
-F_p: one reduction serves the ranks over Q and every F_p, and the
-restricted ranks add only their p^i-th power rows.
+The pivots lead with distinct traces at unit coefficients, so they stay
+independent mod every prime, and a nonzero combination of them is
+nonzero at a pivot trace, where every remainder is zero.  The rank over Q
+or any F_p is therefore the number of pivots plus the rank of the
+remainders, and a remainder that is zero over Z is zero over every F_p.
+Each reduction step is invertible over Z, so the pivot rows and the
+remainders span the same Z-module as the closure rows: L_n = [V, L_{n-1}]
+once the rows of degree n - 1 span L_{n-1}.  They are what degree n keeps,
+and degree n + 1 and the p^i-th power rows of the restricted ranks build
+on them, so no rank rests on the Lyndon basis theorem.
 
-Each Lyndon row's lead is checked before the row becomes a pivot.  A row
-that fails is reduced like a closure row, so the answer is the rank of
-all degree-n brackets whether or not the Lyndon basis theorem holds.
+The theorem is checked instead.  The set of leads of a subspace is
+unique, and the standard bracketing P(t) of a Lyndon trace t leads with
+t, so when no remainder survives the pivot leads are exactly the Lyndon
+traces (`_lyndon`).  The tests hold them to that, with the P(t) kept in
+`tests/oracles.py` as the Lyndon-basis oracle.
 """
 
 from __future__ import annotations
@@ -65,30 +65,18 @@ class RankTable:
 
 # -- bracket expansions ------------------------------------------------
 #
-# The span route works on a basis: the standard bracketings of the Lyndon
-# traces (Lalonde, *Bases de Lyndon des algebres de Lie libres partiellement
-# commutatives*, TCS 117, 1993; Duchamp & Krob, Semigroup Forum 45, 1992).
 # Traces are compared by K(t), their lex-normal forms with the letters
 # ranked in reverse vertex order.  A right factor of a trace t is a trace v
 # with t = uv; the principal ones are the up-closures of single positions
 # of t in its heap (the position and every later letter linked to it by a
 # chain of non-commuting letters).  t is Lyndon iff its letters are
 # connected in the non-commutation graph and K(t) < K(v) for every
-# principal proper right factor v.  Its standard bracketing is
-# P(t) = [P(u), P(v)] with v the K-least principal proper right factor;
-# the K-least term of P(t) is t, with coefficient +1 or -1, so the P(t)
-# are independent by their leading traces.
-
-def _bracket(a: dict[Trace, int], b: dict[Trace, int], g: Graph) -> dict[Trace, int]:
-    """[a, b] = ab - ba on homogeneous integer combinations of traces."""
-    out: dict[Trace, int] = {}
-    for t1, c1 in a.items():
-        for t2, c2 in b.items():
-            k = _concat(t1, t2, g)
-            out[k] = out.get(k, 0) + c1 * c2
-            k = _concat(t2, t1, g)
-            out[k] = out.get(k, 0) - c1 * c2
-    return {t: c for t, c in out.items() if c != 0}
+# principal proper right factor v; its standard factorisation is (u, v)
+# with v the K-least principal proper right factor (Lalonde, *Bases de
+# Lyndon des algebres de Lie libres partiellement commutatives*, TCS 117,
+# 1993; Duchamp & Krob, Semigroup Forum 45, 1992).  The span route does not
+# use them; `verify._commutator_parts` builds its basic commutators on
+# them, and the tests check the pivot leads of `_span` against them.
 
 
 @lru_cache(maxsize=256)
@@ -151,14 +139,20 @@ def _principal_factors(t: Trace, g: Graph):
 def _closure_row(v: str, e: dict[Trace, int], g: Graph,
                  products: dict[Trace, tuple[Trace, Trace]]) -> dict[Trace, int]:
     """[v, e] = v e - e v for a vertex v.  products caches (v.t, t.v) by t
-    for this v, so each distinct product is formed once: v.t by one
-    canonicalisation, t.v by one insertion."""
+    for this v, so each distinct product is formed once: t.v by one
+    insertion, and v.t by one canonicalisation unless v has an index no
+    higher than t[0]'s.  Then v.t is v followed by t: in the lex-normal t,
+    a letter that commutes with every letter before it is t[0] or has a
+    higher index, so none of them moves in front of v."""
+    rank = g._index
     row: dict[Trace, int] = {}
     for t, c in e.items():
         both = products.get(t)
         if both is None:
             i = _slot(t, v, g)
-            both = products[t] = (_concat((v,), t, g), t[:i] + (v,) + t[i:])
+            vt = ((v,) + t if rank[v] <= rank[t[0]]
+                  else _concat((v,), t, g))
+            both = products[t] = (vt, t[:i] + (v,) + t[i:])
         vt, tv = both
         row[vt] = row.get(vt, 0) + c
         row[tv] = row.get(tv, 0) - c
@@ -174,48 +168,21 @@ def _k_key(g: Graph) -> Callable[[Trace], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=256)
-def _lyndon(g: Graph, n: int) -> tuple[dict[Trace, dict[Trace, int]],
-                                       dict[Trace, tuple[Trace, Trace]],
-                                       frozenset[tuple[str, Trace]]]:
-    """The standard bracketings P(t) of the Lyndon traces t of degree n,
-    keyed by t in candidate order; the standard factorisation (u, v) of
-    each t, for n > 1; and the keys (x, v) of the closure rows they took
-    over: a Lyndon trace with standard factorisation ((x,), v) takes the
-    closure row [x, P(v)] as its P(t)."""
+def _lyndon(g: Graph, n: int) -> dict[Trace, tuple[Trace, Trace] | None]:
+    """The Lyndon traces t of degree n in candidate order, each with its
+    standard factorisation (u, v), or None for the letters."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
-        return {t: {t: 1} for t in _pyramids(g, 1)[0]}, {}, frozenset()
+        return dict.fromkeys(_pyramids(g, 1)[0])
     key = _k_key(g)
-    lyndon: dict[Trace, dict[Trace, int]] = {}
-    factors: dict[Trace, tuple[Trace, Trace]] = {}
-    taken: set[tuple[str, Trace]] = set()
-    products: dict[str, dict[Trace, tuple[Trace, Trace]]] = {}
-    lower = lyndon_brackets(g, n - 1)
+    lyndon: dict[Trace, tuple[Trace, Trace] | None] = {}
     for t in _pyramids(g, n)[0]:
         kv, v, rest = min((key(v), v, rest)
                           for v, rest in _principal_factors(t, g))
-        if kv < key(t):
-            continue
-        # t is Lyndon, with standard factorisation (u, v)
-        if len(rest) == 1:  # u = (x,)
-            x = rest[0]
-            u = (x,)
-            taken.add((x, v))
-            lyndon[t] = _closure_row(x, lower[v], g, products.setdefault(x, {}))
-        else:
-            u = _concat((), rest, g)
-            lyndon[t] = _bracket(lyndon_brackets(g, len(u))[u],
-                                 lyndon_brackets(g, len(v))[v], g)
-        factors[t] = u, v
-    return lyndon, factors, frozenset(taken)
-
-
-def lyndon_brackets(g: Graph, n: int) -> dict[Trace, dict[Trace, int]]:
-    """Standard bracketings P(t) of the Lyndon traces t of degree n, keyed
-    by t in candidate order; built from the lower degrees and cached, so
-    the caller must not modify the result."""
-    return _lyndon(g, n)[0]
+        if key(t) < kv:
+            lyndon[t] = _concat((), rest, g), v
+    return lyndon
 
 
 _Pivots = dict[Trace, tuple[tuple[int, ...], int, dict[Trace, int]]]
@@ -223,10 +190,10 @@ _Pivots = dict[Trace, tuple[tuple[int, ...], int, dict[Trace, int]]]
 
 def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
     """The row minus the integer multiples of pivot rows that clear its
-    entries at every pivot trace.  pivots[t] = (K(t), lead, P(t)), with
-    lead = P(t)[t] = +-1 and every other trace of P(t) K-greater than t, so
-    clearing the K-least pivot trace first never brings back one already
-    cleared."""
+    entries at every pivot trace.  pivots[t] = (K(t), lead, P), for a pivot
+    row P with lead = P[t] = +-1 and every other trace of P K-greater than
+    t, so clearing the K-least pivot trace first never brings back one
+    already cleared."""
     r = dict(row)
     heap = [(pivots[t][0], t) for t in r if t in pivots]
     heapify(heap)
@@ -252,33 +219,47 @@ def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
 
 @lru_cache(maxsize=256)
 def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
-    """Degree n of the span, reduced: the pivots (the P(t) whose K-least
-    trace is t with coefficient +-1) and the nonzero remainders of every
-    other row (the closure rows no Lyndon row took over, and the P(t) that
-    failed the check) after `_reduce`."""
-    lyndon, _, taken = _lyndon(g, n)
+    """Degree n of the span, reduced: the pivots, keyed by their leads,
+    and the nonzero remainders of the rows that did not become pivots.
+
+    Each closure row [v, r], for a vertex v and a row r that degree n - 1
+    kept, is reduced against the pivots found so far as soon as it is
+    built, and becomes a pivot if its K-least trace has coefficient +-1.
+    Any other nonzero row is held to the end of the degree and reduced
+    again against the final pivots."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     key = _k_key(g)
-    others: list[dict[Trace, int]] = []
-    if n > 1:
-        lower = lyndon_brackets(g, n - 1)
-        for v in g.vertices:
-            products: dict[Trace, tuple[Trace, Trace]] = {}
-            others.extend(_closure_row(v, e, g, products)
-                          for l, e in lower.items() if (v, l) not in taken)
+    if n == 1:
+        return {(v,): (key((v,)), 1, {(v,): 1}) for v in g.vertices}, ()
+    lower = _kept(g, n - 1)
+    check_states(len(g.vertices) * sum(map(len, lower)),
+                 "lie span (closure rows)")
     rank = g._index
     pivots: _Pivots = {}
-    for t, e in lyndon.items():
-        # t must be the K-least trace of P(t), with coefficient +-1; a trace
-        # whose first letter has a lower index than t[0] is K-greater, and
-        # passes without building its key
-        kt, lead, top = key(t), e.get(t), rank[t[0]]
-        if lead in (1, -1) and all(rank[s[0]] < top or s == t or key(s) > kt
-                                   for s in e):
-            pivots[t] = (kt, lead, e)
-        else:
-            others.append(e)
-    remainders = tuple(r for r in (_reduce(e, pivots) for e in others) if r)
+    held: list[dict[Trace, int]] = []
+    for v in g.vertices:
+        products: dict[Trace, tuple[Trace, Trace]] = {}
+        for e in lower:
+            r = _reduce(_closure_row(v, e, g, products), pivots)
+            if r:
+                # the K-least trace starts with the highest-index first
+                # letter, so only those traces need their keys
+                top = max([rank[s[0]] for s in r])
+                t = min([s for s in r if rank[s[0]] == top], key=key)
+                if r[t] in (1, -1):
+                    pivots[t] = (key(t), r[t], r)
+                else:
+                    held.append(r)
+    remainders = tuple(r for r in (_reduce(e, pivots) for e in held) if r)
     return pivots, remainders
+
+
+def _kept(g: Graph, n: int) -> list[dict[Trace, int]]:
+    """The rows degree n kept, its pivot rows and then its remainders;
+    they span L_n over Z."""
+    pivots, remainders = _span(g, n)
+    return [row for _, _, row in pivots.values()] + list(remainders)
 
 
 def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
@@ -286,16 +267,11 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
     degree-n component of the polynomial ring; equals the degree-n rank of
     the associated graded Lie algebra.
 
-    The pivots, the Lyndon rows whose lead passed the check, are
-    independent by their leading traces over Q and every F_p.  Every other
-    row is reduced against them over Z, with no gcd and no division, and
-    only the nonzero remainders go through `rank_of_rows`: a remainder
-    that is zero over Z is zero over every F_p, since the leads are units.
-    The closure rows span L_n = [V, L_{n-1}] as long as the Lyndon
-    brackets of degree n - 1 span L_{n-1}, that is, as long as degree
-    n - 1 and below left no remainder.  So the rank does not rest on the
-    Lyndon basis theorem: taken over the degrees 1..n, each degree checks
-    the basis the next one builds on.
+    The pivots are independent by their leading traces over Q and every
+    F_p, and every remainder is zero at every pivot trace, so only the
+    remainders go through `rank_of_rows`.  The rows of each degree span
+    L_n over Z, since every closure row is a Z-combination of them and
+    L_n = [V, L_{n-1}], so the rank rests on no basis theorem.
     """
     if domain.kind not in ("Q", "Fp"):
         raise DomainError("span rank needs a field domain")
@@ -304,22 +280,36 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
 
 
 def restricted_span_rank(g: Graph, n: int, p: int) -> int:
-    """Rank over F_p of brackets of degree n together with p^i-th powers of
-    the Lyndon brackets of degree m with m * p^i = n; the powers are
-    reduced against the same pivots as the brackets."""
+    """Rank over F_p of brackets of degree n together with the p^i-th
+    powers of the rows degree m kept, for m * p^i = n.
+
+    Those rows span L_m.  Over F_p, (cx)^(p^i) = c^(p^i) x^(p^i), and
+    (x + y)^(p^i) - x^(p^i) - y^(p^i) lies in the span of the degree-n
+    brackets and of the p^j-th powers from degree n / p^j, j < i
+    (Jacobson), so the powers of the rows serve for all of L_m.  They come
+    from lower degrees only: they are built ahead of the degree-n span,
+    each product charged before it is formed, and then reduced against
+    its pivots."""
     domain = Fp(p)
-    pivots, remainders = _span(g, n)
-    rows = list(remainders)
-    m = n
-    i = 0
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    cap = max_states()
+    pairs = 0
+    powers: list[dict[Trace, int]] = []
+    m, q = n, 1
     while m % p == 0:
         m //= p
-        i += 1
-        for e in lyndon_brackets(g, m).values():
-            r = _reduce((PCSeries(g, domain, n + 1, e.items()) ** p**i).coeffs,
-                        pivots)
-            if r:
-                rows.append(r)
+        q *= p
+        for e in _kept(g, m):
+            x = y = PCSeries(g, domain, n + 1, e.items())
+            for _ in range(q - 1):
+                pairs += len(x.coeffs) * len(y.coeffs)
+                check_states(pairs, "restricted span (p^i-th powers)", cap)
+                y = y * x
+            powers.append(y.coeffs)
+    pivots, remainders = _span(g, n)
+    rows = list(remainders)
+    rows += filter(None, (_reduce(r, pivots) for r in powers))
     return len(pivots) + rank_of_rows(rows, domain)
 
 

@@ -56,21 +56,23 @@ def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
     The degree-n part of mu(c_t) is the standard bracketing P(t), so the
     check is square: b_n words, whose parts have rank b_n iff they are
     independent.  That they span the degree-n Lie component rests on the
-    bracket-span check.  Each c_t is a reduced word, imaged by `_image` like
-    any other at its own order n + 1, so no series is built, multiplied or
-    inverted: the parts are integer rows, for every domain.
+    bracket-span check, which builds no P(t): its elimination over the
+    closure rows finds the Lyndon traces as its pivot leads, and the P(t)
+    are the oracle the tests check those leads against.  Each c_t is a
+    reduced word, imaged by `_image` like any other at its own order
+    n + 1, so no series is built, multiplied or inverted: the parts are
+    integer rows, for every domain.
     """
     words: dict[Trace, GroupWord] = {}
     ok = True
     parts: list[list[dict]] = []
     for n in range(1, upto + 1):
-        lyndon, factors, _ = _lyndon(g, n)
         rows = []
-        for t in lyndon:
-            if n == 1:
+        for t, factors in _lyndon(g, n).items():
+            if factors is None:
                 c = reduce_word([(t[0], 1)], g)
             else:
-                cu, cv = (words[f] for f in factors[t])
+                cu, cv = (words[f] for f in factors)
                 c = reduce_word(cu.syllables + cv.syllables
                                 + invert(cu, g).syllables
                                 + invert(cv, g).syllables, g)

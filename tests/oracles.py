@@ -12,6 +12,7 @@ from raag.errors import check_states
 from raag.graph import Graph, join
 from raag.growth import phi_A
 from raag.koszul import _d_key, _s_key
+from raag.lie import _lyndon
 from raag.linalg import rank_of_rows
 from raag.magnus import _omega, magnus
 from raag.series import Domain, DomainError, Fp, LinComb, PCSeries, Z
@@ -520,6 +521,29 @@ def standard_factorisation_bruteforce(t: tuple[str, ...], g: Graph):
     Lyndon trace t."""
     key = reverse_rank_key(g)
     return min(_right_factors(t, g), key=lambda uv: key(uv[1]))
+
+
+def bracket(a: dict, b: dict, g: Graph) -> dict:
+    """[a, b] = ab - ba on integer combinations of traces, each product
+    canonicalised from scratch."""
+    out = Counter()
+    for t1, c1 in a.items():
+        for t2, c2 in b.items():
+            out[canonicalize_trace(t1 + t2, g)] += c1 * c2
+            out[canonicalize_trace(t2 + t1, g)] -= c1 * c2
+    return {t: c for t, c in out.items() if c}
+
+
+@lru_cache(maxsize=64)
+def lyndon_brackets(g: Graph, n: int) -> dict[tuple[str, ...], dict]:
+    """The Lyndon basis: the standard bracketing P(t) = [P(u), P(v)] of
+    each Lyndon trace t of degree n, for the standard factorisation (u, v)
+    that `lie._lyndon` records, keyed by t in its order.  The span route
+    does not build these rows; its pivot leads are checked against their
+    traces."""
+    return {t: {t: 1} if uv is None else
+            bracket(*(lyndon_brackets(g, len(f))[f] for f in uv), g)
+            for t, uv in _lyndon(g, n).items()}
 
 
 def multigraded_ranks(g: Graph, upto: int) -> dict[tuple[int, ...], int]:

@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 
 import raag.lie
 import raag.linalg
+import raag.words
 from raag.errors import ResourceLimitError
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         empty_graph, path_graph)
-from raag.lie import (bracket_span_rank, lambda_dims, lyndon_brackets,
-                      restricted_span_rank, series_rank_lcs,
-                      series_rank_restricted)
+from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
+                      series_rank_lcs, series_rank_restricted)
 from raag.series import DomainError, Fp, PCSeries, Q, is_primitive
+from raag.words import enumerate_traces
 
 from conftest import SUITE, graphs_st, small_suite
-from oracles import (left_normed_brackets, left_normed_span_rank,
-                     lyndon_traces_bruteforce, multigraded_ranks,
-                     product_form_ranks, reverse_rank_key, witt_rank)
+from oracles import (bracket, left_normed_brackets, left_normed_span_rank,
+                     lyndon_brackets, lyndon_traces_bruteforce,
+                     multigraded_ranks, product_form_ranks, reverse_rank_key,
+                     witt_rank)
 
 UPTO = 4
 
@@ -184,18 +186,55 @@ def test_lyndon_route_matches_left_normed_oracle_on_random_graphs(g, n, p):
 def test_lyndon_traces_match_bruteforce_definition():
     for name, g in SUITE.items():
         for n in range(1, 7):
-            assert (sorted(lyndon_brackets(g, n))
+            assert (sorted(raag.lie._lyndon(g, n))
                     == sorted(lyndon_traces_bruteforce(g, n))), (name, n)
 
 
 @settings(max_examples=30, deadline=None)
 @given(graphs_st(max_vertices=5), st.integers(1, 6))
 def test_lyndon_traces_match_bruteforce_on_random_graphs(g, n):
-    assert sorted(lyndon_brackets(g, n)) == sorted(lyndon_traces_bruteforce(g, n))
+    assert (sorted(raag.lie._lyndon(g, n))
+            == sorted(lyndon_traces_bruteforce(g, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_st(max_vertices=5), st.data())
+def test_closure_row_is_the_bracket_with_a_letter(g, data):
+    # both products of [v, t], against products canonicalised from scratch
+    n = data.draw(st.integers(1, 5))
+    t = data.draw(st.sampled_from(enumerate_traces(g, n)))
+    v = data.draw(st.sampled_from(g.vertices))
+    assert (raag.lie._closure_row(v, {t: 1}, g, {})
+            == bracket({(v,): 1}, {t: 1}, g))
+
+
+def _check_pivot_leads(g, n):
+    # the leads of a subspace are unique, and the Lyndon rows lead with
+    # their traces, so elimination over the closure rows alone finds the
+    # Lyndon traces as its pivot leads; each row lies in one letter-content
+    # block, so the pivots of a block number its multigraded rank
+    leads = raag.lie._span(g, n)[0]
+    assert sorted(leads) == sorted(lyndon_traces_bruteforce(g, n))
+    contents = Counter(tuple(t.count(v) for v in g.vertices) for t in leads)
+    assert contents == {a: b for a, b in multigraded_ranks(g, n).items()
+                        if sum(a) == n}
+
+
+def test_pivot_leads_are_the_lyndon_traces():
+    for g in SUITE.values():
+        for n in range(1, 7):
+            _check_pivot_leads(g, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=5), st.integers(1, 6))
+def test_pivot_leads_are_the_lyndon_traces_on_random_graphs(g, n):
+    _check_pivot_leads(g, n)
 
 
 def test_lyndon_bracket_leads_with_its_trace():
-    # the K-least term of P(t) is t with coefficient +1 or -1
+    # the Lyndon basis theorem, on the oracle's rows: the K-least term of
+    # P(t) is t with coefficient +1 or -1
     for g in (cycle_graph(5), SUITE["R5"], empty_graph(3)):
         key = reverse_rank_key(g)
         for n in range(1, 8):
@@ -204,10 +243,10 @@ def test_lyndon_bracket_leads_with_its_trace():
 
 
 def test_closure_rows_add_no_rank():
-    # the closure rows [v, P(l)] lie in the span of the Lyndon rows
+    # the closure rows span one dimension per Lyndon trace
     for g in (cycle_graph(5), SUITE["R5"]):
         for n in range(1, 8):
-            b = len(lyndon_brackets(g, n))
+            b = len(raag.lie._lyndon(g, n))
             assert bracket_span_rank(g, n, Q) == b
             assert bracket_span_rank(g, n, Fp(2)) == b
 
@@ -232,7 +271,7 @@ def test_span_route_follows_vertex_order():
 @pytest.mark.parametrize("call", [
     lambda g: bracket_span_rank(g, 0, Q),
     lambda g: restricted_span_rank(g, -1, 2),
-    lambda g: lyndon_brackets(g, 0),
+    lambda g: raag.lie._lyndon(g, 0),
 ], ids=["bracket", "restricted", "lyndon"])
 def test_span_rejects_degree_below_one(call):
     with pytest.raises(ValueError, match="degree must be >= 1"):
@@ -242,14 +281,6 @@ def test_span_rejects_degree_below_one(call):
 def test_c5_span_route_reaches_degree_8():
     g = cycle_graph(5)
     assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
-
-
-@settings(max_examples=40, deadline=None)
-@given(graphs_st(max_vertices=4))
-def test_lyndon_traces_per_content_match_multigraded_ranks(g):
-    contents = Counter(tuple(t.count(v) for v in g.vertices)
-                       for n in range(1, 6) for t in lyndon_brackets(g, n))
-    assert contents == multigraded_ranks(g, 5)
 
 
 def test_span_route_work_count(monkeypatch):
@@ -274,53 +305,103 @@ def test_span_route_work_count(monkeypatch):
 
 @pytest.fixture
 def fresh_span():
-    # the Lyndon rows and the span are cached per (graph, degree): rows
-    # built under a mutation must not outlive the test
-    def clear():
-        raag.lie._lyndon.cache_clear()
-        raag.lie._span.cache_clear()
-
-    clear()
-    yield clear
-    clear()
+    # the span is cached per (graph, degree): rows built under a mutation
+    # or a low cap must not outlive the test, nor come from an earlier one
+    raag.lie._span.cache_clear()
+    yield
+    raag.lie._span.cache_clear()
 
 
-@pytest.mark.parametrize("mutation", ["lead-doubled", "smaller-lead-added"])
-def test_lead_check_catches_a_wrong_lyndon_row(mutation, monkeypatch,
-                                               fresh_span):
-    # one Lyndon row of degree 4 on C5 is spoilt: its lead coefficient
-    # becomes +-2, or the row of the K-least Lyndon trace is added to it.
-    # Either row fails the lead check, is left out of the pivots and is
-    # reduced like a closure row, so the span ranks still match the
-    # left-normed oracle
-    g, n = cycle_graph(5), 4
-    key = reverse_rank_key(g)
-    rows = lyndon_brackets(g, n)
-    least = min(rows, key=key)
-    fresh_span()
-    real = raag.lie._bracket
+def test_span_work_per_degree(monkeypatch, fresh_span):
+    # on C5 each degree builds one closure row per vertex and row kept
+    # below, keeps b_n rows, all of them pivots, and leaves no remainder
+    b = (5, 5, 15, 40, 124, 365, 1160)
+    built = []
+    real = raag.lie._closure_row
+    monkeypatch.setattr(raag.lie, "_closure_row",
+                        lambda *args: built.append(1) or real(*args))
+    g = cycle_graph(5)
+    for n in range(1, 8):
+        before = len(built)
+        pivots, remainders = raag.lie._span(g, n)
+        assert len(built) - before == (5 * b[n - 2] if n > 1 else 0)
+        assert len(raag.lie._kept(g, n)) == len(pivots) == b[n - 1]
+        assert remainders == ()
+
+
+def test_span_route_slot_insertions(monkeypatch, fresh_span):
+    # the closure rows are the only products: the route that also built
+    # each Lyndon row [P(u), P(v)] made 56,420 insertions here, and 31,550
+    # are made when every v.t is canonicalised
+    count = [0]
+    real = raag.words._slot
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(raag.words, "_slot", counting)
+    monkeypatch.setattr(raag.lie, "_slot", counting)
+    g = cycle_graph(5)
+    assert (tuple(bracket_span_rank(g, n, Q) for n in range(1, 7))
+            == (5, 5, 15, 40, 124, 365))
+    assert count[0] == 17_046
+
+
+@pytest.mark.parametrize("call, stage", [
+    (lambda g: bracket_span_rank(g, 7, Q),
+     r"^lie span \(closure rows\): 1100 states"),
+    (lambda g: restricted_span_rank(g, 8, 2),
+     r"^restricted span \(p\^i-th powers\): \d+ states"),
+], ids=["closure-rows", "powers"])
+def test_span_stages_are_charged(call, stage, monkeypatch, fresh_span):
+    # degree 5 charges 5 x the 220 terms kept at degree 4; the squares of
+    # the degree-4 rows are charged, pair by pair, before the degree-8
+    # span is built
+    monkeypatch.setenv("RAAG_MAX_STATES", "1000")
+    with pytest.raises(ResourceLimitError, match=stage):
+        call(cycle_graph(5))
+
+
+def test_wrong_closure_product_is_caught(monkeypatch, fresh_span):
+    # one term of the first closure row of degree 4 on C5 gets a wrong
+    # trace, its letters reversed.  That row becomes a pivot, so degree 4
+    # still counts 40, but degree 5 builds on it and the ranks disagree
+    g = cycle_graph(5)
+    real = raag.lie._closure_row
     spoilt = []
 
-    def spoil(a, b, g):
-        e = real(a, b, g)
-        t = min(e, key=key)
-        if len(t) == n and t != least and not spoilt:
-            spoilt.append(t)
-            if mutation == "lead-doubled":
-                return {s: 2 * c for s, c in e.items()}
-            out = dict(e)
-            for s, c in rows[least].items():
-                out[s] = out.get(s, 0) + c
-            return {s: c for s, c in out.items() if c}
-        return e
+    def spoil(v, e, g, products):
+        row = real(v, e, g, products)
+        if row and len(next(iter(row))) == 4 and not spoilt:
+            t = next(iter(row))
+            wrong = raag.words.canonicalize_trace(reversed(t), g)
+            spoilt.append((t, wrong))
+            row = dict(row)
+            c = row.pop(t)
+            row[wrong] = row.get(wrong, 0) + c
+        return {s: c for s, c in row.items() if c}
 
-    monkeypatch.setattr(raag.lie, "_bracket", spoil)
-    assert bracket_span_rank(g, n, Q) == left_normed_span_rank(g, n, Q)
-    wrong = lyndon_brackets(g, n)[spoilt[0]]
-    assert wrong[spoilt[0]] in (2, -2) or min(wrong, key=key) == least
-    assert spoilt[0] not in raag.lie._span(g, n)[0]
-    for p in (2, 3):
-        assert (bracket_span_rank(g, n, Fp(p))
-                == left_normed_span_rank(g, n, Fp(p)))
-        assert (restricted_span_rank(g, n, p)
-                == left_normed_span_rank(g, n, Fp(p), p))
+    monkeypatch.setattr(raag.lie, "_closure_row", spoil)
+    assert bracket_span_rank(g, 5, Q) != left_normed_span_rank(g, 5, Q)
+    assert spoilt[0][0] != spoilt[0][1]
+
+
+def test_held_row_left_unreduced_is_caught(monkeypatch, fresh_span):
+    # the two rows held back at degree 4 on C5 (each led with coefficient
+    # 2 when it was built) are not reduced again against the pivots found
+    # after them; they then keep entries at pivot traces and add rank
+    g = cycle_graph(5)
+    real = raag.lie._reduce
+    returned = []
+
+    def first_pass_only(row, pivots):
+        if any(row is r for r in returned):  # a held row, back at the end
+            return dict(row)
+        returned.append(real(row, pivots))
+        return returned[-1]
+
+    monkeypatch.setattr(raag.lie, "_reduce", first_pass_only)
+    assert bracket_span_rank(g, 4, Q) != left_normed_span_rank(g, 4, Q)
+    assert (restricted_span_rank(g, 4, 3)
+            != left_normed_span_rank(g, 4, Fp(3), 3))

@@ -103,7 +103,7 @@ def test_verify_all_coerces_few_coefficients(monkeypatch):
     monkeypatch.setattr(raag.series.Domain, "coerce",
                         lambda self, x: calls.append(1) or real(self, x))
     assert all(r.ok for r in verify_all(cycle_graph(5)))
-    assert len(calls) == 95
+    assert len(calls) == 85
 
 
 @pytest.mark.parametrize("g, words", [(cycle_graph(5), 25),
