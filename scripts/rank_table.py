@@ -13,12 +13,15 @@ built: it is the oracle the tests check the pivot leads against.
 
     PYTHONPATH=src python3 scripts/rank_table.py GRAPH.json --upto 8 --p 2
 
-Exits 0 when the routes agree and 1 otherwise.
+Exit codes: 0 when the routes agree, 1 when they disagree, and 3 when
+the state cap (RAAG_MAX_STATES) stops a route, with a one-line message on
+stderr, as the `raag` CLI does.
 """
 
 import argparse
 import sys
 
+from raag.errors import ResourceLimitError
 from raag.graph import Graph
 from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
                       series_rank_lcs, series_rank_restricted)
@@ -36,10 +39,16 @@ def main() -> int:
         g = Graph.from_json(fh.read())
     upto, p = args.upto, args.p
 
-    lcs_series = series_rank_lcs(g, upto).values
-    lcs_spans = tuple(bracket_span_rank(g, n, Q) for n in range(1, upto + 1))
-    res_series = series_rank_restricted(g, p, upto).values
-    res_spans = tuple(restricted_span_rank(g, n, p) for n in range(1, upto + 1))
+    try:
+        lcs_series = series_rank_lcs(g, upto).values
+        lcs_spans = tuple(bracket_span_rank(g, n, Q)
+                          for n in range(1, upto + 1))
+        res_series = series_rank_restricted(g, p, upto).values
+        res_spans = tuple(restricted_span_rank(g, n, p)
+                          for n in range(1, upto + 1))
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
 
     print(f"{'n':>3} {'b_n (series)':>13} {'b_n (span)':>11} "
           f"{f'd_n p={p} (series)':>17} {f'd_n p={p} (span)':>15}")

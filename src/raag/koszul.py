@@ -6,26 +6,47 @@ vertices off the clique (with alternating signs, the clique being read in
 decreasing order) and multiplies them into the trace; the contraction
 moves the least eligible front letter of the trace into the clique.
 
-The differential sends a basis key to |clique| keys and the contraction
-to at most one, all with coefficients +-1, so each map is written once as
-a per-key kernel, `_d_key` and `_s_key`.  The check builds no element:
-it applies the kernels to each basis key, sums each identity in a dict
-of Python ints and reduces the sums into the domain once, where they are
+A pass numbers its basis (`_Basis`).  Each trace gets an id, with the
+id of its prefix (the trace less its last letter) beside it, and each
+clique gets an id; the key (c, t) is the one int
+id(t) * (number of cliques) + id(c).
+The differential sends a key to |c| keys and the contraction to at most
+one, all with coefficients +-1, so each map is written once, on keys:
+`_Basis.d` and `_Basis.s`.  The check builds no element: it applies the
+two maps to each key, sums each identity in a dict of Python ints keyed
+by ints, and reduces the sums into the domain once, where they are
 compared with zero.  Z -> D is a ring map, so this is the check done in
 D throughout.  The integer sums are the same for every domain, so one
 pass (`_resolution_reports`) judges them in several domains at once:
 `verify-all` checks Q and F_2 together, `verify_resolution` one domain.
+A counterexample is mapped back to its (clique, trace).
 
-The front products v.t recur: d(x), d of each face of x and d(s(x)) of
-many keys multiply the same letter into the same trace.  Each pass
-keeps a memo of them (`Fronts`), so each is formed once per pass, and
-formed by the prefix route: v.t = (v.t[:-1]).t[-1] is one `_slot`
-insertion into the product for the prefix of t, which the memo nearly
-always holds, since the keys come in ascending trace degree (`_front`).
-The faces of each clique with their signs (`Faces`) and the letters
-the contraction may move into it (`Candidates`) are kept per pass as
-well.  The memos live no longer than the pass, so nothing
-outlives its graph.
+The maps read tables that live as long as the pass:
+
+- Front products.  d(x), d of each face of x and d(s(x)) of many keys
+  multiply the same letter into the same trace, so v.t is kept per
+  letter in a list indexed by trace id.  d multiplies into the traces
+  below the top degree only, each of which is a prefix of a numbered
+  trace, so the lists have a slot for each such prefix and no more; a
+  pass fills every slot.  v.t is formed by the prefix
+  route v.t = (v.t[:-1]).t[-1], one `_slot` insertion into the product
+  for the prefix, which the table nearly always holds, since the keys
+  come in ascending trace degree; where it does not, a loop walks back to
+  the longest prefix whose product is known (`_Basis.front`).
+- Per clique: its faces with their signs, the letters the contraction
+  may move into it (below its least vertex and adjacent to all of it),
+  as a bitmask, and the clique each of them makes.
+- Per trace: the letters that commuting swaps can bring to its front, a
+  bitmask one step from its prefix's.  The contraction moves the lowest
+  bit of that mask ANDed with the clique's candidates, and the rest of
+  the trace, re-canonicalised, is kept per (letter, trace) in a dict: s
+  moves about one letter per trace.
+
+The pass numbers the enumerated layers in order, so the keys of each
+clique are a range of ints.  Any other trace is numbered when it is met,
+with its prefixes (in the pass only a faulty product makes one).  Nothing
+outlives the pass, so no table carries one graph's products into
+another's.
 """
 
 from __future__ import annotations
@@ -41,96 +62,177 @@ from raag.words import Trace, _concat, enumerate_traces
 
 Clique = tuple[str, ...]  # ascending
 BasisKey = tuple[Clique, Trace]  # (clique, canonical trace)
-Fronts = dict[Trace, dict[str, Trace]]  # t -> v -> v.t, for one call
-Faces = dict[Clique, list[tuple[str, Clique, int]]]  # c -> [(v, c - v, sign)]
-Candidates = dict[Clique, int]  # c -> the letters s may move into c
 
 
-def _front(v: str, t: Trace, g: Graph, fronts: Fronts) -> Trace:
-    """v.t, read from `fronts` or formed there as (v.t[:-1]).t[-1], one
-    insertion into the product for the prefix.  The walk back to the
-    longest prefix whose product is known is a loop, not a recursion, and
-    stores every product it forms."""
-    k = len(t)
-    rows = []
-    while k:
-        row = fronts.get(t[:k])
-        if row is None:
-            row = fronts[t[:k]] = {}
-        vt = row.get(v)
-        if vt is not None:
-            break
-        rows.append(row)
-        k -= 1
-    else:
-        vt = (v,)
-    for row in reversed(rows):
-        vt = row[v] = _concat(vt, (t[k],), g)
-        k += 1
-    return vt
+class _Basis:
+    """The basis keys of total degree < `order` on `g`, numbered, with the
+    tables that d and s read.  The cliques of size < order that the graph
+    lists have the first `listed` ids, and the empty trace has id 0; `add`
+    numbers traces whose prefixes have ids, and `trace_id` any trace."""
 
+    __slots__ = ("g", "cliques", "listed", "clique_ids", "nc", "faces",
+                 "cands", "ups", "traces", "ids", "prefix", "movable",
+                 "fronts", "width", "rests")
 
-def _d_key(key: BasisKey, g: Graph, fronts: Fronts,
-           faces: Faces) -> list[tuple[BasisKey, int]]:
-    """d of one basis key.  c is ascending and the basis product is written
-    in decreasing order, so removing the j-th smallest vertex v carries
-    sign (-1)^j; v is multiplied into the trace at the front.  The faces
-    of c with their signs are read from `faces`, or listed there once; the
-    product v.t is read from `fronts`, or formed by `_front`."""
-    c, t = key
-    if not c:
-        return []
-    cf = faces.get(c)
-    if cf is None:
-        cf = faces[c] = [(v, c[:j] + c[j + 1:], -1 if j % 2 else 1)
-                         for j, v in enumerate(c)]
-    row = fronts.get(t)
-    if row is None:
-        row = fronts[t] = {}
-    out = []
-    for v, face, sign in cf:
-        vt = row.get(v)
-        if vt is None:
-            vt = _front(v, t, g, fronts)
-        out.append(((face, vt), sign))
-    return out
+    def __init__(self, g: Graph, order: int):
+        index, nbrs = g._index, g._nbrs
+        self.g = g
+        self.cliques = [c for c in g.cliques() if len(c) < order]
+        self.listed = len(self.cliques)
+        ids = self.clique_ids = {c: i for i, c in enumerate(self.cliques)}
 
+        def clique_id(c: Clique) -> int:
+            # a face or an image of s that the enumeration missed (only a
+            # faulty one does) is numbered here, after the listed cliques
+            i = ids.get(c)
+            if i is None:
+                i = ids[c] = len(self.cliques)
+                self.cliques.append(c)
+            return i
 
-def _s_key(key: BasisKey, g: Graph, cands: Candidates) -> BasisKey | None:
-    """s of one basis key: the least letter v of t that commuting swaps can
-    bring to the front, is adjacent to all of c and precedes min(c) moves
-    into the clique; None if no letter qualifies.
+        # per clique: [(id of c - v, v, sign)], the letters the contraction
+        # may move into c, and per such letter the id of the clique it
+        # makes (none at size order - 1, whose keys have empty traces)
+        self.faces: list[list[tuple[int, int, int]]] = []
+        self.cands: list[int] = []
+        self.ups: list[dict[int, int]] = []
+        for c in self.cliques:  # grows while a clique_id call numbers one
+            self.faces.append([(clique_id(c[:j] + c[j + 1:]), index[v],
+                                -1 if j % 2 else 1)
+                               for j, v in enumerate(c)])
+            cand = 0
+            if len(c) + 1 < order:
+                cand = (1 << index[c[0]]) - 1 if c else -1
+                for u in c:
+                    cand &= nbrs[index[u]]
+            self.cands.append(cand)
+            self.ups.append({i: clique_id((v,) + c)
+                             for i, v in enumerate(g.vertices)
+                             if cand >> i & 1})
+        self.nc = len(self.cliques)
+        # per trace id: the trace (whose last letter is the one appended to
+        # its prefix), its prefix's id and its front letters
+        self.traces: list[Trace] = [()]
+        self.ids: dict[Trace, int] = {(): 0}
+        self.prefix = [0]
+        self.movable = [0]
+        # per letter v, by trace id t < width, -1 until formed: the id of
+        # v.t.  `add` widens the rows to each prefix of a numbered trace,
+        # so in a pass they cover the traces below the top degree, the ones
+        # d multiplies into, and d forms every product there
+        self.fronts: list[list[int]] = [[] for _ in g.vertices]
+        self.width = 0
+        # per letter v, once formed: {t: id of the rest of t once s has
+        # moved v out of it}, a dict, as s moves about one letter per trace
+        self.rests: list[dict[int, int]] = [{} for _ in g.vertices]
 
-    One scan of t on neighbour bitmasks: t[i] can come to the front iff it
-    is adjacent to every letter before it.  `cand` holds the letters that
-    could still qualify at the current position; it starts from the
-    letters below min(c) adjacent to all of c, read from `cands` or
-    computed there once.  Removing v can break lex-normality (on
-    path_graph(4), s sends ((d,), (b, c, a)) to ((c, d), (a, b)): c moves
-    and (b, a) is not lex-normal), so the rest is re-canonicalised.
-    """
-    c, t = key
-    index, nbrs = g._index, g._nbrs
-    cand = cands.get(c)
-    if cand is None:
-        cand = (1 << index[c[0]]) - 1 if c else -1
-        for u in c:
-            cand &= nbrs[index[u]]
-        cands[c] = cand
-    pos = None
-    for i, v in enumerate(t):
-        if not cand:
-            break
-        k = index[v]
-        if cand >> k & 1:
-            pos = i
-            cand &= (1 << k) - 1  # only a lesser letter can replace v
-        cand &= nbrs[k]
-    if pos is None:
-        return None
-    # a suffix of a lex-normal word is lex-normal
-    rest = t[1:] if pos == 0 else _concat(t[:pos], t[pos + 1:], g)
-    return (t[pos],) + c, rest
+    def add(self, ts: Sequence[Trace]) -> None:
+        """Number the traces `ts` in turn; the prefix of each has an id by
+        then.  The last letter v of a trace comes to its front iff v is
+        adjacent to every letter before it (so it is the first v)."""
+        ids, adj, index = self.ids, self.g._adj, self.g._index
+        traces, movable = self.traces, self.movable
+        start = len(self.prefix)
+        for t in ts:
+            p = ids[t[:-1]]
+            v = t[-1]
+            ids[t] = len(traces)
+            traces.append(t)
+            self.prefix.append(p)
+            m = movable[p]  # shared, not copied, when v does not move
+            if adj[v].issuperset(traces[p]):
+                m |= 1 << index[v]
+            movable.append(m)
+        self.widen(max(self.prefix[start:], default=-1) + 1)
+
+    def widen(self, n: int) -> None:
+        """Give each row of the front table a slot for every trace id < n.
+        In a pass the table then has one slot per key (one-vertex clique,
+        trace below the top degree), which the basis count has charged; the
+        size is charged again here for traces numbered outside a pass."""
+        if n > self.width:
+            check_states(len(self.fronts) * n, "koszul front products")
+            for row in self.fronts:
+                row.extend([-1] * (n - self.width))
+            self.width = n
+
+    def trace_id(self, t: Trace) -> int:
+        """The id of t, numbering t and each prefix of t that has none; a
+        loop, so a long trace needs no deep recursion."""
+        i = self.ids.get(t)
+        if i is None:
+            k = len(t) - 1
+            while t[:k] not in self.ids:
+                k -= 1
+            self.add([t[:j] for j in range(k + 1, len(t) + 1)])
+            i = self.ids[t]
+        return i
+
+    def key(self, x: BasisKey) -> int:
+        c, t = x
+        return self.trace_id(t) * self.nc + self.clique_ids[c]
+
+    def pair(self, key: int) -> BasisKey:
+        t, c = divmod(key, self.nc)
+        return self.cliques[c], self.traces[t]
+
+    def front(self, v: int, t: int) -> int:
+        """The id of v.t, read from the table or formed there as
+        (v.t[:-1]).t[-1], one insertion into the product for the prefix.
+        The walk back to the longest prefix whose product is known is a
+        loop, not a recursion, and stores every product it forms."""
+        self.widen(t + 1)
+        row, prefix, traces = self.fronts[v], self.prefix, self.traces
+        walk = []
+        while row[t] < 0 and t:
+            walk.append(t)
+            t = prefix[t]
+        vt = row[t]
+        if vt < 0:  # v.() = (v,)
+            vt = row[0] = self.trace_id((self.g.vertices[v],))
+        for t in reversed(walk):
+            vt = row[t] = self.trace_id(
+                _concat(traces[vt], traces[t][-1:], self.g))
+        return vt
+
+    def d(self, key: int) -> list[tuple[int, int]]:
+        """d of one key (c, t).  c is ascending and the basis product is
+        written in decreasing order, so removing the j-th smallest vertex v
+        carries sign (-1)^j; v is multiplied into the trace at the front."""
+        t, c = divmod(key, self.nc)
+        nc, fronts = self.nc, self.fronts
+        known = t < self.width
+        out = []
+        for face, v, sign in self.faces[c]:
+            vt = fronts[v][t] if known else -1
+            if vt < 0:
+                vt = self.front(v, t)
+            out.append((vt * nc + face, sign))
+        return out
+
+    def s(self, key: int) -> int | None:
+        """s of one key (c, t): the least letter v of t that commuting swaps
+        can bring to the front, is adjacent to all of c and precedes min(c)
+        moves into the clique; None if no letter qualifies.
+
+        Removing v can break lex-normality (on path_graph(4), s sends
+        ((d,), (b, c, a)) to ((c, d), (a, b)): c moves and (b, a) is not
+        lex-normal), so the rest is re-canonicalised, once per (v, t)."""
+        t, c = divmod(key, self.nc)
+        m = self.movable[t] & self.cands[c]
+        if not m:
+            return None
+        v = (m & -m).bit_length() - 1
+        rests = self.rests[v]
+        rest = rests.get(t)
+        if rest is None:
+            word = self.traces[t]
+            pos = word.index(self.g.vertices[v])
+            # a suffix of a lex-normal word is lex-normal
+            rest = rests[t] = self.trace_id(
+                word[1:] if pos == 0
+                else _concat(word[:pos], word[pos + 1:], self.g))
+        return rest * self.nc + self.ups[c][v]
 
 
 @dataclass(frozen=True)
@@ -151,7 +253,7 @@ class ResolutionReport:
         return out
 
 
-def _vanishes(acc: dict[BasisKey, int], domain: Domain) -> bool:
+def _vanishes(acc: dict[int, int], domain: Domain) -> bool:
     coerce = domain.coerce
     return not any(coerce(a) for a in acc.values() if a)
 
@@ -168,16 +270,15 @@ def _resolution_reports(g: Graph, order: int,
     """`verify_resolution` in each of `domains` at once: one report per
     domain, each equal to the report of a call for that domain alone.
 
-    The keys are taken clique by clique, and each identity is summed for
-    each key in turn, in integers, once for all the domains.  Each domain
-    still in the pass then judges the sum with `_vanishes`; a domain it
-    fails gets its report there and leaves the pass, which ends when none
-    is left.  One `Fronts` memo serves the whole call, so a front product
-    v.t needed by d(x), by d of a face of x or by d(s(x)) is formed once
-    however many keys need it, from the product for t's prefix; the clique
-    tables `Faces` and `Candidates` are filled once per clique.  A sum
-    whose integer coefficients are all zero, or that has no terms (d.d on
-    a clique of size <= 1), is zero in every domain and is not reduced
+    The keys are taken clique by clique, in ascending trace degree, and
+    each identity is summed for each key in turn, in integers, once for
+    all the domains.  Each domain still in the pass then judges the sum
+    with `_vanishes`; a domain it fails gets its report there and leaves
+    the pass, which ends when none is left.  One `_Basis` serves the whole
+    call, so a front product v.t needed by d(x), by d of a face of x or by
+    d(s(x)) is formed once however many keys need it.  d.d has no terms on
+    a clique of size <= 1 and is not summed there; a sum whose integer
+    coefficients are all zero is zero in every domain and is not reduced
     into any."""
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -193,45 +294,49 @@ def _resolution_reports(g: Graph, order: int,
         total += r * sum(counts[:order - n])
         check_states(total, f"koszul basis up to trace degree {n}")
         degrees = n + 1
-    cliques = [c for c in g.cliques() if len(c) < order]
-    traces = [enumerate_traces(g, n) for n in range(degrees)]
-    fronts: Fronts = {}
-    faces: Faces = {}
-    cands: Candidates = {}
+    basis = _Basis(g, order)
+    # ids follow the layers, so the traces of degree <= n are the ids below
+    # ends[n]; degree 0 is the empty trace alone, id 0
+    ends = [1]
+    for n in range(1, degrees):
+        basis.add(enumerate_traces(g, n))
+        ends.append(len(basis.traces))
+    d, s, nc = basis.d, basis.s, basis.nc
     reports: list[ResolutionReport | None] = [None] * len(domains)
     checked = 0
 
-    def failed_everywhere(acc: dict[BasisKey, int], x: BasisKey,
-                          reason: str) -> bool:
+    def failed_everywhere(acc: dict[int, int], x: int, reason: str) -> bool:
         # a sum with a nonzero integer, judged by each domain still passing
         for i, dom in enumerate(domains):
             if reports[i] is None and not _vanishes(acc, dom):
-                reports[i] = ResolutionReport(False, checked, x, reason)
+                reports[i] = ResolutionReport(False, checked, basis.pair(x),
+                                              reason)
         return all(reports)
 
-    for c in cliques:
-        for layer in traces[:order - len(c)]:
-            for t in layer:
-                x = (c, t)
-                checked += 1
-                dx = _d_key(x, g, fronts, faces)
-                acc: dict[BasisKey, int] = {}
+    for c, clique in enumerate(basis.cliques[:basis.listed]):
+        pairs = len(clique) > 1
+        for t in range(ends[min(order - len(clique), degrees) - 1]):
+            x = t * nc + c
+            checked += 1
+            dx = d(x)
+            if pairs:
+                acc: dict[int, int] = {}
                 for y, a in dx:
-                    for z, b in _d_key(y, g, fronts, faces):
+                    for z, b in d(y):
                         acc[z] = acc.get(z, 0) + a * b
                 if any(acc.values()) and failed_everywhere(acc, x, "d^2 != 0"):
                     return reports
-                # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
-                acc = {x: -1} if c or t else {}
-                for y, a in dx:
-                    z = _s_key(y, g, cands)
-                    if z is not None:
-                        acc[z] = acc.get(z, 0) + a
-                sx = _s_key(x, g, cands)
-                if sx is not None:
-                    for z, b in _d_key(sx, g, fronts, faces):
-                        acc[z] = acc.get(z, 0) + b
-                if any(acc.values()) and failed_everywhere(
-                        acc, x, "sd + ds != 1 - eps"):
-                    return reports
+            # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
+            acc = {x: -1} if clique or t else {}
+            for y, a in dx:
+                z = s(y)
+                if z is not None:
+                    acc[z] = acc.get(z, 0) + a
+            sx = s(x)
+            if sx is not None:
+                for z, b in d(sx):
+                    acc[z] = acc.get(z, 0) + b
+            if any(acc.values()) and failed_everywhere(
+                    acc, x, "sd + ds != 1 - eps"):
+                return reports
     return [rep or ResolutionReport(True, checked) for rep in reports]

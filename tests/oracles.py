@@ -11,7 +11,7 @@ from math import comb
 from raag.errors import check_states
 from raag.graph import Graph, join
 from raag.growth import phi_A
-from raag.koszul import _d_key, _s_key
+from raag.koszul import _Basis
 from raag.lie import _lyndon
 from raag.linalg import rank_of_rows
 from raag.magnus import _omega, magnus
@@ -236,17 +236,19 @@ class KoszulElement(LinComb):
 
 
 def differential(x: KoszulElement) -> KoszulElement:
-    """d on elements: the linear extension of the library kernel `_d_key`."""
-    fronts, faces = {}, {}
-    return x._like((y, a * b) for k, a in x.coeffs.items()
-                   for y, b in _d_key(k, x.graph, fronts, faces))
+    """d on elements: the linear extension of the library's d on numbered
+    keys (`_Basis.d`)."""
+    basis = _Basis(x.graph, x.order)
+    return x._like((basis.pair(y), a * b) for k, a in x.coeffs.items()
+                   for y, b in basis.d(basis.key(k)))
 
 
 def contraction(x: KoszulElement) -> KoszulElement:
-    """s on elements: the linear extension of the library kernel `_s_key`."""
-    cands = {}
-    return x._like((y, a) for k, a in x.coeffs.items()
-                   if (y := _s_key(k, x.graph, cands)) is not None)
+    """s on elements: the linear extension of the library's s on numbered
+    keys (`_Basis.s`)."""
+    basis = _Basis(x.graph, x.order)
+    return x._like((basis.pair(y), a) for k, a in x.coeffs.items()
+                   if (y := basis.s(basis.key(k))) is not None)
 
 
 def epsilon(x: KoszulElement) -> KoszulElement:

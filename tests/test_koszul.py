@@ -7,8 +7,8 @@ import raag.koszul
 import raag.words
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         enumerate_cliques, path_graph)
-from raag.koszul import (ResolutionReport, _d_key, _front,
-                         _resolution_reports, _s_key, verify_resolution)
+from raag.koszul import (ResolutionReport, _Basis, _resolution_reports,
+                         verify_resolution)
 from raag.series import DomainError, Fp, LinComb, Q
 from raag.words import canonicalize_trace, enumerate_traces
 
@@ -85,7 +85,8 @@ def test_verify_resolution_enumerates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(raag.koszul, "enumerate_traces", counting)
     assert verify_resolution(cycle_graph(5), 6, Q).ok
-    assert sorted(calls) == list(range(6))
+    # degree 0 is the empty trace alone, which every `_Basis` numbers 0
+    assert sorted(calls) == list(range(1, 6))
 
 
 def test_counterexample_json_lists_names():
@@ -95,14 +96,15 @@ def test_counterexample_json_lists_names():
 
 
 def _check_contraction_against_oracle(g, order):
-    cands = {}
+    basis = _Basis(g, order)
     for c in enumerate_cliques(g):
         for n in range(order - len(c)):
             for t in enumerate_traces(g, n):
                 x = KoszulElement.basis(c, t, g, Q, order)
-                image = _s_key((c, t), g, cands)
+                image = basis.s(basis.key((c, t)))
                 want = koszul_contraction(x)
-                assert want.coeffs == ({} if image is None else {image: 1})
+                assert want.coeffs == (
+                    {} if image is None else {basis.pair(image): 1})
                 assert contraction(x) == want
 
 
@@ -121,7 +123,8 @@ def test_s_key_recanonicalises_the_rest():
     # is below d and adjacent to it, and (b, a) must become (a, b)
     g = path_graph(4)
     image = (("c", "d"), ("a", "b"))
-    assert _s_key((("d",), ("b", "c", "a")), g, {}) == image
+    basis = _Basis(g, ORDER)
+    assert basis.pair(basis.s(basis.key((("d",), ("b", "c", "a"))))) == image
     x = KoszulElement.basis(("d",), ("b", "c", "a"), g, Q, ORDER)
     assert koszul_contraction(x).coeffs == {image: 1}
 
@@ -138,15 +141,15 @@ def _scaled_d(factor):
     # would move a, not b), so the change leaves every earlier homotopy
     # check intact, and d.d = 0 is the check that must catch it.  A sign
     # flip (-1) and an even change (3) are invisible over F_2
-    key = (("b", "c"), ("a",))
-    return lambda real: lambda k, g, fronts, faces: [
-        (y, factor * a if k == key and j == 1 else a)
-        for j, (y, a) in enumerate(real(k, g, fronts, faces))]
+    x = (("b", "c"), ("a",))
+    return lambda real: lambda basis, key: [
+        (y, factor * a if j == 1 and basis.pair(key) == x else a)
+        for j, (y, a) in enumerate(real(basis, key))]
 
 
 def _dropped_s(real):
-    return lambda key, g, cands: (None if key == ((), ("b",))
-                                  else real(key, g, cands))
+    return lambda basis, key: (None if basis.pair(key) == ((), ("b",))
+                               else real(basis, key))
 
 
 def _faulty_front(real):
@@ -157,14 +160,14 @@ def _faulty_front(real):
 
 
 def test_sign_flip_in_d_fails_d_squared(monkeypatch):
-    monkeypatch.setattr(raag.koszul, "_d_key", _scaled_d(-1)(_d_key))
+    monkeypatch.setattr(_Basis, "d", _scaled_d(-1)(_Basis.d))
     rep = verify_resolution(complete_graph(3), ORDER, Q)
     assert (rep.ok, rep.reason, rep.counterexample) == (
         False, "d^2 != 0", (("b", "c"), ("a",)))
 
 
 def test_dropped_s_image_fails_homotopy(monkeypatch):
-    monkeypatch.setattr(raag.koszul, "_s_key", _dropped_s(_s_key))
+    monkeypatch.setattr(_Basis, "s", _dropped_s(_Basis.s))
     rep = verify_resolution(P3, ORDER, Q)
     assert (rep.ok, rep.reason) == (False, "sd + ds != 1 - eps")
     assert rep.counterexample == ((), ("b",))
@@ -176,10 +179,10 @@ def test_verify_resolution_builds_no_element(monkeypatch):
     # 3,760 for d.d and 8,760 for d.s), and each of the 6,880 distinct ones
     # is formed once per call: the 5 with t = () are (v,), and each of the
     # other 6,875 is one letter inserted into the product for t's prefix.
-    # The other 606 calls of the kernel re-canonicalise the rest of a trace
-    # whose s moves a letter other than the first (1,422 letters), so the
-    # check inserts 8,297 letters in all; the trace layers are enumerated
-    # before counting
+    # The other 303 calls of the kernel re-canonicalise, once per (letter,
+    # trace), the rest of a trace whose s moves a letter other than the
+    # first (711 letters), so the check inserts 7,586 letters in all; the
+    # trace layers are enumerated before counting
     def no_element(*args):
         raise AssertionError("verify_resolution built a LinComb")
 
@@ -202,8 +205,8 @@ def test_verify_resolution_builds_no_element(monkeypatch):
     monkeypatch.setattr(raag.words, "_slot", counting_slot)
     rep = verify_resolution(g, 7, Q)
     assert (rep.ok, rep.checked) == (True, 13761)
-    assert calls[0] == 6875 + 606
-    assert slots[0] == 8297
+    assert calls[0] == 6875 + 303
+    assert slots[0] == 7586
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(2)], ids=["Q", "F2"])
@@ -219,29 +222,79 @@ def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
         False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)
 
 
+def _front(basis, v, t):
+    # v.t as a trace, through the numbering of `basis`
+    return basis.traces[basis.front(basis.g.index(v), basis.trace_id(t))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(graphs_st(max_vertices=5))
 def test_front_from_prefix_is_canonical(g):
-    # v.t built from the product for t's prefix, whether the memo is empty
+    # v.t built from the product for t's prefix, whether the basis is new
     # (the walk goes back to t = ()) or shared with every shorter trace
-    shared = {}
+    shared = _Basis(g, 6)
     for n in range(5):
         for t in enumerate_traces(g, n):
             for v in g.vertices:
                 want = canonicalize_trace((v,) + t, g)
-                assert _front(v, t, g, {}) == want
-                assert _front(v, t, g, shared) == want
+                assert _front(_Basis(g, 6), v, t) == want
+                assert _front(shared, v, t) == want
+
+
+def _pass_basis(g, order):
+    # the `_Basis` of one passing pass over Q (hypothesis runs many graphs
+    # per test, so the class is swapped by hand, not by the function-scoped
+    # monkeypatch fixture)
+    bases = []
+    real = raag.koszul._Basis
+    raag.koszul._Basis = lambda *args: bases.append(real(*args)) or bases[0]
+    try:
+        assert verify_resolution(g, order, Q).ok
+    finally:
+        raag.koszul._Basis = real
+    [basis] = bases
+    return basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=5))
+def test_pass_front_table_is_canonical(g):
+    # every product the pass formed, read back from its table
+    basis = _pass_basis(g, 5)
+    formed = 0
+    for v, row in zip(g.vertices, basis.fronts):
+        for t, vt in enumerate(row):
+            if vt >= 0:
+                formed += 1
+                assert basis.traces[vt] == canonicalize_trace(
+                    (v,) + basis.traces[t], g)
+    assert (formed > 0) == bool(g.vertices)
+
+
+def test_pass_tables_hold_only_what_is_read():
+    # 120 vertices, no edges, order 3: 14,641 traces of degree <= 2 and
+    # 14,641 + 120 * 121 keys.  d multiplies each letter into each trace of
+    # degree <= 1 and s moves the first letter out of each nonempty trace,
+    # so each table holds 120 * 121 products, all formed, and not one slot
+    # per (letter, trace) pair, which would be 120 * 14,641
+    n = 120
+    basis = _pass_basis(Graph([f"v{i}" for i in range(n)]), 3)
+    assert len(basis.traces) == 1 + n + n * n
+    assert basis.width == 1 + n
+    assert all(vt >= 0 for row in basis.fronts for vt in row)
+    assert sum(map(len, basis.rests)) == n * (n + 1)
 
 
 def test_front_walk_is_iterative():
-    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; an
-    # empty memo makes the walk go back 300 prefixes
+    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; a new
+    # basis numbers the 300 prefixes of a^300 and the walk goes back over
+    # all of them
     g = Graph(["a"])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100)
     try:
         rep = verify_resolution(g, 300, Q)
-        front = _front("a", ("a",) * 300, g, {})
+        front = _front(_Basis(g, 2), "a", ("a",) * 300)
     finally:
         sys.setrecursionlimit(limit)
     assert (rep.ok, rep.checked) == (True, 599)
@@ -264,15 +317,15 @@ def test_one_pass_reports_match_single_domain_reports(name):
     assert all(rep.ok for rep in _one_pass(SUITE[name], 6))
 
 
-# fault: (graph, kernel, mutation, (ok over Q, ok over F_2))
+# fault: (graph, owner, kernel, mutation, (ok over Q, ok over F_2))
 FAULTS = {
-    "dropped s image": (P3, "_s_key", _dropped_s, (False, False)),
-    "sign flip in d": (complete_graph(3), "_d_key", _scaled_d(-1),
+    "dropped s image": (P3, _Basis, "s", _dropped_s, (False, False)),
+    "sign flip in d": (complete_graph(3), _Basis, "d", _scaled_d(-1),
                        (False, True)),
-    "faulty front product": (complete_graph(3), "_concat", _faulty_front,
-                             (False, False)),
-    "tripled coefficient of d": (complete_graph(3), "_d_key", _scaled_d(3),
-                                 (False, True)),
+    "faulty front product": (complete_graph(3), raag.koszul, "_concat",
+                             _faulty_front, (False, False)),
+    "tripled coefficient of d": (complete_graph(3), _Basis, "d",
+                                 _scaled_d(3), (False, True)),
 }
 
 
@@ -282,9 +335,8 @@ def test_one_pass_reports_match_single_domain_reports_under_faults(
     # each domain keeps its own verdict, key count, counterexample and
     # reason; a sign flip and an even change in d are invisible over F_2,
     # so that domain runs on to the end in the pass where Q fails
-    g, attr, mutate, verdicts = FAULTS[fault]
-    monkeypatch.setattr(raag.koszul, attr,
-                        mutate(getattr(raag.koszul, attr)))
+    g, owner, attr, mutate, verdicts = FAULTS[fault]
+    monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     reports = _one_pass(g, ORDER)
     assert tuple(rep.ok for rep in reports) == verdicts
     if verdicts[1]:

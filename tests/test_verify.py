@@ -127,8 +127,8 @@ def test_verify_all_runs_one_koszul_pass(monkeypatch):
     # Q and F_2 are judged on the same integer sums: the kernel runs as
     # often as in one single-domain check
     calls = []
-    real = raag.koszul._d_key
-    monkeypatch.setattr(raag.koszul, "_d_key",
+    real = raag.koszul._Basis.d
+    monkeypatch.setattr(raag.koszul._Basis, "d",
                         lambda *args: calls.append(1) or real(*args))
     g = cycle_graph(5)
     assert verify_resolution(g, KOSZUL_ORDER, Q).ok
@@ -218,8 +218,8 @@ def _wrong_last_value(real):
 
 def _dropped_s_image(real):
     # the existing homotopy mutation: s forgets its image of b
-    return lambda key, g, cands: (None if key == ((), ("b",))
-                                  else real(key, g, cands))
+    return lambda basis, key: (None if basis.pair(key) == ((), ("b",))
+                               else real(basis, key))
 
 
 def _dropped_follower(real):
@@ -231,8 +231,8 @@ def _dropped_follower(real):
     return follow
 
 
-# For every check of verify_all at p = 3: (module, attribute, mutation of
-# the real attribute) that makes that check fail on P3.
+# For every check of verify_all at p = 3: (module or class, attribute,
+# mutation of the real attribute) that makes that check fail on P3.
 MUTATIONS = {
     "clique polynomial matches clique counts":
         (raag.graph, "enumerate_cliques", lambda real: lambda g: real(g)[:-1]),
@@ -257,9 +257,9 @@ MUTATIONS = {
         (raag.magnus, "_syllable_step",
          lambda real: lambda y, v, cs, order, g, appends, p=None: y),
     "Koszul contraction identity over Q":
-        (raag.koszul, "_s_key", _dropped_s_image),
+        (raag.koszul._Basis, "s", _dropped_s_image),
     "Koszul contraction identity over F2":
-        (raag.koszul, "_s_key", _dropped_s_image),
+        (raag.koszul._Basis, "s", _dropped_s_image),
 }
 
 
