@@ -8,6 +8,9 @@ order, an option as `--name value` or `--name=value` (the value may start
 with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
 `--help` prints the usage, built from the table, and exits 0.
 
+`ranks` answers by the series recursion; `ranks --check span` computes each
+degree again by the bracket span and exits 1 if the two routes disagree.
+
 Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
 int-to-str conversion is lifted once the graph and the words are read, and
@@ -20,13 +23,15 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import accumulate
 from types import SimpleNamespace
 
 from raag.errors import RaagError, ResourceLimitError
 from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
-from raag.lie import lambda_dims, series_rank_lcs, series_rank_restricted
+from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
+                      series_rank_lcs, series_rank_restricted)
 from raag.magnus import _check_prime, _image, _omega, _omega_p, magnus
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
@@ -67,6 +72,8 @@ COMMANDS = (
          "lower central, restricted (p-central) or exponent-p"),
         ("p", 3, (), "the prime of the restricted and exponent-p kinds"),
         ("upto", 6, (), "highest degree"),
+        ("check", None, ("span",), "also compute every degree by the bracket "
+                                   "span and exit 1 if the routes disagree"),
     )),
     ("koszul", "resolution certificate", (), (
         ("upto", 6, (), "check the basis below this total degree"),
@@ -281,7 +288,24 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
             table = series_rank_restricted(g, args.p, args.upto)
         else:
             table = lambda_dims(g, args.p, args.upto)
-        _emit(table.to_json_obj())
+        out = table.to_json_obj()
+        ok = True
+        if args.check is not None:
+            # the series table is built first, so bad input exits 2 before
+            # any span work
+            degrees = range(1, args.upto + 1)
+            if args.kind == "restricted":
+                span = [restricted_span_rank(g, n, args.p) for n in degrees]
+            else:
+                span = [bracket_span_rank(g, n, Q) for n in degrees]
+                if args.kind == "lambda":
+                    span = list(accumulate(span))
+            ok = tuple(span) == table.values
+            out["check"] = {"method": "bracket_span", "ok": ok,
+                            "values": dict(zip(map(str, degrees), span))}
+        _emit(out)
+        if not ok:
+            return EXIT_VERIFY
     elif cmd == "koszul":
         rep = verify_resolution(g, args.upto, _domain(args))
         _emit(rep.to_json_obj())

@@ -161,8 +161,9 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     check(f"restricted ranks agree at p={p}",
           d_series == d_span, f"values={d_series}")
     if p >= 3:  # exponent-p dimensions are defined for odd primes only
+        # lambda_dims sums the series ranks; the second route sums the span's
         lam = lambda_dims(g, p, LIE_DEGREE).values
-        partial = tuple(sum(b_series[:n + 1]) for n in range(LIE_DEGREE))
+        partial = tuple(sum(b_span[:n + 1]) for n in range(LIE_DEGREE))
         check("exponent-p dims are partial sums of lower-central ranks",
               lam == partial, f"values={lam}")
 

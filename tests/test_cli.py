@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raag.cli
+import raag.lie
 from raag.cli import COMMANDS, main
 from raag.graph import complete_graph, cycle_graph, path_graph
+from raag.lie import bracket_span_rank, restricted_span_rank
 from raag.magnus import _omega, magnus
 from raag.series import Fp
 from raag.words import format_word, reduce_word
@@ -230,6 +233,87 @@ def test_ranks_resource_limit(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("RAAG_MAX_STATES", "100")
     assert main(["--graph", graph_file, "ranks", "--kind", "lambda",
                  "--upto", "10"]) == 3
+
+
+CHECKED_KINDS = (("--kind", "lcs"), ("--kind", "restricted", "--p", "3"),
+                 ("--kind", "lambda", "--p", "3"))
+
+
+def test_ranks_check_span_routes_agree(r5_file, capsys):
+    for kind in CHECKED_KINDS:
+        code, out = run(capsys, "--graph", r5_file, "ranks", *kind,
+                        "--upto", "5", "--check", "span")
+        assert code == 0, kind
+        obj = json.loads(out)
+        assert obj["check"] == {"method": "bracket_span", "ok": True,
+                                "values": obj["values"]}
+        assert list(obj["values"]) == ["1", "2", "3", "4", "5"]
+
+
+def test_ranks_check_span_on_c5_to_degree_8(c5_file, capsys):
+    for kind, top in ((("--kind", "lcs"), 3650),
+                      (("--kind", "restricted", "--p", "2"), 3700)):
+        code, out = run(capsys, "--graph", c5_file, "ranks", *kind,
+                        "--upto", "8", "--check", "span")
+        assert code == 0
+        assert json.loads(out)["check"]["values"]["8"] == top
+
+
+def test_ranks_check_span_mismatch_exits_1(graph_file, capsys, monkeypatch):
+    # a span route that is off by one is a disagreement, for every kind
+    monkeypatch.setattr(raag.cli, "bracket_span_rank",
+                        lambda g, n, domain: bracket_span_rank(g, n, domain) + 1)
+    monkeypatch.setattr(raag.cli, "restricted_span_rank",
+                        lambda g, n, p: restricted_span_rank(g, n, p) + 1)
+    for kind in CHECKED_KINDS:
+        code, out = run(capsys, "--graph", graph_file, "ranks", *kind,
+                        "--upto", "4", "--check", "span")
+        assert code == 1, kind
+        check = json.loads(out)["check"]
+        assert check["ok"] is False and check["method"] == "bracket_span"
+
+
+@pytest.mark.parametrize("graph,args", [
+    (None, ()),
+    ({"vertices": ["a", "b", "a"]}, ()),
+    (path_graph(3).to_dict(), ("--upto", "0")),
+    (path_graph(3).to_dict(), ("--kind", "restricted", "--p", "4")),
+], ids=["missing-file", "duplicate-vertices", "upto0", "restricted-p4"])
+def test_ranks_check_span_bad_input_exits_2(tmp_path, capsys, monkeypatch,
+                                            graph, args):
+    # the series table is built first, so the span route never runs
+    monkeypatch.setattr(raag.cli, "bracket_span_rank", None)
+    monkeypatch.setattr(raag.cli, "restricted_span_rank", None)
+    f = tmp_path / "g.json"
+    if graph is not None:
+        f.write_text(json.dumps(graph))
+    code = main(["--graph", str(f), "ranks", *args, "--check", "span"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_ranks_check_span_exits_3_at_the_state_cap(r5_file, capsys,
+                                                   monkeypatch):
+    # the series route fits under the cap, and the span route stops at it:
+    # exit 3 and one line on stderr, not 1 (a disagreement); the span is
+    # cached per graph and degree, and a cached degree is not charged again
+    monkeypatch.setenv("RAAG_MAX_STATES", "50")
+    for kind in CHECKED_KINDS:
+        raag.lie._span.cache_clear()
+        code = main(["--graph", r5_file, "ranks", *kind, "--upto", "5"])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["--graph", r5_file, "ranks", *kind, "--upto", "5",
+                     "--check", "span"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("resource limit: ")
+        assert "RAAG_MAX_STATES=50" in line
 
 
 def test_koszul(graph_file, capsys):

@@ -2,13 +2,13 @@
 module binds a mutable container.
 
 A top-level function or class, or a public method, of a module in
-src/raag must occur as an identifier in src/, tests/ or scripts/ outside
-its own definition; a name that occurs nowhere else is dead code.  A word
+src/raag must occur as an identifier in src/ or tests/ outside its own
+definition; a name that occurs nowhere else is dead code.  A word
 in a string literal or a comment is not an identifier.  This holds for
 private helpers (`_name`) at the top level as well.
 
-A public name must also have a consumer: it occurs in src/, scripts/,
-perfbench/ or the acceptance criteria, not only in its own unit tests.
+A public name must also have a consumer: it occurs in src/, perfbench/ or
+the acceptance criteria, not only in its own unit tests.
 The names kept for the library alone are listed in `LIBRARY_ONLY`, each
 with its reason.
 
@@ -33,9 +33,8 @@ PACKAGE = ROOT / "src" / "raag"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-USERS = ("src/**/*.py", "tests/**/*.py", "scripts/**/*.py")
-CONSUMERS = ("src/**/*.py", "scripts/**/*.py", "perfbench/*.py",
-             "tests/test_acceptance.py")
+USERS = ("src/**/*.py", "tests/**/*.py")
+CONSUMERS = ("src/**/*.py", "perfbench/*.py", "tests/test_acceptance.py")
 
 # public names that no consumer reaches, kept for the library's users
 LIBRARY_ONLY = {

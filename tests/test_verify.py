@@ -5,6 +5,7 @@ import pytest
 import raag.exterior
 import raag.graph
 import raag.koszul
+import raag.lie
 import raag.magnus
 import raag.series
 import raag.verify
@@ -202,6 +203,22 @@ def test_reciprocity_check_catches_wrong_recount(monkeypatch):
     results = {r.name: r for r in verify_all(cycle_graph(5))}
     assert not results["Phi_R(t) * Phi_S(-t) = 1"].ok
     assert results["trace counts match Phi_R coefficients"].ok
+
+
+def test_lambda_check_sums_the_span_ranks(monkeypatch):
+    # lambda_dims sums the series ranks, so a wrong series b_3 moves the
+    # dimensions with it; only partial sums of the span ranks disagree
+    real = raag.lie._mobius_ranks
+
+    def wrong_b3(g, upto, p):
+        b = real(g, upto, p)
+        return b if p is not None else b[:2] + (b[2] + 1,) + b[3:]
+
+    monkeypatch.setattr(raag.lie, "_mobius_ranks", wrong_b3)
+    results = {r.name: r for r in verify_all(cycle_graph(5))}
+    assert not results[
+        "exponent-p dims are partial sums of lower-central ranks"].ok
+    assert results["restricted ranks agree at p=3"].ok
 
 
 def _plus_one(real):
