@@ -8,8 +8,10 @@ order, an option as `--name value` or `--name=value` (the value may start
 with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
 `--help` prints the usage, built from the table, and exits 0.
 
-`ranks` answers by the series recursion; `ranks --check span` computes each
-degree again by the bracket span and exits 1 if the two routes disagree.
+Each command reads its input and formats what the library answers: `ranks`
+takes `lie.series_ranks`, and with `--check span` also `lie.span_ranks`, the
+two routes `verify-all` compares; `valuation` takes `magnus.valuations`.
+Every `--p` given is checked once, before any work.
 
 Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
@@ -23,16 +25,14 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import accumulate
 from types import SimpleNamespace
 
 from raag.errors import RaagError, ResourceLimitError
 from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
-from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
-                      series_rank_lcs, series_rank_restricted)
-from raag.magnus import _check_prime, _image, _omega, _omega_p, magnus
+from raag.lie import series_ranks, span_ranks
+from raag.magnus import magnus, valuations
 from raag.series import Domain, DomainError, Fp, Q, Z
 from raag.verify import verify_all
 from raag.words import (GroupWord, format_word, multiply, parse_word,
@@ -193,10 +193,8 @@ def _load_graph(path: str) -> Graph:
 
 def _domain(args) -> Domain:
     # each caller's command has a --domain option, whose choices `_value` checks
-    if args.domain == "Z":
-        return Z
-    if args.domain == "Q":
-        return Q
+    if args.domain != "Fp":
+        return Z if args.domain == "Z" else Q
     if args.p is None:
         raise DomainError("--domain Fp needs --p")
     return Fp(args.p)
@@ -218,6 +216,10 @@ def run(args) -> int:
     # work caps instead, so they print whole
     row = next(r for r in COMMANDS if r[0] == args.command)
     words = [parse_word(getattr(args, name), g) for name in row[2]]
+    # every --p given is checked once, before any work; `valuations` checks
+    # its own, before the image, with its own message
+    if getattr(args, "p", None) is not None and args.command != "valuation":
+        Fp(args.p)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -228,6 +230,7 @@ def run(args) -> int:
 
 def _answer(g: Graph, args, words: list[GroupWord]) -> int:
     cmd = args.command
+    ok = True  # False when a check of the answer fails
 
     if cmd == "cliques":
         _emit({
@@ -262,15 +265,7 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
                "series": x.to_json_obj()})
     elif cmd == "valuation":
         w, = words
-        dom = _domain(args)
-        _check_prime(args.p)
-        # one integer image: Z -> Q and Z -> F_p are ring maps, so the
-        # image over `dom` is this one, reduced; Z -> Q is injective, so
-        # only F_p loses terms, those whose coefficients p divides
-        image = _image(w, g, args.order)
-        val = _omega(image if dom.p is None else
-                     {t: c for t, c in image.items() if c % dom.p}, args.order)
-        pval = _omega_p(image, args.order, args.p)
+        val, pval = valuations(w, g, args.order, _domain(args), args.p)
         out = {
             "word": format_word(w),
             "order": args.order,
@@ -282,42 +277,25 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
             out["dimension_subgroup"] = val.membership(args.depth)
         _emit(out)
     elif cmd == "ranks":
-        if args.kind == "lcs":
-            table = series_rank_lcs(g, args.upto)
-        elif args.kind == "restricted":
-            table = series_rank_restricted(g, args.p, args.upto)
-        else:
-            table = lambda_dims(g, args.p, args.upto)
+        # the series table is built first, so bad input exits 2 before any
+        # span work
+        table = series_ranks(g, args.kind, args.p, args.upto)
         out = table.to_json_obj()
-        ok = True
         if args.check is not None:
-            # the series table is built first, so bad input exits 2 before
-            # any span work
-            degrees = range(1, args.upto + 1)
-            if args.kind == "restricted":
-                span = [restricted_span_rank(g, n, args.p) for n in degrees]
-            else:
-                span = [bracket_span_rank(g, n, Q) for n in degrees]
-                if args.kind == "lambda":
-                    span = list(accumulate(span))
-            ok = tuple(span) == table.values
-            out["check"] = {"method": "bracket_span", "ok": ok,
-                            "values": dict(zip(map(str, degrees), span))}
+            span = span_ranks(g, args.kind, args.p, args.upto)
+            ok = span == table.values
+            out["check"] = {"method": "bracket_span", "ok": ok, "values":
+                            {str(n): v for n, v in enumerate(span, 1)}}
         _emit(out)
-        if not ok:
-            return EXIT_VERIFY
     elif cmd == "koszul":
         rep = verify_resolution(g, args.upto, _domain(args))
+        ok = rep.ok
         _emit(rep.to_json_obj())
-        if not rep.ok:
-            return EXIT_VERIFY
     elif cmd == "verify-all":
         results = verify_all(g, p=args.p)
-        _emit({"checks": [r.to_json_obj() for r in results],
-               "ok": all(r.ok for r in results)})
-        if not all(r.ok for r in results):
-            return EXIT_VERIFY
-    return EXIT_OK
+        ok = all(r.ok for r in results)
+        _emit({"checks": [r.to_json_obj() for r in results], "ok": ok})
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

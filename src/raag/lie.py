@@ -30,6 +30,9 @@ unique, and the standard bracketing P(t) of a Lyndon trace t leads with
 t, so when no remainder survives the pivot leads are exactly the Lyndon
 traces (`_lyndon`).  The tests hold them to that, with the P(t) kept in
 `tests/oracles.py` as the Lyndon-basis oracle.
+
+`series_ranks` and `span_ranks` are the two routes for each kind of rank,
+which `ranks --check span` and `verify-all` compare.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Callable
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, PCSeries, _is_small_prime
+from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_small_prime
 from raag.words import Trace, _concat, _follow, _slot
 
 
@@ -234,7 +238,7 @@ def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
         return {(v,): (key((v,)), 1, {(v,): 1}) for v in g.vertices}, ()
     lower = _kept(g, n - 1)
     check_states(len(g.vertices) * sum(map(len, lower)),
-                 "lie span (closure rows)")
+                 f"lie span (closure rows) at degree {n}")
     rank = g._index
     pivots: _Pivots = {}
     held: list[dict[Trace, int]] = []
@@ -304,7 +308,8 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
             x = y = PCSeries(g, domain, n + 1, e.items())
             for _ in range(q - 1):
                 pairs += len(x.coeffs) * len(y.coeffs)
-                check_states(pairs, "restricted span (p^i-th powers)", cap)
+                check_states(pairs, "restricted span (p^i-th powers) at "
+                             f"degree {n}", cap)
                 y = y * x
             powers.append(y.coeffs)
     pivots, remainders = _span(g, n)
@@ -368,18 +373,38 @@ def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
                      "series_recursion", p=p)
 
 
-def lambda_dims(g: Graph, p: int, upto: int) -> RankTable:
-    """Dimensions of the exponent-p series quotients: the degree-n part of
-    the lower-central Lie algebra tensored with a polynomial ring on one
-    degree-1 variable, i.e. partial sums of the b_m.  Only valid for
-    p >= 3 (the p-power map fails to be linear at p = 2)."""
-    if p < 3 or not _is_small_prime(p):
+def _check_kind(kind: str, p: int) -> None:
+    # the exponent-p dimensions are defined for odd primes only: the p-power
+    # map fails to be linear at p = 2
+    if kind not in ("lcs", "restricted", "lambda"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "lambda" and (p < 3 or not _is_small_prime(p)):
         raise DomainError(
             f"exponent-p dimensions need a prime 3 <= p < 2^31, got {p}")
-    b = series_rank_lcs(g, upto).values
-    partial = []
-    acc = 0
-    for n in range(upto):
-        acc += b[n]
-        partial.append(acc)
-    return RankTable("exponent_p", tuple(partial), "partial_sums", p=p)
+
+
+def series_ranks(g: Graph, kind: str, p: int, upto: int) -> RankTable:
+    """The ranks of degrees 1..upto by the series recursion: b_n for "lcs",
+    d_n at the prime p for "restricted", and for "lambda" the exponent-p
+    series quotients, the lower-central Lie algebra tensored with a
+    polynomial ring on one degree-1 variable: partial sums of the b_m."""
+    _check_kind(kind, p)
+    if kind == "restricted":
+        return series_rank_restricted(g, p, upto)
+    b = series_rank_lcs(g, upto)
+    if kind == "lcs":
+        return b
+    return RankTable("exponent_p", tuple(accumulate(b.values)),
+                     "partial_sums", p=p)
+
+
+def span_ranks(g: Graph, kind: str, p: int, upto: int) -> tuple[int, ...]:
+    """The same ranks by the bracket span: `bracket_span_rank` over Q for
+    "lcs", `restricted_span_rank` for "restricted", and the partial sums
+    of the span b_m for "lambda"."""
+    _check_kind(kind, p)
+    degrees = range(1, upto + 1)
+    if kind == "restricted":
+        return tuple(restricted_span_rank(g, n, p) for n in degrees)
+    b = tuple(bracket_span_rank(g, n, Q) for n in degrees)
+    return b if kind == "lcs" else tuple(accumulate(b))

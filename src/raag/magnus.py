@@ -160,19 +160,20 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"p-valuation needs a prime p < 2^31, got {p}")
 
 
-def _omega_p(image: dict[Trace, int], order: int, p: int) -> Valuation:
-    # the least weight len(trace) + v_p(coefficient) among the nonconstant
-    # terms of an integer image below `order`, p having passed `_check_prime`
-    best = min([order] + [len(t) + _vp(c, p) for t, c in image.items() if t])
-    return Valuation(best, best < order)
-
-
-def omega_p_valuation(w: GroupWord, g: Graph, p: int, order: int) -> Valuation:
-    """Least weight len(trace) + v_p(coefficient) among nonconstant terms of
-    mu(w) - 1 over Z.  Exact whenever the result is below the truncation
-    order, because hidden terms have trace length >= order."""
+def valuations(w: GroupWord, g: Graph, order: int, domain: Domain,
+               p: int) -> tuple[Valuation, Valuation]:
+    """omega(w) over `domain`, and omega_p(w), the least weight
+    len(trace) + v_p(coefficient) of a nonconstant term of mu(w) - 1 over
+    Z; each is exact when below `order`, as hidden terms have trace length
+    >= order.  One integer image, built once p is checked, serves both:
+    Z -> Q and Z -> F_p are ring maps, and only F_p loses terms, those
+    whose coefficients its prime divides."""
     _check_prime(p)
-    return _omega_p(_image(w, g, order), order, p)
+    image = _image(w, g, order)
+    q = domain.p
+    kept = image if q is None else {t: c for t, c in image.items() if c % q}
+    best = min([order] + [len(t) + _vp(c, p) for t, c in image.items() if t])
+    return _omega(kept, order), Valuation(best, best < order)
 
 
 # -- leading monomial in characteristic p ------------------------------

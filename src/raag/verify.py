@@ -2,7 +2,8 @@
 
 This is the engine behind the `verify-all` CLI subcommand: every analytic
 quantity is recomputed by its brute-force counterpart and compared
-exactly.  Desk-scale bounds keep the whole suite fast.
+exactly; the Lie ranks of each kind by `lie.series_ranks` against
+`lie.span_ranks`.  Desk-scale bounds keep the whole suite fast.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from raag.exterior import quadratic_dual_check
 from raag.graph import Graph
 from raag.growth import _poly_mul, phi_A, phi_R, phi_S
 from raag.koszul import _resolution_reports
-from raag.lie import (_lyndon, bracket_span_rank, lambda_dims,
-                      restricted_span_rank, series_rank_lcs,
-                      series_rank_restricted)
+from raag.lie import _lyndon, series_ranks, span_ranks
 from raag.linalg import rank_of_rows
 from raag.magnus import _image, _omega, injectivity_witness
 from raag.series import Fp, Q
@@ -120,9 +119,15 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     def check(name: str, ok: bool, detail: str = ""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    # the restricted ranks by the series route first: they reject a bad p
-    # before any other work
-    d_series = series_rank_restricted(g, p, LIE_DEGREE).values
+    # the exponent-p dimensions are defined for odd primes only; the series
+    # ranks come first, and reject a bad p before any other work
+    lie_checks = (
+        ("lcs", "lower-central ranks: series recursion = bracket span"),
+        ("restricted", f"restricted ranks agree at p={p}"),
+        ("lambda", "exponent-p dims are partial sums of lower-central ranks"),
+    )[:3 if p >= 3 else 2]
+    series = {kind: series_ranks(g, kind, p, LIE_DEGREE).values
+              for kind, _ in lie_checks}
 
     # clique polynomial vs a second count of the cliques
     counts = phi_S(g)
@@ -152,20 +157,10 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     # quadratic duality
     check("quadratic relation spaces are dual", quadratic_dual_check(g))
 
-    # Lie ranks, both routes
-    b_series = series_rank_lcs(g, LIE_DEGREE).values
-    b_span = tuple(bracket_span_rank(g, n, Q) for n in range(1, LIE_DEGREE + 1))
-    check("lower-central ranks: series recursion = bracket span",
-          b_series == b_span, f"values={b_series}")
-    d_span = tuple(restricted_span_rank(g, n, p) for n in range(1, LIE_DEGREE + 1))
-    check(f"restricted ranks agree at p={p}",
-          d_series == d_span, f"values={d_series}")
-    if p >= 3:  # exponent-p dimensions are defined for odd primes only
-        # lambda_dims sums the series ranks; the second route sums the span's
-        lam = lambda_dims(g, p, LIE_DEGREE).values
-        partial = tuple(sum(b_span[:n + 1]) for n in range(LIE_DEGREE))
-        check("exponent-p dims are partial sums of lower-central ranks",
-              lam == partial, f"values={lam}")
+    # Lie ranks of each kind, both routes
+    for kind, name in lie_checks:
+        check(name, series[kind] == span_ranks(g, kind, p, LIE_DEGREE),
+              f"values={series[kind]}")
 
     # the b_n basic commutators of weight n: mu(c) - 1 starts in degree n,
     # and the degree-n parts are independent, rank b_n (a third route to
@@ -174,7 +169,7 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
     for dom, name in ((Q, "Q"), (Fp(2), "F2")):
         ranks = tuple(rank_of_rows(rows, dom) for rows in parts)
         check(f"commutator images over {name} have rank b_n in degree n",
-              in_filtration and ranks == b_series[:COMMUTATOR_DEGREE],
+              in_filtration and ranks == series["lcs"][:COMMUTATOR_DEGREE],
               f"ranks={ranks}")
 
     # injectivity at truncation

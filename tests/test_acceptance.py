@@ -11,9 +11,9 @@ from raag.graph import (complete_graph, cycle_graph, empty_graph, path_graph)
 from raag.growth import (RatFunc, phi_A, phi_R, phi_S,
                          union_join_identities)
 from raag.koszul import verify_resolution
-from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
-                      series_rank_lcs, series_rank_restricted)
-from raag.magnus import leading_monomial_char_p, magnus, omega_p_valuation
+from raag.lie import (bracket_span_rank, restricted_span_rank, series_rank_lcs,
+                      series_rank_restricted, series_ranks)
+from raag.magnus import leading_monomial_char_p, magnus, valuations
 from raag.series import (Fp, PCSeries, Q, Z, coproduct, exp_series,
                          is_grouplike, is_primitive, log_series, tensor)
 from raag.words import (IDENTITY, enumerate_traces, invert, multiply,
@@ -106,10 +106,11 @@ def test_criterion_07_lambda_series():
     for name, g in SUITE.items():
         b = series_rank_lcs(g, 5).values
         for p in (3, 5):
-            lam = lambda_dims(g, p, 5).values
+            lam = series_ranks(g, "lambda", p, 5).values
             assert lam == tuple(sum(b[:n]) for n in range(1, 6)), (name, p)
     for d in (2, 3, 4):
-        assert lambda_dims(complete_graph(d), 3, 5).values == (d,) * 5
+        assert (series_ranks(complete_graph(d), "lambda", 3, 5).values
+                == (d,) * 5)
     # spot-check: g in gamma_m raised to the p^i-th power has
     # varpi_p-valuation >= m + i
     samples = []
@@ -134,7 +135,7 @@ def test_criterion_07_lambda_series():
                     pw = multiply(pw, w, g)
                 need = m + i
                 order = need + 2
-                v = omega_p_valuation(pw, g, p, order)
+                _, v = valuations(pw, g, order, Z, p)
                 assert (not v.decided) or v.value >= need, (w, p, i, v)
     _done("7: lambda dims = partial sums of b_m; constant d for K_d; "
           "varpi_p power spot-checks")

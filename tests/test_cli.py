@@ -132,9 +132,11 @@ def test_ranks_degree_100(tmp_path, capsys):
     ["--kind", "restricted", "--p", "1"],
     ["--kind", "restricted", "--p", "4"],
     ["--kind", "lambda", "--p", "4"],
+    ["--kind", "lcs", "--p", "4"],
     ["--upto", "0"],
     ["--upto", "-3"],
-], ids=["restricted-p1", "restricted-p4", "lambda-p4", "upto0", "upto-3"])
+], ids=["restricted-p1", "restricted-p4", "lambda-p4", "lcs-p4", "upto0",
+        "upto-3"])
 def test_ranks_bad_input_exit_code(graph_file, capsys, args):
     code, out = run(capsys, "--graph", graph_file, "ranks", *args)
     assert code == 2
@@ -261,9 +263,9 @@ def test_ranks_check_span_on_c5_to_degree_8(c5_file, capsys):
 
 def test_ranks_check_span_mismatch_exits_1(graph_file, capsys, monkeypatch):
     # a span route that is off by one is a disagreement, for every kind
-    monkeypatch.setattr(raag.cli, "bracket_span_rank",
+    monkeypatch.setattr(raag.lie, "bracket_span_rank",
                         lambda g, n, domain: bracket_span_rank(g, n, domain) + 1)
-    monkeypatch.setattr(raag.cli, "restricted_span_rank",
+    monkeypatch.setattr(raag.lie, "restricted_span_rank",
                         lambda g, n, p: restricted_span_rank(g, n, p) + 1)
     for kind in CHECKED_KINDS:
         code, out = run(capsys, "--graph", graph_file, "ranks", *kind,
@@ -271,6 +273,25 @@ def test_ranks_check_span_mismatch_exits_1(graph_file, capsys, monkeypatch):
         assert code == 1, kind
         check = json.loads(out)["check"]
         assert check["ok"] is False and check["method"] == "bracket_span"
+
+
+def test_span_route_is_shared_with_verify_all(graph_file, capsys,
+                                              monkeypatch):
+    # one bracket span off by one fails every comparison that reads it:
+    # `ranks --check span` for lcs and lambda, and the same two checks of
+    # verify-all, which compares the same routes
+    monkeypatch.setattr(raag.lie, "bracket_span_rank",
+                        lambda g, n, domain: bracket_span_rank(g, n, domain) + 1)
+    for kind in (CHECKED_KINDS[0], CHECKED_KINDS[2]):
+        code, out = run(capsys, "--graph", graph_file, "ranks", *kind,
+                        "--upto", "4", "--check", "span")
+        assert code == 1, kind
+        assert json.loads(out)["check"]["ok"] is False
+    code, out = run(capsys, "--graph", graph_file, "verify-all")
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [
+        "lower-central ranks: series recursion = bracket span",
+        "exponent-p dims are partial sums of lower-central ranks"]
 
 
 @pytest.mark.parametrize("graph,args", [
@@ -282,8 +303,8 @@ def test_ranks_check_span_mismatch_exits_1(graph_file, capsys, monkeypatch):
 def test_ranks_check_span_bad_input_exits_2(tmp_path, capsys, monkeypatch,
                                             graph, args):
     # the series table is built first, so the span route never runs
-    monkeypatch.setattr(raag.cli, "bracket_span_rank", None)
-    monkeypatch.setattr(raag.cli, "restricted_span_rank", None)
+    monkeypatch.setattr(raag.lie, "bracket_span_rank", None)
+    monkeypatch.setattr(raag.lie, "restricted_span_rank", None)
     f = tmp_path / "g.json"
     if graph is not None:
         f.write_text(json.dumps(graph))
@@ -520,11 +541,15 @@ LARGE_PRIME = str(2**61 - 1)
 @pytest.mark.parametrize("argv", [
     ("ranks", "--kind", "restricted", "--p", LARGE_PRIME),
     ("ranks", "--kind", "lambda", "--p", LARGE_PRIME),
+    ("ranks", "--kind", "lcs", "--p", LARGE_PRIME),
     ("valuation", "a", "--p", LARGE_PRIME),
     ("magnus", "a", "--domain", "Fp", "--p", LARGE_PRIME),
+    ("magnus", "a", "--p", LARGE_PRIME),
     ("koszul", "--domain", "Fp", "--p", LARGE_PRIME),
+    ("koszul", "--upto", "3", "--p", LARGE_PRIME),
     ("verify-all", "--p", LARGE_PRIME),
-], ids=["restricted", "lambda", "valuation", "magnus", "koszul", "verify-all"])
+], ids=["restricted", "lambda", "lcs", "valuation", "magnus", "magnus-Z",
+        "koszul", "koszul-Q", "verify-all"])
 def test_prime_too_large_exits_at_once(graph_file, argv):
     # 2^61 - 1 is prime, but trial division to its square root would run
     # for hours; every p is checked against 2^31 before any division

@@ -10,8 +10,8 @@ import raag.words
 from raag.errors import ResourceLimitError
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         empty_graph, path_graph)
-from raag.lie import (bracket_span_rank, lambda_dims, restricted_span_rank,
-                      series_rank_lcs, series_rank_restricted)
+from raag.lie import (bracket_span_rank, restricted_span_rank, series_rank_lcs,
+                      series_rank_restricted, series_ranks, span_ranks)
 from raag.series import DomainError, Fp, PCSeries, Q, is_primitive
 from raag.words import enumerate_traces
 
@@ -60,15 +60,22 @@ def test_series_ranks_match_product_form_oracle_on_random_graphs(g, p):
 @pytest.mark.parametrize("call", [
     lambda g: series_rank_restricted(g, 1, 4),
     lambda g: series_rank_restricted(g, 4, 4),
-    lambda g: lambda_dims(g, 4, 4),
+    lambda g: series_ranks(g, "lambda", 4, 4),
     lambda g: series_rank_lcs(g, 0),
     lambda g: series_rank_lcs(g, -3),
     lambda g: series_rank_restricted(g, 3, 0),
+    lambda g: span_ranks(g, "lambda", 2, 4),
 ], ids=["restricted-p1", "restricted-p4", "lambda-p4", "upto0", "upto-3",
-        "restricted-upto0"])
+        "restricted-upto0", "span-lambda-p2"])
 def test_series_ranks_reject_bad_input(call):
     with pytest.raises(DomainError):
         call(path_graph(3))
+
+
+def test_routes_by_kind_reject_an_unknown_kind():
+    for route in (series_ranks, span_ranks):
+        with pytest.raises(ValueError, match="unknown kind 'lower'"):
+            route(path_graph(3), "lower", 3, 4)
 
 
 def test_series_ranks_resource_bound(monkeypatch):
@@ -126,18 +133,19 @@ def test_restricted_is_sum_of_lcs_ranks():
 def test_lambda_dims_partial_sums():
     for g in SUITE.values():
         b = series_rank_lcs(g, UPTO).values
-        lam = lambda_dims(g, 3, UPTO).values
+        lam = series_ranks(g, "lambda", 3, UPTO).values
         assert lam == tuple(sum(b[:n]) for n in range(1, UPTO + 1))
 
 
 def test_lambda_dims_constant_for_abelian():
     for d in (2, 3):
-        assert lambda_dims(complete_graph(d), 5, 4).values == (d,) * 4
+        assert (series_ranks(complete_graph(d), "lambda", 5, 4).values
+                == (d,) * 4)
 
 
 def test_lambda_dims_rejects_p2():
     with pytest.raises(DomainError):
-        lambda_dims(path_graph(3), 2, 3)
+        series_ranks(path_graph(3), "lambda", 2, 3)
 
 
 def test_brackets_antisymmetry_baked_in():
@@ -350,9 +358,9 @@ def test_span_route_slot_insertions(monkeypatch, fresh_span):
 
 @pytest.mark.parametrize("call, stage", [
     (lambda g: bracket_span_rank(g, 7, Q),
-     r"^lie span \(closure rows\): 1100 states"),
+     r"^lie span \(closure rows\) at degree 5: 1100 states"),
     (lambda g: restricted_span_rank(g, 8, 2),
-     r"^restricted span \(p\^i-th powers\): \d+ states"),
+     r"^restricted span \(p\^i-th powers\) at degree 8: \d+ states"),
 ], ids=["closure-rows", "powers"])
 def test_span_stages_are_charged(call, stage, monkeypatch, fresh_span):
     # degree 5 charges 5 x the 220 terms kept at degree 4; the squares of

@@ -16,7 +16,7 @@ from raag.graph import cycle_graph, empty_graph, path_graph
 from raag.koszul import verify_resolution
 from raag.magnus import (_binomials, _image, _omega, _syllable_step,
                          injectivity_witness, leading_monomial_char_p, magnus,
-                         omega_p_valuation)
+                         valuations)
 from raag.series import DomainError, Fp, PCSeries, Q, Z
 from raag.words import (IDENTITY, format_word, invert, multiply, parse_word,
                         reduce_word)
@@ -159,10 +159,10 @@ def test_omega_valuation_examples():
 def test_omega_p_valuation_weights_coefficients():
     g = empty_graph(2)
     # mu(a^2)-1 = 2a + a^2: over p=2 the weight of 2a is 1+1=2, of a^2 is 2
-    v = omega_p_valuation(parse_word("a^2", g), g, 2, 6)
+    _, v = valuations(parse_word("a^2", g), g, 6, Z, 2)
     assert v.decided and v.value == 2
     # over p=3, the 2a term has weight 1
-    v = omega_p_valuation(parse_word("a^2", g), g, 3, 6)
+    _, v = valuations(parse_word("a^2", g), g, 6, Z, 3)
     assert v.decided and v.value == 1
 
 

@@ -14,8 +14,8 @@ from raag.graph import cycle_graph, path_graph
 from raag.koszul import verify_resolution
 from raag.linalg import rank_of_rows
 from raag.series import DomainError, Fp, PCSeries, Q
-from raag.verify import (COMMUTATOR_DEGREE, KOSZUL_ORDER, _commutator_parts,
-                         verify_all)
+from raag.verify import (COMMUTATOR_DEGREE, KOSZUL_ORDER, LIE_DEGREE,
+                         _commutator_parts, verify_all)
 from raag.words import GroupWord
 
 from conftest import SUITE, random5_graph
@@ -34,7 +34,7 @@ def test_verify_all_passes_on_suite(name):
 
 
 def test_commutator_check_catches_wrong_b3(monkeypatch):
-    real = raag.verify.series_rank_lcs
+    real = raag.lie.series_rank_lcs
 
     def wrong_b3(g, upto):
         table = real(g, upto)
@@ -42,7 +42,7 @@ def test_commutator_check_catches_wrong_b3(monkeypatch):
         values[2] += 1
         return dataclasses.replace(table, values=tuple(values))
 
-    monkeypatch.setattr(raag.verify, "series_rank_lcs", wrong_b3)
+    monkeypatch.setattr(raag.lie, "series_rank_lcs", wrong_b3)
     results = {r.name: r for r in verify_all(cycle_graph(5))}
     for name in COMMUTATOR_CHECKS:
         assert not results[name].ok
@@ -119,7 +119,7 @@ def test_verify_all_images_one_word_per_lyndon_trace(g, words, monkeypatch):
                         lambda w, g, order, p=None: orders.append(order)
                         or real(w, g, order, p))
     assert all(r.ok for r in verify_all(g))
-    b = raag.verify.series_rank_lcs(g, COMMUTATOR_DEGREE).values
+    b = raag.lie.series_rank_lcs(g, COMMUTATOR_DEGREE).values
     assert len(orders) == sum(b) == words
     assert orders == [n + 1 for n in range(1, 4) for _ in range(b[n - 1])]
 
@@ -206,8 +206,9 @@ def test_reciprocity_check_catches_wrong_recount(monkeypatch):
 
 
 def test_lambda_check_sums_the_span_ranks(monkeypatch):
-    # lambda_dims sums the series ranks, so a wrong series b_3 moves the
-    # dimensions with it; only partial sums of the span ranks disagree
+    # the series route to the exponent-p dimensions sums the series ranks,
+    # so a wrong series b_3 moves them with it; only partial sums of the
+    # span ranks disagree
     real = raag.lie._mobius_ranks
 
     def wrong_b3(g, upto, p):
@@ -219,6 +220,20 @@ def test_lambda_check_sums_the_span_ranks(monkeypatch):
     assert not results[
         "exponent-p dims are partial sums of lower-central ranks"].ok
     assert results["restricted ranks agree at p=3"].ok
+
+
+def test_verify_all_computes_each_route_once(monkeypatch):
+    # one series recursion for b_n, one for d_n and one for the b_m that the
+    # exponent-p dimensions sum, and each degree of the span built once for
+    # the three kinds
+    calls = []
+    real = raag.lie._mobius_ranks
+    monkeypatch.setattr(raag.lie, "_mobius_ranks",
+                        lambda g, upto, p: calls.append(p) or real(g, upto, p))
+    raag.lie._span.cache_clear()
+    assert all(r.ok for r in verify_all(cycle_graph(5)))
+    assert calls == [None, 3, None]
+    assert raag.lie._span.cache_info().misses == LIE_DEGREE
 
 
 def _plus_one(real):
@@ -263,11 +278,12 @@ MUTATIONS = {
     "quadratic relation spaces are dual":
         (raag.exterior, "rank_of_rows", _plus_one),
     "lower-central ranks: series recursion = bracket span":
-        (raag.verify, "bracket_span_rank", _plus_one),
+        (raag.lie, "bracket_span_rank", _plus_one),
     "restricted ranks agree at p=3":
-        (raag.verify, "restricted_span_rank", _plus_one),
+        (raag.lie, "restricted_span_rank", _plus_one),
     "exponent-p dims are partial sums of lower-central ranks":
-        (raag.verify, "lambda_dims", _wrong_last_value),
+        # the series route to the dimensions sums the series b_m
+        (raag.lie, "series_rank_lcs", _wrong_last_value),
     COMMUTATOR_CHECKS[0]: (raag.verify, "rank_of_rows", _plus_one),
     COMMUTATOR_CHECKS[1]: (raag.verify, "rank_of_rows", _plus_one),
     "truncated images pairwise distinct on the ball":
