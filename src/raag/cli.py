@@ -11,7 +11,8 @@ with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
 Each command reads its input and formats what the library answers: `ranks`
 takes `lie.series_ranks`, and with `--check span` also `lie.span_ranks`, the
 two routes `verify-all` compares; `valuation` takes `magnus.valuations`.
-Every `--p` given is checked once, before any work.
+Every `--p` given, and `RAAG_MAX_STATES`, is checked once, before any
+work.
 
 Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
@@ -27,7 +28,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from raag.errors import RaagError, ResourceLimitError
+from raag.errors import RaagError, ResourceLimitError, max_states
 from raag.graph import Graph, GraphError, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
@@ -209,6 +210,7 @@ def _emit(obj) -> None:
 
 
 def run(args) -> int:
+    max_states()  # a bad RAAG_MAX_STATES exits 2 before any work
     g = _load_graph(args.graph)
     # the graph JSON and the words (every positional is one) are read under
     # Python's limit on the digits of an int, which keeps a huge number

@@ -22,11 +22,18 @@ class DomainError(RaagError, ValueError):
 
 
 def max_states() -> int:
-    """Enumeration cap, overridable through RAAG_MAX_STATES."""
+    """Enumeration cap, overridable through RAAG_MAX_STATES, which must be
+    an int >= 0."""
     raw = os.environ.get("RAAG_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise RaagError(f"RAAG_MAX_STATES must be an int >= 0, got {raw!r}")
+    return cap
 
 
 def check_states(count: int, what: str, cap: int | None = None) -> None:

@@ -26,13 +26,11 @@ The maps read tables that live as long as the pass:
 - Front products.  d(x), d of each face of x and d(s(x)) of many keys
   multiply the same letter into the same trace, so v.t is kept per
   letter in a list indexed by trace id.  d multiplies into the traces
-  below the top degree only, each of which is a prefix of a numbered
-  trace, so the lists have a slot for each such prefix and no more; a
-  pass fills every slot.  v.t is formed by the prefix
-  route v.t = (v.t[:-1]).t[-1], one `_slot` insertion into the product
-  for the prefix, which the table nearly always holds, since the keys
-  come in ascending trace degree; where it does not, a loop walks back to
-  the longest prefix whose product is known (`_Basis.front`).
+  below the top degree only, and the pass forms v.t for each of those
+  once, before any key is checked (`_Basis.fill`), in id order, by the
+  prefix route v.t = (v.t[:-1]).t[-1]: one `_slot` insertion into the
+  product for the prefix, whose id is smaller.  d reads the table; only
+  a trace numbered past it has the table filled up to it first.
 - Per clique: its faces with their signs, the letters the contraction
   may move into it (below its least vertex and adjacent to all of it),
   as a bitmask, and the clique each of them makes.
@@ -72,7 +70,7 @@ class _Basis:
 
     __slots__ = ("g", "cliques", "listed", "clique_ids", "nc", "faces",
                  "cands", "ups", "traces", "ids", "prefix", "movable",
-                 "fronts", "width", "rests")
+                 "fronts", "rests")
 
     def __init__(self, g: Graph, order: int):
         index, nbrs = g._index, g._nbrs
@@ -116,12 +114,8 @@ class _Basis:
         self.ids: dict[Trace, int] = {(): 0}
         self.prefix = [0]
         self.movable = [0]
-        # per letter v, by trace id t < width, -1 until formed: the id of
-        # v.t.  `add` widens the rows to each prefix of a numbered trace,
-        # so in a pass they cover the traces below the top degree, the ones
-        # d multiplies into, and d forms every product there
+        # per letter v, by trace id t < the end last given to `fill`: id(v.t)
         self.fronts: list[list[int]] = [[] for _ in g.vertices]
-        self.width = 0
         # per letter v, once formed: {t: id of the rest of t once s has
         # moved v out of it}, a dict, as s moves about one letter per trace
         self.rests: list[dict[int, int]] = [{} for _ in g.vertices]
@@ -132,7 +126,6 @@ class _Basis:
         adjacent to every letter before it (so it is the first v)."""
         ids, adj, index = self.ids, self.g._adj, self.g._index
         traces, movable = self.traces, self.movable
-        start = len(self.prefix)
         for t in ts:
             p = ids[t[:-1]]
             v = t[-1]
@@ -143,18 +136,21 @@ class _Basis:
             if adj[v].issuperset(traces[p]):
                 m |= 1 << index[v]
             movable.append(m)
-        self.widen(max(self.prefix[start:], default=-1) + 1)
 
-    def widen(self, n: int) -> None:
-        """Give each row of the front table a slot for every trace id < n.
-        In a pass the table then has one slot per key (one-vertex clique,
-        trace below the top degree), which the basis count has charged; the
-        size is charged again here for traces numbered outside a pass."""
-        if n > self.width:
-            check_states(len(self.fronts) * n, "koszul front products")
-            for row in self.fronts:
-                row.extend([-1] * (n - self.width))
-            self.width = n
+    def fill(self, end: int) -> None:
+        """Form v.t for each letter v and each trace id t < end that the
+        table lacks, in id order, as (v.t[:-1]).t[-1] (v.() = (v,)): the
+        prefix has a smaller id, so its product is there.  A pass fills the
+        traces below the top degree, one slot per key with a one-vertex
+        clique, which the basis count has charged; the size is charged
+        again here for a trace numbered outside a pass."""
+        check_states(len(self.fronts) * end, "koszul front products")
+        g, traces, prefix = self.g, self.traces, self.prefix
+        for v, row in enumerate(self.fronts):
+            for t in range(len(row), end):
+                row.append(self.trace_id(
+                    _concat(traces[row[prefix[t]]], traces[t][-1:], g) if t
+                    else (g.vertices[v],)))
 
     def trace_id(self, t: Trace) -> int:
         """The id of t, numbering t and each prefix of t that has none; a
@@ -176,38 +172,18 @@ class _Basis:
         t, c = divmod(key, self.nc)
         return self.cliques[c], self.traces[t]
 
-    def front(self, v: int, t: int) -> int:
-        """The id of v.t, read from the table or formed there as
-        (v.t[:-1]).t[-1], one insertion into the product for the prefix.
-        The walk back to the longest prefix whose product is known is a
-        loop, not a recursion, and stores every product it forms."""
-        self.widen(t + 1)
-        row, prefix, traces = self.fronts[v], self.prefix, self.traces
-        walk = []
-        while row[t] < 0 and t:
-            walk.append(t)
-            t = prefix[t]
-        vt = row[t]
-        if vt < 0:  # v.() = (v,)
-            vt = row[0] = self.trace_id((self.g.vertices[v],))
-        for t in reversed(walk):
-            vt = row[t] = self.trace_id(
-                _concat(traces[vt], traces[t][-1:], self.g))
-        return vt
-
     def d(self, key: int) -> list[tuple[int, int]]:
         """d of one key (c, t).  c is ascending and the basis product is
         written in decreasing order, so removing the j-th smallest vertex v
         carries sign (-1)^j; v is multiplied into the trace at the front."""
         t, c = divmod(key, self.nc)
         nc, fronts = self.nc, self.fronts
-        known = t < self.width
         out = []
         for face, v, sign in self.faces[c]:
-            vt = fronts[v][t] if known else -1
-            if vt < 0:
-                vt = self.front(v, t)
-            out.append((vt * nc + face, sign))
+            row = fronts[v]
+            if t >= len(row):
+                self.fill(t + 1)
+            out.append((row[t] * nc + face, sign))
         return out
 
     def s(self, key: int) -> int | None:
@@ -301,6 +277,8 @@ def _resolution_reports(g: Graph, order: int,
     for n in range(1, degrees):
         basis.add(enumerate_traces(g, n))
         ends.append(len(basis.traces))
+    # d multiplies into the traces below the top degree
+    basis.fill(ends[-2] if degrees > 1 else 0)
     d, s, nc = basis.d, basis.s, basis.nc
     reports: list[ResolutionReport | None] = [None] * len(domains)
     checked = 0

@@ -1,9 +1,12 @@
 """Cross-checks between the independent routes, for one graph.
 
 This is the engine behind the `verify-all` CLI subcommand: every analytic
-quantity is recomputed by its brute-force counterpart and compared
+quantity is computed by two routes of the library and the two are compared
 exactly; the Lie ranks of each kind by `lie.series_ranks` against
-`lie.span_ranks`.  Desk-scale bounds keep the whole suite fast.
+`lie.span_ranks`, the clique counts by enumeration against deletion, the
+trace and sphere counts against the coefficients of Phi_R and Phi_A.  The
+brute-force oracles live in `tests/oracles.py`, not here.  Desk-scale
+bounds keep the whole suite fast.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import raag.cli
 import raag.lie
 from raag.cli import COMMANDS, main
+from raag.errors import RaagError, max_states
 from raag.graph import complete_graph, cycle_graph, path_graph
 from raag.lie import bracket_span_rank, restricted_span_rank
 from raag.magnus import _omega, magnus
@@ -374,6 +375,21 @@ def test_koszul_resource_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RAAG_MAX_STATES", "100")
     assert main(["--graph", str(f), "koszul", "--upto", "4"]) == 3
     assert "koszul basis up to trace degree 2: 186 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "1.5", ""])
+@pytest.mark.parametrize("row", COMMANDS, ids=[row[0] for row in COMMANDS])
+def test_bad_state_cap_exits_2_before_any_work(graph_file, capsys,
+                                               monkeypatch, row, cap):
+    # every command, also one that never reads the cap (nf, mul)
+    monkeypatch.setenv("RAAG_MAX_STATES", cap)
+    argv = ["--graph", graph_file, row[0], *("a" for _ in row[2])]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: RAAG_MAX_STATES must be an int >= 0, got {cap!r}\n"
+    with pytest.raises(RaagError, match="RAAG_MAX_STATES"):
+        max_states()
 
 
 def test_verify_all(graph_file, capsys):

@@ -222,23 +222,22 @@ def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
         False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)
 
 
-def _front(basis, v, t):
-    # v.t as a trace, through the numbering of `basis`
-    return basis.traces[basis.front(basis.g.index(v), basis.trace_id(t))]
-
-
 @settings(max_examples=30, deadline=None)
 @given(graphs_st(max_vertices=5))
 def test_front_from_prefix_is_canonical(g):
-    # v.t built from the product for t's prefix, whether the basis is new
-    # (the walk goes back to t = ()) or shared with every shorter trace
-    shared = _Basis(g, 6)
-    for n in range(5):
+    # v.t built from the product for t's prefix, on traces numbered one by
+    # one from the highest degree down, so that ids do not follow degrees
+    basis = _Basis(g, 6)
+    for n in reversed(range(5)):
         for t in enumerate_traces(g, n):
-            for v in g.vertices:
-                want = canonicalize_trace((v,) + t, g)
-                assert _front(_Basis(g, 6), v, t) == want
-                assert _front(shared, v, t) == want
+            basis.trace_id(t)
+    end = len(basis.traces)
+    basis.fill(end)
+    for v, row in zip(g.vertices, basis.fronts):
+        assert len(row) == end
+        for t, vt in enumerate(row):
+            assert basis.traces[vt] == canonicalize_trace(
+                (v,) + basis.traces[t], g)
 
 
 def _pass_basis(g, order):
@@ -261,44 +260,41 @@ def _pass_basis(g, order):
 def test_pass_front_table_is_canonical(g):
     # every product the pass formed, read back from its table
     basis = _pass_basis(g, 5)
-    formed = 0
     for v, row in zip(g.vertices, basis.fronts):
+        assert row
         for t, vt in enumerate(row):
-            if vt >= 0:
-                formed += 1
-                assert basis.traces[vt] == canonicalize_trace(
-                    (v,) + basis.traces[t], g)
-    assert (formed > 0) == bool(g.vertices)
+            assert basis.traces[vt] == canonicalize_trace(
+                (v,) + basis.traces[t], g)
 
 
 def test_pass_tables_hold_only_what_is_read():
     # 120 vertices, no edges, order 3: 14,641 traces of degree <= 2 and
     # 14,641 + 120 * 121 keys.  d multiplies each letter into each trace of
     # degree <= 1 and s moves the first letter out of each nonempty trace,
-    # so each table holds 120 * 121 products, all formed, and not one slot
-    # per (letter, trace) pair, which would be 120 * 14,641
+    # so each table holds 120 * 121 products, and not one per (letter,
+    # trace) pair, which would be 120 * 14,641
     n = 120
     basis = _pass_basis(Graph([f"v{i}" for i in range(n)]), 3)
     assert len(basis.traces) == 1 + n + n * n
-    assert basis.width == 1 + n
-    assert all(vt >= 0 for row in basis.fronts for vt in row)
+    assert all(len(row) == 1 + n for row in basis.fronts)
     assert sum(map(len, basis.rests)) == n * (n + 1)
 
 
 def test_front_walk_is_iterative():
-    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; a new
-    # basis numbers the 300 prefixes of a^300 and the walk goes back over
-    # all of them
+    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; and d
+    # on a new basis numbers the 300 prefixes of a^300 and fills the table
+    # over all of them
     g = Graph(["a"])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100)
     try:
         rep = verify_resolution(g, 300, Q)
-        front = _front(_Basis(g, 2), "a", ("a",) * 300)
+        basis = _Basis(g, 2)
+        [(y, sign)] = basis.d(basis.key((("a",), ("a",) * 300)))
     finally:
         sys.setrecursionlimit(limit)
     assert (rep.ok, rep.checked) == (True, 599)
-    assert front == ("a",) * 301
+    assert (basis.pair(y), sign) == (((), ("a",) * 301), 1)
 
 
 DOMAINS = (Q, Fp(2))

@@ -12,6 +12,10 @@ the acceptance criteria, not only in its own unit tests.
 The names kept for the library alone are listed in `LIBRARY_ONLY`, each
 with its reason.
 
+Every `__slots__` field of a class in src/raag is read as an attribute
+(`x.field` in a load) somewhere in src/ or tests/: a table that is filled
+but read nowhere is dead weight.
+
 No module binds a mutable container at its top level or in a class body:
 a memo there would outlive the call, and the graph, it was built for.  A
 cache is local to one call, or an `lru_cache` keyed by the graph.
@@ -49,12 +53,15 @@ LIBRARY_ONLY = {
 }
 
 
+def _files(patterns) -> list[Path]:
+    return sorted({p for pattern in patterns for p in ROOT.glob(pattern)})
+
+
 def _identifiers(patterns) -> dict[Path, list[tuple[int, str]]]:
     """The (line, identifier) of each NAME token in each file: a word
     inside a string literal or a comment is not a use."""
-    files = sorted({p for pattern in patterns for p in ROOT.glob(pattern)})
     out = {}
-    for p in files:
+    for p in _files(patterns):
         tokens = tokenize.generate_tokens(
             io.StringIO(p.read_text(encoding="utf-8")).readline)
         out[p] = [(t.start[0], t.string) for t in tokens
@@ -112,6 +119,31 @@ def test_every_private_helper_is_used():
 
 def test_every_public_name_has_a_consumer():
     assert sorted(_unused(_public_definitions, CONSUMERS)) == sorted(LIBRARY_ONLY)
+
+
+def _slot_fields():
+    """(class and field, field) for each `__slots__` entry of a class in
+    src/raag."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and [ast.unparse(t) for t in item.targets]
+                        == ["__slots__"]):
+                    for field in ast.literal_eval(item.value):
+                        yield f"{path.name}: {node.name}.{field}", field
+
+
+def test_every_slot_is_read():
+    read = {node.attr for p in _files(USERS)
+            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = dict(_slot_fields())
+    assert "koszul.py: _Basis.fronts" in fields
+    assert [name for name, field in fields.items() if field not in read] == []
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
