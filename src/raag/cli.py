@@ -222,6 +222,9 @@ def run(args) -> int:
     # its own, before the image, with its own message
     if getattr(args, "p", None) is not None and args.command != "valuation":
         Fp(args.p)
+    # dimension subgroups start at delta_1
+    if getattr(args, "depth", None) is not None and args.depth < 1:
+        raise DomainError(f"--depth must be >= 1, got {args.depth}")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

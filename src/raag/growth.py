@@ -12,12 +12,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from raag.errors import DomainError, RaagError, check_states
+from raag.errors import DomainError, check_states
 from raag.graph import Graph, clique_counts, disjoint_union, join
-
-
-class SeriesError(RaagError, ValueError):
-    pass
 
 
 class RatFunc:
@@ -30,7 +26,7 @@ class RatFunc:
         num = _trim([int(c) for c in num])
         den = _trim([int(c) for c in den])
         if den[0] != 1:
-            raise SeriesError("denominator must have constant term 1")
+            raise DomainError("denominator must have constant term 1")
         self.num = num
         self.den = den
 
@@ -51,7 +47,7 @@ class RatFunc:
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
-            raise SeriesError("negative powers are not supported")
+            raise DomainError("negative powers are not supported")
         return RatFunc(_poly_pow(self.num, n), _poly_pow(self.den, n))
 
     def __str__(self) -> str:

@@ -48,7 +48,7 @@ from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_small_prime
-from raag.words import Trace, _concat, _follow, _slot
+from raag.words import Trace, _concat, _slot, enumerate_traces
 
 
 @dataclass(frozen=True)
@@ -81,37 +81,6 @@ class RankTable:
 # 1993; Duchamp & Krob, Semigroup Forum 45, 1992).  The span route does not
 # use them; `verify._commutator_parts` builds its basic commutators on
 # them, and the tests check the pivot leads of `_span` against them.
-
-
-@lru_cache(maxsize=256)
-def _pyramids(g: Graph, n: int) -> tuple[tuple[Trace, ...], tuple[int, ...]]:
-    """Lex-normal traces of length n whose first letter has the highest
-    index among their letters, and the follow set (`words._follow`) of
-    each.
-
-    These are the traces with a single minimal letter, that letter being
-    the highest-index one: a later letter with no letter below it in the
-    heap would commute with everything before it and precede the first
-    letter in vertex order, so it would not stay behind in the lex-normal
-    form.  Prefixes keep the property, so each candidate of length n is one
-    of length n - 1 extended by a letter of its follow set, of index at
-    most its first letter's.
-    """
-    keep, reset = _follow(g)
-    if n == 1:
-        return (tuple((v,) for v in g.vertices),
-                tuple(k | r for k, r in zip(keep, reset)))
-    rank = g._index
-    cap = max_states()
-    out: list[Trace] = []
-    follows: list[int] = []
-    for t, follow in zip(*_pyramids(g, n - 1)):
-        for i, v in enumerate(g.vertices[:rank[t[0]] + 1]):
-            if follow >> i & 1:
-                out.append(t + (v,))
-                follows.append(follow & keep[i] | reset[i])
-        check_states(len(out), "lyndon candidates", cap)
-    return tuple(out), tuple(follows)
 
 
 def _principal_factors(t: Trace, g: Graph):
@@ -171,17 +140,29 @@ def _k_key(g: Graph) -> Callable[[Trace], tuple[int, ...]]:
     return lambda t: tuple(map(neg, t))
 
 
-@lru_cache(maxsize=256)
 def _lyndon(g: Graph, n: int) -> dict[Trace, tuple[Trace, Trace] | None]:
-    """The Lyndon traces t of degree n in candidate order, each with its
-    standard factorisation (u, v), or None for the letters."""
+    """The Lyndon traces t of degree n in the order of `enumerate_traces`,
+    each with its standard factorisation (u, v), or None for the letters.
+
+    The candidates are the traces whose first letter has the highest index
+    among their letters.  These are the traces with a single minimal
+    letter, that letter being the highest-index one: a later letter with no
+    letter below it in the heap would commute with everything before it
+    and precede the first letter in vertex order, so it would not stay
+    behind in the lex-normal form.  Every Lyndon trace is one: a later
+    letter of higher index than t[0] would be the only minimal letter of
+    its up-closure, a proper principal right factor with K less than
+    K(t)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
+    rank = g._index
+    candidates = [t for t in enumerate_traces(g, n)
+                  if rank[t[0]] == max([rank[x] for x in t])]
     if n == 1:
-        return dict.fromkeys(_pyramids(g, 1)[0])
+        return dict.fromkeys(candidates)
     key = _k_key(g)
     lyndon: dict[Trace, tuple[Trace, Trace] | None] = {}
-    for t in _pyramids(g, n)[0]:
+    for t in candidates:
         kv, v, rest = min((key(v), v, rest)
                           for v, rest in _principal_factors(t, g))
         if key(t) < kv:

@@ -131,7 +131,10 @@ class Valuation:
 
     def membership(self, n: int) -> str:
         """Three-valued answer to `w in delta_n`: 'in', 'out', or
-        'undecided' when the truncation cannot tell."""
+        'undecided' when the truncation cannot tell.  Dimension subgroups
+        start at delta_1."""
+        if n < 1:
+            raise DomainError(f"dimension subgroups start at 1, got {n}")
         if self.value >= n:
             return "in"
         return "out" if self.decided else "undecided"

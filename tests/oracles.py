@@ -1,5 +1,6 @@
-"""Independent brute-force oracles used only by the test suite, and the
-element-level Koszul maps that the contraction oracle is compared with."""
+"""Brute-force oracles used only by the test suite, and the element-level
+Koszul maps that the contraction oracle is compared with.  The README's
+Tests section names the oracles that reuse library code."""
 
 from __future__ import annotations
 

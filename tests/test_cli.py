@@ -515,6 +515,21 @@ def test_order_below_one_is_a_parse_error(graph_file, capsys, command, order):
     assert err == "error: truncation order must be >= 1\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "-5"])
+def test_valuation_rejects_depth_below_one(c5_file, capsys, monkeypatch,
+                                           depth):
+    # dimension subgroups start at delta_1; the depth is checked before the
+    # image, which would exit 3 at this cap
+    monkeypatch.setenv("RAAG_MAX_STATES", "10")
+    argv = ["--graph", c5_file, "valuation", "a^-1", "--order", "50"]
+    assert main(argv) == 3
+    capsys.readouterr()
+    assert main([*argv, "--depth", depth]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --depth must be >= 1, got {depth}\n"
+
+
 @pytest.mark.parametrize("p", ["0", "1", "4"])
 def test_valuation_rejects_non_prime_p(graph_file, p):
     # p = 1 used to loop forever in the p-adic valuation; run in a child

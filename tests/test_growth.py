@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
+from raag.errors import DomainError
 from raag.graph import complete_graph, cycle_graph, empty_graph, path_graph
-from raag.growth import (RatFunc, SeriesError, phi_A, phi_A_ratfunc, phi_R,
+from raag.growth import (RatFunc, phi_A, phi_A_ratfunc, phi_R,
                          phi_R_ratfunc, phi_S, union_join_identities)
 from raag.words import enumerate_traces, sphere_sizes
 
@@ -56,7 +57,7 @@ def test_ratfunc_forms_expand_to_series():
 @pytest.mark.parametrize("den", [[2, 1], [0, 1], [-1]])
 def test_ratfunc_needs_unit_constant_denominator(den):
     # the recurrence divides by nothing, so den[0] must be exactly 1
-    with pytest.raises(SeriesError):
+    with pytest.raises(DomainError):
         RatFunc([1], den)
 
 

@@ -19,7 +19,7 @@ from conftest import SUITE, graphs_st, small_suite
 from oracles import (bracket, left_normed_brackets, left_normed_span_rank,
                      lyndon_brackets, lyndon_traces_bruteforce,
                      multigraded_ranks, product_form_ranks, reverse_rank_key,
-                     witt_rank)
+                     standard_factorisation_bruteforce, witt_rank)
 
 UPTO = 4
 
@@ -194,8 +194,11 @@ def test_lyndon_route_matches_left_normed_oracle_on_random_graphs(g, n, p):
 def test_lyndon_traces_match_bruteforce_definition():
     for name, g in SUITE.items():
         for n in range(1, 7):
-            assert (sorted(raag.lie._lyndon(g, n))
+            lyndon = raag.lie._lyndon(g, n)
+            assert (sorted(lyndon)
                     == sorted(lyndon_traces_bruteforce(g, n))), (name, n)
+            assert all(uv == standard_factorisation_bruteforce(t, g)
+                       for t, uv in lyndon.items() if n > 1), (name, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,6 +206,27 @@ def test_lyndon_traces_match_bruteforce_definition():
 def test_lyndon_traces_match_bruteforce_on_random_graphs(g, n):
     assert (sorted(raag.lie._lyndon(g, n))
             == sorted(lyndon_traces_bruteforce(g, n)))
+
+
+def test_lyndon_candidates_are_charged_as_traces(monkeypatch):
+    # the candidates are filtered from the one trace enumeration, whose
+    # charge covers every trace of each layer
+    monkeypatch.setenv("RAAG_MAX_STATES", "100")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^enumerate_traces: \d+ states"):
+        raag.lie._lyndon(cycle_graph(5), 5)
+
+
+def test_lyndon_walks_the_traces_once(monkeypatch):
+    calls = []
+    real = raag.lie.enumerate_traces
+    monkeypatch.setattr(raag.lie, "enumerate_traces",
+                        lambda g, n: calls.append((g, n)) or real(g, n))
+    g = cycle_graph(5)
+    for n in range(1, 6):
+        calls.clear()
+        raag.lie._lyndon(g, n)
+        assert calls == [(g, n)]
 
 
 @settings(max_examples=60, deadline=None)

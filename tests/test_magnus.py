@@ -176,6 +176,13 @@ def test_dimension_subgroup_membership():
     assert _omega(magnus(IDENTITY, g, Q, 6).coeffs, 6).membership(8) == "undecided"
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_membership_below_delta_1_is_rejected(n):
+    # dimension subgroups start at delta_1
+    with pytest.raises(DomainError, match="start at 1"):
+        _omega({(): 1}, 6).membership(n)
+
+
 def test_leading_monomial_simple_cases():
     g = empty_graph(2)
     # a^p over F_p: leading monomial a^p with coefficient 1

@@ -16,6 +16,10 @@ Every `__slots__` field of a class in src/raag is read as an attribute
 (`x.field` in a load) somewhere in src/ or tests/: a table that is filled
 but read nowhere is dead weight.
 
+The private names (`_name`) that one module of src/raag imports from
+another are listed in `PRIVATE_IMPORTS`, and the list may only shrink: a
+new one couples two modules through a helper that neither exports.
+
 No module binds a mutable container at its top level or in a class body:
 a memo there would outlive the call, and the graph, it was built for.  A
 cache is local to one call, or an `lru_cache` keyed by the graph.
@@ -51,6 +55,24 @@ LIBRARY_ONLY = {
     "series.py: PCSeries.from_terms":
         "builds a series from letter sequences that need not be canonical",
 }
+
+
+# (importing module: module.name) for each private name imported across
+# modules of src/raag
+PRIVATE_IMPORTS = frozenset({
+    "koszul.py: raag.words._concat",
+    "lie.py: raag.series._is_small_prime",
+    "lie.py: raag.words._concat",
+    "lie.py: raag.words._slot",
+    "magnus.py: raag.series._is_small_prime",
+    "magnus.py: raag.words._concat",
+    "series.py: raag.words._concat",
+    "verify.py: raag.growth._poly_mul",
+    "verify.py: raag.koszul._resolution_reports",
+    "verify.py: raag.lie._lyndon",
+    "verify.py: raag.magnus._image",
+    "verify.py: raag.magnus._omega",
+})
 
 
 def _files(patterns) -> list[Path]:
@@ -144,6 +166,17 @@ def test_every_slot_is_read():
     fields = dict(_slot_fields())
     assert "koszul.py: _Basis.fronts" in fields
     assert [name for name, field in fields.items() if field not in read] == []
+
+
+def test_private_imports_only_shrink():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.split(".")[0] == "raag")):
+                found |= {f"{path.name}: {node.module}.{a.name}"
+                          for a in node.names if a.name.startswith("_")}
+    assert found <= PRIVATE_IMPORTS
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
