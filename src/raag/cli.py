@@ -12,7 +12,8 @@ Each command reads its input and formats what the library answers: `ranks`
 takes `lie.series_ranks`, and with `--check span` also `lie.span_ranks`, the
 two routes `verify-all` compares; `valuation` takes `magnus.valuations`.
 Every `--p` given, and `RAAG_MAX_STATES`, is checked once, before any
-work.
+work; a p goes through `series.Fp`, so a bad one gets the same message on
+every command.
 
 Big integers are printed as decimal strings so downstream consumers never
 lose precision, however many digits they have: Python's 4,300-digit limit on
@@ -29,7 +30,7 @@ import sys
 from types import SimpleNamespace
 
 from raag.errors import RaagError, ResourceLimitError, max_states
-from raag.graph import Graph, GraphError, clique_counts
+from raag.graph import Graph, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
 from raag.lie import series_ranks, span_ranks
@@ -218,9 +219,8 @@ def run(args) -> int:
     # work caps instead, so they print whole
     row = next(r for r in COMMANDS if r[0] == args.command)
     words = [parse_word(getattr(args, name), g) for name in row[2]]
-    # every --p given is checked once, before any work; `valuations` checks
-    # its own, before the image, with its own message
-    if getattr(args, "p", None) is not None and args.command != "valuation":
+    # every --p given is checked once, before any work
+    if getattr(args, "p", None) is not None:
         Fp(args.p)
     # dimension subgroups start at delta_1
     if getattr(args, "depth", None) is not None and args.depth < 1:
@@ -317,8 +317,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (GraphError, DomainError, RaagError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (RaagError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -47,7 +47,7 @@ from raag.errors import check_states, max_states
 from raag.graph import Graph
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, Fp, PCSeries, Q, _is_small_prime
+from raag.series import Domain, DomainError, Fp, PCSeries, Q
 from raag.words import Trace, _concat, _slot, enumerate_traces
 
 
@@ -154,7 +154,7 @@ def _lyndon(g: Graph, n: int) -> dict[Trace, tuple[Trace, Trace] | None]:
     its up-closure, a proper principal right factor with K less than
     K(t)."""
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise DomainError(f"degree must be >= 1, got {n}")
     rank = g._index
     candidates = [t for t in enumerate_traces(g, n)
                   if rank[t[0]] == max([rank[x] for x in t])]
@@ -213,7 +213,7 @@ def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
     Any other nonzero row is held to the end of the degree and reduced
     again against the final pivots."""
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise DomainError(f"degree must be >= 1, got {n}")
     key = _k_key(g)
     if n == 1:
         return {(v,): (key((v,)), 1, {(v,): 1}) for v in g.vertices}, ()
@@ -277,7 +277,7 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     its pivots."""
     domain = Fp(p)
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise DomainError(f"degree must be >= 1, got {n}")
     cap = max_states()
     pairs = 0
     powers: list[dict[Trace, int]] = []
@@ -348,20 +348,18 @@ def series_rank_lcs(g: Graph, upto: int) -> RankTable:
 def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
     """Ranks d_n solving prod ((1 - t^{pn})/(1 - t^n))^{d_n} = Phi_R(t) for a
     prime p, by Moebius inversion (see _mobius_ranks)."""
-    if not _is_small_prime(p):
-        raise DomainError(f"restricted ranks need a prime p < 2^31, got {p}")
+    Fp(p)
     return RankTable("restricted", _mobius_ranks(g, upto, p),
                      "series_recursion", p=p)
 
 
 def _check_kind(kind: str, p: int) -> None:
-    # the exponent-p dimensions are defined for odd primes only: the p-power
-    # map fails to be linear at p = 2
+    # the exponent-p dimensions are defined for odd primes only (`Fp` checks
+    # that p is prime): the p-power map fails to be linear at p = 2
     if kind not in ("lcs", "restricted", "lambda"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "lambda" and (p < 3 or not _is_small_prime(p)):
-        raise DomainError(
-            f"exponent-p dimensions need a prime 3 <= p < 2^31, got {p}")
+    if kind == "lambda" and Fp(p).p < 3:
+        raise DomainError(f"exponent-p dimensions need p >= 3, got {p}")
 
 
 def series_ranks(g: Graph, kind: str, p: int, upto: int) -> RankTable:

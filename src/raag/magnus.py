@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
-from raag.series import Domain, DomainError, PCSeries, _is_small_prime
+from raag.series import Domain, DomainError, Fp, PCSeries
 from raag.words import (GroupWord, Trace, _concat, canonicalize_trace,
                         geodesic_words, reduce_word)
 
@@ -157,12 +157,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _check_prime(p: int) -> None:
-    # called before the image is built, so a bad p costs no work
-    if not _is_small_prime(p):
-        raise DomainError(f"p-valuation needs a prime p < 2^31, got {p}")
-
-
 def valuations(w: GroupWord, g: Graph, order: int, domain: Domain,
                p: int) -> tuple[Valuation, Valuation]:
     """omega(w) over `domain`, and omega_p(w), the least weight
@@ -171,7 +165,7 @@ def valuations(w: GroupWord, g: Graph, order: int, domain: Domain,
     >= order.  One integer image, built once p is checked, serves both:
     Z -> Q and Z -> F_p are ring maps, and only F_p loses terms, those
     whose coefficients its prime divides."""
-    _check_prime(p)
+    Fp(p)
     image = _image(w, g, order)
     q = domain.p
     kept = image if q is None else {t: c for t, c in image.items() if c % q}
@@ -194,7 +188,7 @@ def leading_monomial_char_p(w: GroupWord, g: Graph, p: int) -> LeadingMonomial:
     minimal (p-power) exponents, read off the canonical form: the syllable
     v^e with e = p^s * l, p not dividing l, contributes v^{p^s} and a
     factor l to the coefficient."""
-    _check_prime(p)
+    Fp(p)
     if not w.syllables:
         raise ValueError("identity has no leading monomial")
     letters: list[str] = []

@@ -542,7 +542,7 @@ def test_valuation_rejects_non_prime_p(graph_file, p):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "prime" in proc.stderr
+    assert proc.stderr == f"error: F_p needs a prime p < 2^31, got {p}\n"
 
 
 def test_valuation_rejects_p_before_the_image(c5_file):
@@ -551,7 +551,7 @@ def test_valuation_rejects_p_before_the_image(c5_file):
                          "--p", "4")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "p-valuation needs a prime" in proc.stderr
+    assert proc.stderr == "error: F_p needs a prime p < 2^31, got 4\n"
 
 
 def _run_child(graph_file, *argv):
@@ -588,7 +588,8 @@ def test_prime_too_large_exits_at_once(graph_file, argv):
     assert elapsed < 5
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "prime" in proc.stderr
+    want = f"error: F_p needs a prime p < 2^31, got {LARGE_PRIME}\n"
+    assert proc.stderr == want
 
 
 def test_koszul_on_graph_with_no_vertex(tmp_path):
@@ -658,6 +659,16 @@ def test_magnus_resource_limit(c5_file, word, order):
 def test_bad_graph_json_exit_code(tmp_path, capsys, graph):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(graph))
+    code, out = run(capsys, "--graph", str(f), "nf", "1")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("raw", [b"{", b'{"vertices": ["\xff"]}'],
+                         ids=["truncated-json", "not-utf-8"])
+def test_unreadable_graph_file_exit_code(tmp_path, capsys, raw):
+    f = tmp_path / "bad.json"
+    f.write_bytes(raw)
     code, out = run(capsys, "--graph", str(f), "nf", "1")
     assert code == 2
     assert out == ""

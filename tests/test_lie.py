@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 import raag.lie
 import raag.linalg
 import raag.words
-from raag.errors import ResourceLimitError
+from raag.errors import RaagError, ResourceLimitError
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         empty_graph, path_graph)
 from raag.lie import (bracket_span_rank, restricted_span_rank, series_rank_lcs,
                       series_rank_restricted, series_ranks, span_ranks)
+from raag.magnus import leading_monomial_char_p, valuations
 from raag.series import DomainError, Fp, PCSeries, Q, is_primitive
-from raag.words import enumerate_traces
+from raag.verify import verify_all
+from raag.words import enumerate_traces, parse_word
 
 from conftest import SUITE, graphs_st, small_suite
 from oracles import (bracket, left_normed_brackets, left_normed_span_rank,
@@ -144,8 +146,26 @@ def test_lambda_dims_constant_for_abelian():
 
 
 def test_lambda_dims_rejects_p2():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^exponent-p dimensions need p >= 3, got 2$"):
         series_ranks(path_graph(3), "lambda", 2, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: valuations(parse_word("a", g), g, 4, Q, 4),
+    lambda g: leading_monomial_char_p(parse_word("a", g), g, 4),
+    lambda g: series_rank_restricted(g, 4, 3),
+    lambda g: series_ranks(g, "lambda", 4, 3),
+    lambda g: span_ranks(g, "lambda", 4, 3),
+    lambda g: restricted_span_rank(g, 2, 4),
+    lambda g: verify_all(g, p=4),
+], ids=["valuations", "leading-monomial", "series-restricted",
+        "series-lambda", "span-lambda", "restricted-span", "verify-all"])
+def test_every_prime_goes_through_fp(call):
+    # `Fp` is the one primality test, so a bad p reads the same everywhere
+    with pytest.raises(DomainError,
+                       match=r"^F_p needs a prime p < 2\^31, got 4$"):
+        call(path_graph(3))
 
 
 def test_brackets_antisymmetry_baked_in():
@@ -307,6 +327,17 @@ def test_span_route_follows_vertex_order():
 ], ids=["bracket", "restricted", "lyndon"])
 def test_span_rejects_degree_below_one(call):
     with pytest.raises(ValueError, match="degree must be >= 1"):
+        call(path_graph(3))
+
+
+@pytest.mark.parametrize("call, n", [
+    (lambda g: bracket_span_rank(g, 0, Q), 0),
+    (lambda g: restricted_span_rank(g, -1, 2), -1),
+    (lambda g: raag.lie._lyndon(g, 0), 0),
+], ids=["bracket", "restricted", "lyndon"])
+def test_degree_below_one_is_a_raag_error(call, n):
+    # a caller that catches the package's errors catches a bad degree too
+    with pytest.raises(RaagError, match=rf"^degree must be >= 1, got {n}$"):
         call(path_graph(3))
 
 

@@ -61,10 +61,8 @@ LIBRARY_ONLY = {
 # modules of src/raag
 PRIVATE_IMPORTS = frozenset({
     "koszul.py: raag.words._concat",
-    "lie.py: raag.series._is_small_prime",
     "lie.py: raag.words._concat",
     "lie.py: raag.words._slot",
-    "magnus.py: raag.series._is_small_prime",
     "magnus.py: raag.words._concat",
     "series.py: raag.words._concat",
     "verify.py: raag.growth._poly_mul",
