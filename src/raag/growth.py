@@ -8,9 +8,8 @@ term 1, so every coefficient comes from the one integer recurrence of
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from raag.errors import DomainError, check_states
 from raag.graph import Graph, clique_counts, disjoint_union, join
@@ -148,8 +147,7 @@ def _poly_pow(a, k):
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     holds: bool
 

@@ -49,8 +49,7 @@ another's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from raag.errors import check_states
 from raag.graph import Graph, clique_counts
@@ -211,8 +210,7 @@ class _Basis:
         return rest * self.nc + self.ups[c][v]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     ok: bool
     checked: int
     counterexample: BasisKey | None = None

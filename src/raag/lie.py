@@ -37,11 +37,10 @@ which `ranks --check span` and `verify-all` compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
@@ -51,8 +50,7 @@ from raag.series import Domain, DomainError, Fp, PCSeries, Q
 from raag.words import Trace, _concat, _slot, enumerate_traces
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     kind: str  # "lower_central" | "restricted" | "exponent_p"
     values: tuple[int, ...]  # indexed by degree, starting at 1
     method: str  # "series_recursion" | "partial_sums"

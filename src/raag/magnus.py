@@ -19,7 +19,7 @@ for F_p, serves every domain, and `magnus` alone builds a series from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph
@@ -118,8 +118,7 @@ def magnus(w: GroupWord, g: Graph, domain: Domain, order: int) -> PCSeries:
 # -- valuations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Least filtration level containing mu(w) - 1.
 
     `decided` is False when every visible term sits at the truncation
@@ -176,8 +175,7 @@ def valuations(w: GroupWord, g: Graph, order: int, domain: Domain,
 # -- leading monomial in characteristic p ------------------------------
 
 
-@dataclass(frozen=True)
-class LeadingMonomial:
+class LeadingMonomial(NamedTuple):
     trace: Trace
     exponents: tuple[int, ...]  # the p-power exponent of each syllable
     coefficient: int  # nonzero mod p

@@ -12,7 +12,7 @@ maps need no type of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import factorial
@@ -37,21 +37,24 @@ def _is_small_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", "kind p", defaults=(None,))):
     """Coefficient domain: Z, Q, or F_p with p prime."""
 
-    kind: str  # "Z" | "Q" | "Fp"
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "Fp":
-            if self.p is None or not _is_small_prime(self.p):
-                raise DomainError(f"F_p needs a prime p < 2^31, got {self.p!r}")
-        elif self.p is not None:
+    def __new__(cls, kind: str, p: int | None = None):
+        # kind is "Z" | "Q" | "Fp"
+        if kind not in ("Z", "Q", "Fp"):
+            raise DomainError(f"unknown domain kind {kind!r}")
+        if kind == "Fp":
+            if p is None or not _is_small_prime(p):
+                raise DomainError(f"F_p needs a prime p < 2^31, got {p!r}")
+        elif p is not None:
             raise DomainError("p is only meaningful for Fp")
+        return super().__new__(cls, kind, p)
+
+    # `_replace` builds through `_make`, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def coerce(self, x):
         # nearly every coefficient is a plain int: it is mapped before the

@@ -11,7 +11,7 @@ bounds keep the whole suite fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from raag.exterior import quadratic_dual_check
 from raag.graph import Graph
@@ -33,8 +33,7 @@ KOSZUL_ORDER = 5
 COMMUTATOR_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

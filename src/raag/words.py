@@ -27,8 +27,8 @@ less the letters that would cancel (Hermiller & Meier, 1995).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import namedtuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from raag.errors import UnknownGeneratorError, check_states, max_states
 from raag.graph import Graph
@@ -74,18 +74,19 @@ def canonicalize_trace(letters: Iterable[str], g: Graph) -> Trace:
     return _concat((), word, g)
 
 
-@dataclass(frozen=True)
-class Syllable:
-    generator: str
-    exponent: int
+class Syllable(namedtuple("Syllable", "generator exponent")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.exponent == 0:
+    def __new__(cls, generator: str, exponent: int):
+        if exponent == 0:
             raise ValueError("syllable exponent must be nonzero")
+        return super().__new__(cls, generator, exponent)
+
+    # `_replace` builds through `_make`, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(NamedTuple):
     """Canonical syllable sequence; build through :func:`reduce_word`."""
 
     syllables: tuple[Syllable, ...]
@@ -147,8 +148,7 @@ def reduce_word(syllables: Iterable[Syllable | tuple[str, int]], g: Graph) -> Gr
     One pass: each syllable is pushed once onto a word that stays reduced
     (see `_push`), so no cancellation makes the word be read again."""
     word: list[Syllable] = []
-    for s in syllables:
-        gen, exp = (s.generator, s.exponent) if isinstance(s, Syllable) else s
+    for gen, exp in syllables:
         g.index(gen)
         _push(word, gen, exp, g)
     return GroupWord(_lex_min_syllables(word, g))

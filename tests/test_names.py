@@ -29,10 +29,17 @@ no function in src/raag imports: each module imports at its top level.
 
 No code in src/raag calls `json.dump` or passes `indent=`: both run the
 pure-Python encoder, and every answer is one line from `json.dumps`.
+
+Importing `raag.cli` in a fresh interpreter loads none of `dataclasses`,
+`inspect`, `ast`, `dis` or `tokenize`: every CLI call pays its imports,
+and the records are `NamedTuple`s, which need none of them.
 """
 
 import ast
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -258,3 +265,17 @@ def test_json_is_written_by_the_c_encoder():
             if name == "dump" or any(k.arg == "indent" for k in node.keywords):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_heavy_module():
+    # a child process: pytest itself has loaded these modules here
+    code = ("import sys, raag.cli; "
+            f"print(sorted(set(sys.modules) & set({HEAVY_MODULES!r})))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

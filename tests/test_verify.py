@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import raag.exterior
@@ -40,7 +38,7 @@ def test_commutator_check_catches_wrong_b3(monkeypatch):
         table = real(g, upto)
         values = list(table.values)
         values[2] += 1
-        return dataclasses.replace(table, values=tuple(values))
+        return table._replace(values=tuple(values))
 
     monkeypatch.setattr(raag.lie, "series_rank_lcs", wrong_b3)
     results = {r.name: r for r in verify_all(cycle_graph(5))}
@@ -243,8 +241,8 @@ def _plus_one(real):
 def _wrong_last_value(real):
     def wrong(*args):
         table = real(*args)
-        return dataclasses.replace(
-            table, values=table.values[:-1] + (table.values[-1] + 1,))
+        return table._replace(
+            values=table.values[:-1] + (table.values[-1] + 1,))
     return wrong
 
 
