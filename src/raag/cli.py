@@ -125,10 +125,16 @@ def _value(option, text: str):
             raise _UsageError(f"--{name}: {text!r} is not one of "
                               f"{', '.join(choices)}")
         return text
+    # ASCII decimal only, -?[0-9]+: `int` also takes "1_0", " 3" and other
+    # scripts' digits, and it raises past Python's limit on the digits of
+    # an int
+    digits = text[1:] if text.startswith("-") else text
     try:
-        return int(text)
+        if digits.isascii() and digits.isdigit():
+            return int(text)
     except ValueError:
-        raise _UsageError(f"--{name}: {text!r} is not an int") from None
+        pass
+    raise _UsageError(f"--{name}: {text!r} is not an int")
 
 
 def _parse(argv: list[str]):

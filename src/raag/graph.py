@@ -115,8 +115,13 @@ class Graph:
         try:
             vertices = data["vertices"]
             edges = data.get("edges", [])
+            unknown = [k for k in data if k not in ("vertices", "edges")]
         except (TypeError, KeyError) as exc:
             raise GraphError(f"bad graph object: {exc}") from exc
+        if unknown:
+            # a misspelt "edges" must not read as a graph without edges
+            raise GraphError(f"unknown graph key {unknown[0]!r}: a graph has "
+                             f"only 'vertices' and 'edges'")
         return cls(vertices, edges)
 
     @classmethod
@@ -224,6 +229,105 @@ def enumerate_cliques(g: Graph) -> list[tuple[str, ...]]:
         cliques.extend(nxt)
         layer = nxt
     return cliques
+
+
+# -- automorphisms -----------------------------------------------------
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each a permutation s of the vertex indices
+    (s[i] the image of i): the swaps of twins, then individualisation and
+    refinement (McKay, Congr. Numer. 30, 1981).  A cell splits by its
+    vertices' neighbour counts in a splitter cell, each new cell a splitter
+    in turn.  Deepest level of the first path first, each vertex of that
+    level's cell not yet in the orbit of one tried is individualised in its
+    place; a leaf below it that maps the first leaf onto it by a bijection
+    keeping every edge is a generator.  Every step is charged."""
+    n, nbrs, cap, work = len(g.vertices), g._nbrs, max_states(), [0]
+    edges = [(g._index[u], g._index[w]) for u, w in map(tuple, g.edges)]
+    gens: list[tuple[int, ...]] = []
+    orbit = list(range(n))  # an orbit's id on each of its vertices
+
+    def charge(count):
+        work[0] += count
+        check_states(work[0], "automorphisms (search steps)", cap)
+
+    def add(s):
+        gens.append(s)
+        charge(n)
+        for v in range(n):
+            a, b = sorted((orbit[v], orbit[s[v]]))
+            if a != b:
+                orbit[:] = [a if x == b else x for x in orbit]
+
+    def refine(cells, splitters):
+        while splitters and len(cells) < n:
+            m = splitters.pop()
+            charge(len(cells))
+            out = []
+            for c in cells:
+                if len(c) == 1:
+                    out.append(c)
+                    continue
+                charge(len(c))
+                count = {v: (nbrs[v] & m).bit_count() for v in c}
+                pieces = [tuple(v for v in c if count[v] == x)
+                          for x in sorted(set(count.values()))]
+                if len(pieces) > 1:
+                    splitters += [sum(1 << v for v in p) for p in pieces]
+                out += pieces
+            cells = out
+        return cells
+
+    def split(cells, w):  # w individualised in the first non-singleton cell
+        i = next(i for i, c in enumerate(cells) if len(c) > 1)
+        return refine(cells[:i] + [(w,), tuple(v for v in cells[i] if v != w)]
+                      + cells[i + 1:], [1 << w])
+
+    def leaf(cells, depth):  # depth first, the first leaf that matches
+        todo = [iter([cells])]  # todo[i] yields the nodes at depth + i
+        while todo:
+            cells = next(todo[-1], None)
+            if cells is None:
+                todo.pop()
+            elif ([len(c) for c in cells]
+                  != [len(c) for c in path[depth + len(todo) - 1]]):
+                continue
+            elif len(cells) < n:
+                cell = next(c for c in cells if len(c) > 1)
+                todo.append(map(split, [cells] * len(cell), cell))
+            else:
+                s = [0] * n
+                for (a,), (b,) in zip(path[-1], cells):
+                    s[a] = b
+                charge(len(edges))
+                if all(nbrs[s[a]] >> s[b] & 1 for a, b in edges):
+                    return tuple(s)
+        return None
+
+    # twins, vertices with one open or one closed neighbourhood, swap
+    for closed in (0, 1):
+        twins: dict[int, list[int]] = {}
+        for v in range(n):
+            twins.setdefault(nbrs[v] | closed << v, []).append(v)
+        for c in twins.values():
+            for a, b in zip(c, c[1:]):
+                add(tuple(b if v == a else a if v == b else v
+                          for v in range(n)))
+    path = [refine([tuple(range(n))], [(1 << n) - 1])]
+    while len(path[-1]) < n:
+        path.append(split(path[-1],
+                          next(c[0] for c in path[-1] if len(c) > 1)))
+    for depth in reversed(range(len(path) - 1)):
+        cell = next(c for c in path[depth] if len(c) > 1)
+        tried = {cell[0]}
+        for w in cell[1:]:
+            if orbit[w] not in {orbit[v] for v in tried}:
+                tried.add(w)
+                s = leaf(split(path[depth], w), depth + 1)
+                if s:
+                    add(s)
+    return gens
 
 
 def clique_counts(g: Graph) -> list[int]:

@@ -3,33 +3,43 @@ independent routes: spans of bracket expansions inside the partially
 commuting polynomial ring, and Moebius inversion of the logarithmic
 derivative of the Poincare series.
 
-The span of degree n is found by elimination over its closure rows
-[v, r], for every vertex v and every row r that degree n - 1 kept; degree
-1 keeps the letters.  Each closure row is reduced, as soon as it is
-built, against the pivots found so far, in plain integers: r -= c * lead
-* P at its K-least remaining pivot trace t, for the pivot row P that
-leads with t, with no gcd, no fraction and no reduction mod p.  A reduced
-row whose K-least trace has coefficient +1 or -1 becomes a pivot.  Any
-other nonzero row is held to the end of the degree and reduced again
-against the final pivots, and only what is left goes through
-`linalg.rank_of_rows`, the one general elimination.
+A bracket of letters is homogeneous in letter content, the multiset of
+its letters, so the degree-n span splits into blocks that never mix
+(Duchamp & Krob, Semigroup Forum 45, 1992).  Block beta is found by
+elimination over its closure rows [v, r], for each letter v of beta and
+each row r that block beta - v kept; degree 1 keeps the letters.  Each
+closure row is reduced, as soon as it is built, against the block's
+pivots so far, in plain integers: r -= c * lead * P at its K-least
+remaining pivot trace t, for the pivot row P that leads with t, with no
+gcd, no fraction and no reduction mod p.  A reduced row whose K-least
+trace has coefficient +1 or -1 becomes a pivot.  Any other nonzero row is
+held to the end of the block and reduced again against the final pivots,
+and only what is left goes through `linalg.rank_of_rows`, the one general
+elimination.
 
 The pivots lead with distinct traces at unit coefficients, so they stay
 independent mod every prime, and a nonzero combination of them is
-nonzero at a pivot trace, where every remainder is zero.  The rank over Q
-or any F_p is therefore the number of pivots plus the rank of the
-remainders, and a remainder that is zero over Z is zero over every F_p.
-Each reduction step is invertible over Z, so the pivot rows and the
-remainders span the same Z-module as the closure rows: L_n = [V, L_{n-1}]
-once the rows of degree n - 1 span L_{n-1}.  They are what degree n keeps,
-and degree n + 1 and the p^i-th power rows of the restricted ranks build
-on them, so no rank rests on the Lyndon basis theorem.
+nonzero at a pivot trace, where every remainder is zero: the rank over Q
+or any F_p is the number of pivots plus the rank of the remainders.  Each
+reduction step is invertible over Z, so the pivot rows and remainders
+span the content-beta part of L_n = [V, L_{n-1}] over Z once the blocks
+of degree n - 1 span L_{n-1}; no rank rests on the Lyndon basis theorem.
 
-The theorem is checked instead.  The set of leads of a subspace is
-unique, and the standard bracketing P(t) of a Lyndon trace t leads with
-t, so when no remainder survives the pivot leads are exactly the Lyndon
-traces (`_lyndon`).  The tests hold them to that, with the P(t) kept in
-`tests/oracles.py` as the Lyndon-basis oracle.
+An automorphism s of the graph is one of the ring and of L, so it maps
+block beta onto block s(beta) with the same rank over every field.  Only
+one block per orbit of `graph.automorphisms` on the contents is reduced:
+a degree's rank is the sum of orbit size times the representative's
+rank, and the rows another block keeps are the representative's with s
+applied to every trace, each canonicalised once, with no elimination.
+
+Both theorems are checked by the tests instead.  The leads of a subspace
+are unique, and the standard bracketing P(t) of a Lyndon trace t (kept
+in `tests/oracles.py`) leads with t, so with no remainder the pivot leads
+of every block are the Lyndon traces (`_lyndon`) of its content.  To
+degree 5, on the suite graphs and random ones, every block built directly
+has its representative's rank, and the relabelled rows span what the
+direct rows span over Q, F_2 and F_3, alone and stacked; a relabelling
+that is no automorphism fails `ranks --check span`.
 
 `series_ranks` and `span_ranks` are the two routes for each kind of rank,
 which `ranks --check span` and `verify-all` compare.
@@ -43,7 +53,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from raag.errors import check_states, max_states
-from raag.graph import Graph
+from raag.graph import Graph, automorphisms
 from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q
@@ -176,9 +186,11 @@ def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
     entries at every pivot trace.  pivots[t] = (K(t), lead, P), for a pivot
     row P with lead = P[t] = +-1 and every other trace of P K-greater than
     t, so clearing the K-least pivot trace first never brings back one
-    already cleared."""
+    already cleared.  A row with no pivot trace is returned as it is."""
+    heap = [(pivots[t][0], t) for t in row if t in pivots]
+    if not heap:
+        return row
     r = dict(row)
-    heap = [(pivots[t][0], t) for t in r if t in pivots]
     heapify(heap)
     while heap:
         t = heappop(heap)[1]
@@ -200,30 +212,18 @@ def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
     return r
 
 
-@lru_cache(maxsize=256)
-def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
-    """Degree n of the span, reduced: the pivots, keyed by their leads,
-    and the nonzero remainders of the rows that did not become pivots.
-
-    Each closure row [v, r], for a vertex v and a row r that degree n - 1
-    kept, is reduced against the pivots found so far as soon as it is
-    built, and becomes a pivot if its K-least trace has coefficient +-1.
-    Any other nonzero row is held to the end of the degree and reduced
-    again against the final pivots."""
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    key = _k_key(g)
-    if n == 1:
-        return {(v,): (key((v,)), 1, {(v,): 1}) for v in g.vertices}, ()
-    lower = _kept(g, n - 1)
-    check_states(len(g.vertices) * sum(map(len, lower)),
-                 f"lie span (closure rows) at degree {n}")
+def _eliminate(g: Graph, lower, key: Callable[[Trace], tuple[int, ...]]
+               ) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
+    """One block reduced: its pivots, keyed by their leads, and the
+    nonzero remainders of the rows that did not become pivots.  lower
+    holds (v, rows): a letter v of the block's content and the rows that
+    the content less v kept.  key is `_k_key(g)`."""
     rank = g._index
     pivots: _Pivots = {}
     held: list[dict[Trace, int]] = []
-    for v in g.vertices:
+    for v, rows in lower:
         products: dict[Trace, tuple[Trace, Trace]] = {}
-        for e in lower:
+        for e in rows:
             r = _reduce(_closure_row(v, e, g, products), pivots)
             if r:
                 # the K-least trace starts with the highest-index first
@@ -234,32 +234,140 @@ def _span(g: Graph, n: int) -> tuple[_Pivots, tuple[dict[Trace, int], ...]]:
                     pivots[t] = (key(t), r[t], r)
                 else:
                     held.append(r)
-    remainders = tuple(r for r in (_reduce(e, pivots) for e in held) if r)
-    return pivots, remainders
+    return pivots, tuple(filter(None, [_reduce(e, pivots) for e in held]))
 
 
-def _kept(g: Graph, n: int) -> list[dict[Trace, int]]:
-    """The rows degree n kept, its pivot rows and then its remainders;
-    they span L_n over Z."""
-    pivots, remainders = _span(g, n)
-    return [row for _, _, row in pivots.values()] + list(remainders)
+class _Span:
+    """The span of one graph, reduced one block per orbit, degree by
+    degree.  A content is the sorted tuple of the vertex indices of its
+    letters; the orbit of a content is searched breadth-first over the
+    generators that move one of its letters, and its first content is the
+    representative."""
+
+    __slots__ = ("g", "key", "gens", "moving", "orbits", "reps", "blocks",
+                 "rows")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.key = _k_key(g)
+        self.gens = automorphisms(g)
+        # moving[v]: the indices of the generators that move vertex v
+        self.moving = [[i for i, s in enumerate(self.gens) if s[v] != v]
+                       for v in range(len(g.vertices))]
+        # content -> (representative, its letters mapped onto the content,
+        # orbit size)
+        self.orbits: dict[tuple[int, ...], tuple] = {}
+        # reps[n]: (representative, orbit size) of the nonzero blocks
+        self.reps: list[list[tuple[tuple[int, ...], int]]] = [[]]
+        # representative -> (pivots, remainders); content -> rows kept
+        self.blocks: dict[tuple[int, ...], tuple[_Pivots, tuple]] = {}
+        self.rows: dict[tuple[int, ...], list[dict[Trace, int]]] = {}
+
+    def orbit(self, c: tuple[int, ...], cap: int) -> tuple:
+        """c's entry in `orbits`, each step of its orbit charged."""
+        if c not in self.orbits:
+            found = {c: c}
+            queue = [c]
+            steps = 0
+            for x in queue:
+                image = found[x]
+                for i in {i for v in set(x) for i in self.moving[v]}:
+                    y = tuple(map(self.gens[i].__getitem__, image))
+                    z = tuple(sorted(y))
+                    if z not in found:
+                        found[z] = y
+                        queue.append(z)
+                    steps += 1
+                if steps > cap:
+                    check_states(steps, f"content orbits at degree {len(c)}")
+            for x, image in found.items():
+                self.orbits[x] = c, image, len(found)
+        return self.orbits[c]
+
+    def kept(self, c: tuple[int, ...]) -> list[dict[Trace, int]]:
+        """The rows block c keeps, pivot rows then remainders, relabelled
+        from its representative's; none for a content off every orbit."""
+        rows = self.rows.get(c)
+        if rows is None:
+            rep, image, _ = self.orbits.get(c, (c, c, 0))
+            rows = self.rows.get(rep, [])
+            if rep != c and rows:
+                g = self.g
+                names = g.vertices
+                to = {names[i]: names[j] for i, j in zip(rep, image)}
+                new = {t: _concat((), map(to.__getitem__, t), g)
+                       for t in {t for row in rows for t in row}}
+                rows = [{new[t]: x for t, x in row.items()} for row in rows]
+            self.rows[c] = rows
+        return rows
+
+    def degree(self, n: int) -> list[tuple[tuple[int, ...], int]]:
+        """reps[n], with every degree up to n reduced first.  A content of
+        degree m is a letter or a nonzero block of degree m - 1 plus a
+        letter."""
+        if n < 1:
+            raise DomainError(f"degree must be >= 1, got {n}")
+        g = self.g
+        k = len(g.vertices)
+        while len(self.reps) <= n:
+            m = len(self.reps)
+            cap = max_states()
+            reps: dict[tuple[int, ...], int] = {}
+            # a letter outside b that commutes with every letter of b adds
+            # a zero block: each of its closure rows vanishes, or builds on
+            # a zero block of the same kind
+            for c in ([(i,) for i in range(k)] if m == 1 else
+                      [tuple(sorted(b + (i,))) for b, _ in self.reps[m - 1]
+                       for mask in [sum(1 << i for i in set(b))]
+                       for i in range(k) if mask & ~g._nbrs[i]]):
+                rep, _, size = self.orbits.get(c) or self.orbit(c, cap)
+                if rep in reps:
+                    continue
+                reps[rep] = size
+                if rep in self.blocks:
+                    continue
+                if m == 1:
+                    t = (g.vertices[rep[0]],)
+                    pivots, remainders = {t: (self.key(t), 1, {t: 1})}, ()
+                else:
+                    # [v, r] = 0 when v commutes with every letter of r
+                    mask = sum(1 << i for i in set(rep))
+                    lower = [(g.vertices[i], rows) for j, i in enumerate(rep)
+                             if (not j or rep[j - 1] != i)
+                             and mask & ~g._nbrs[i] & ~(1 << i)
+                             for rows in [self.kept(rep[:j] + rep[j + 1:])]
+                             if rows]
+                    work = sum(len(r) for _, rows in lower for r in rows)
+                    if work > cap:
+                        check_states(work,
+                                     f"lie span (closure rows) at degree {m}")
+                    pivots, remainders = _eliminate(g, lower, self.key)
+                self.blocks[rep] = pivots, remainders
+                self.rows[rep] = ([row for _, _, row in pivots.values()]
+                                  + list(remainders))
+            self.reps.append([(c, size) for c, size in reps.items()
+                              if any(self.blocks[c])])
+        return self.reps[n]
+
+
+_span = lru_cache(maxsize=32)(_Span)  # one span per graph
 
 
 def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
     """Rank of the span of all degree-n brackets of generators inside the
     degree-n component of the polynomial ring; equals the degree-n rank of
-    the associated graded Lie algebra.
-
-    The pivots are independent by their leading traces over Q and every
-    F_p, and every remainder is zero at every pivot trace, so only the
-    remainders go through `rank_of_rows`.  The rows of each degree span
-    L_n over Z, since every closure row is a Z-combination of them and
-    L_n = [V, L_{n-1}], so the rank rests on no basis theorem.
-    """
+    the associated graded Lie algebra.  It is the sum, over the orbits of
+    blocks, of the orbit size times the representative's rank: its pivots
+    and the rank of its remainders."""
     if domain.kind not in ("Q", "Fp"):
         raise DomainError("span rank needs a field domain")
-    pivots, remainders = _span(g, n)
-    return len(pivots) + rank_of_rows(remainders, domain)
+    s = _span(g)
+    total = 0
+    for c, size in s.degree(n):
+        pivots, remainders = s.blocks[c]
+        total += size * (len(pivots) + (rank_of_rows(remainders, domain)
+                                        if remainders else 0))
+    return total
 
 
 def restricted_span_rank(g: Graph, n: int, p: int) -> int:
@@ -269,32 +377,43 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     Those rows span L_m.  Over F_p, (cx)^(p^i) = c^(p^i) x^(p^i), and
     (x + y)^(p^i) - x^(p^i) - y^(p^i) lies in the span of the degree-n
     brackets and of the p^j-th powers from degree n / p^j, j < i
-    (Jacobson), so the powers of the rows serve for all of L_m.  They come
-    from lower degrees only: they are built ahead of the degree-n span,
-    each product charged before it is formed, and then reduced against
-    its pivots."""
+    (Jacobson), so the powers of the rows serve for all of L_m.  The
+    powers of block beta lie in block p^i beta, which powers alone may
+    reach, and an automorphism maps them onto the powers of the image
+    block, so orbits count as for the brackets.  The powers of a block are
+    built after the brackets of degree n, each product charged before it
+    is formed, and reduced against the block's pivots."""
     domain = Fp(p)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
+    s = _span(g)
+    reps = dict(s.degree(n))
     cap = max_states()
-    pairs = 0
-    powers: list[dict[Trace, int]] = []
     m, q = n, 1
     while m % p == 0:
         m //= p
         q *= p
-        for e in _kept(g, m):
-            x = y = PCSeries(g, domain, n + 1, e.items())
-            for _ in range(q - 1):
-                pairs += len(x.coeffs) * len(y.coeffs)
-                check_states(pairs, "restricted span (p^i-th powers) at "
-                             f"degree {n}", cap)
-                y = y * x
-            powers.append(y.coeffs)
-    pivots, remainders = _span(g, n)
-    rows = list(remainders)
-    rows += filter(None, (_reduce(r, pivots) for r in powers))
-    return len(pivots) + rank_of_rows(rows, domain)
+        for b, _ in s.degree(m):
+            rep, _, size = s.orbit(tuple(sorted(b * q)), cap)
+            reps.setdefault(rep, size)
+    total = 0
+    for c, size in reps.items():
+        pivots, remainders = s.blocks.get(c, ({}, ()))
+        rows = list(remainders)
+        pairs = 0
+        b, q = c, 1
+        while n % (q * p) == 0 and all(b.count(i) % p == 0 for i in set(b)):
+            b = b[::p]  # each letter p times fewer
+            q *= p
+            for e in s.kept(b):
+                x = y = PCSeries(g, domain, n + 1, e.items())
+                for _ in range(q - 1):
+                    pairs += len(x.coeffs) * len(y.coeffs)
+                    check_states(pairs, "restricted span (p^i-th powers) at "
+                                 f"degree {n}", cap)
+                    y = y * x
+                rows += filter(None, [_reduce(y.coeffs, pivots)])
+        total += size * (len(pivots) + (rank_of_rows(rows, domain)
+                                        if rows else 0))
+    return total
 
 
 # -- series recursions -------------------------------------------------

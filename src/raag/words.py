@@ -168,7 +168,8 @@ def word_length(u: GroupWord) -> int:
     return sum(abs(s.exponent) for s in u.syllables)
 
 
-_TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?\d+))?$")
+# an exponent is ASCII decimal: `\d` and `int` also read other scripts' digits
+_TOKEN = re.compile(r"^([^\s^]+)(?:\^(-?[0-9]+))?$")
 
 
 def parse_word(text: str, g: Graph) -> GroupWord:

@@ -295,6 +295,30 @@ def test_span_route_is_shared_with_verify_all(graph_file, capsys,
         "exponent-p dims are partial sums of lower-central ranks"]
 
 
+def test_relabelling_by_a_non_automorphism_fails_the_checks(r5_file, capsys,
+                                                            monkeypatch):
+    # the span spans one block per orbit and relabels the others; a
+    # relabelling that is no automorphism (a and d of R5 have degrees 2 and
+    # 1) gives wrong ranks, which both front ends then report as failures
+    monkeypatch.setattr(raag.lie, "automorphisms", lambda g: [(3, 1, 2, 0, 4)])
+    raag.lie._span.cache_clear()
+    try:
+        for kind in CHECKED_KINDS:
+            code, out = run(capsys, "--graph", r5_file, "ranks", *kind,
+                            "--upto", "4", "--check", "span")
+            assert code == 1, kind
+            assert json.loads(out)["check"]["ok"] is False
+        code, out = run(capsys, "--graph", r5_file, "verify-all")
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["checks"]
+                if not c["ok"]] == [
+            "lower-central ranks: series recursion = bracket span",
+            "restricted ranks agree at p=3",
+            "exponent-p dims are partial sums of lower-central ranks"]
+    finally:
+        raag.lie._span.cache_clear()
+
+
 @pytest.mark.parametrize("graph,args", [
     (None, ()),
     ({"vertices": ["a", "b", "a"]}, ()),
@@ -321,7 +345,7 @@ def test_ranks_check_span_exits_3_at_the_state_cap(r5_file, capsys,
                                                    monkeypatch):
     # the series route fits under the cap, and the span route stops at it:
     # exit 3 and one line on stderr, not 1 (a disagreement); the span is
-    # cached per graph and degree, and a cached degree is not charged again
+    # cached per graph, and a block already reduced is not charged again
     monkeypatch.setenv("RAAG_MAX_STATES", "50")
     for kind in CHECKED_KINDS:
         raag.lie._span.cache_clear()
@@ -738,6 +762,34 @@ def test_parse_errors(graph_file, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ranks", "--upto", "1_0"), "--upto: '1_0' is not an int"),
+    (("ranks", "--upto=\u0663"), "--upto: '\u0663' is not an int"),
+    (("ranks", "--upto", "+3"), "--upto: '+3' is not an int"),
+    (("nf", "a^\u0663"), "bad token 'a^\u0663'"),
+    (("nf", "a^1_0"), "bad token 'a^1_0'"),
+], ids=["underscore", "arabic-indic-digit", "plus-sign", "exponent-digit",
+        "exponent-underscore"])
+def test_integers_are_ascii_decimal(graph_file, capsys, argv, message):
+    # an int on the command line, as an option value or as an exponent, is
+    # -?[0-9]+: `int` and the regex class \d also read 1_0, +3 and the
+    # digits of other scripts
+    code = main(["--graph", graph_file, *argv])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_misspelt_graph_key_exits_2(tmp_path, capsys):
+    # "edge" for "edges" would otherwise read as a graph with no edges
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"vertices": ["a", "b"], "edge": [["a", "b"]]}))
+    code = main(["--graph", str(f), "cliques"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown graph key 'edge': a graph has only "
+                   "'vertices' and 'edges'\n")
 
 
 @pytest.mark.parametrize("spaced,other", [

@@ -1,11 +1,14 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
 
 from raag.errors import ResourceLimitError
-from raag.graph import (Graph, GraphError, clique_counts, complete_graph,
-                        cycle_graph, disjoint_union, empty_graph,
-                        enumerate_cliques, join, path_graph)
+from raag.graph import (Graph, GraphError, automorphisms, clique_counts,
+                        complete_graph, cycle_graph, disjoint_union,
+                        empty_graph, enumerate_cliques, join, path_graph)
 
-from conftest import SUITE
+from conftest import SUITE, graphs_st
 from oracles import _truncated_mul, subset_cliques
 
 
@@ -98,6 +101,14 @@ def test_mapping_rejected():
             Graph.from_dict(data)
 
 
+def test_unknown_key_rejected():
+    # every key is read: a misspelt one is an error, not an absent one
+    for data, key in (({"vertices": ["a", "b"], "edge": [["a", "b"]]}, "edge"),
+                      ({"vertices": ["a"], "edges": [], "name": "x"}, "name")):
+        with pytest.raises(GraphError, match=f"^unknown graph key '{key}'"):
+            Graph.from_dict(data)
+
+
 def test_deeply_nested_json_rejected():
     with pytest.raises(GraphError):
         Graph.from_json("[" * 200_000)
@@ -147,3 +158,53 @@ def test_clique_enumeration_respects_state_cap(monkeypatch):
         clique_counts(complete_graph(10))
     monkeypatch.setenv("RAAG_MAX_STATES", "1024")
     assert clique_counts(complete_graph(10))[5] == 252
+
+
+def _is_automorphism(g, s):
+    return all(g.adjacent(g.vertices[s[g.index(u)]], g.vertices[s[g.index(w)]])
+               for u, w in map(tuple, g.edges))
+
+
+def _group(gens, n):
+    """The group the permutations generate, by closure."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    for x in todo:
+        for s in gens:
+            y = tuple(s[i] for i in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return group
+
+
+def _check_automorphisms(g):
+    # each generator is an automorphism, and they generate all of Aut(g),
+    # counted by brute force over every permutation
+    n = len(g.vertices)
+    gens = automorphisms(g)
+    assert all(_is_automorphism(g, s) for s in gens)
+    assert _group(gens, n) == {s for s in permutations(range(n))
+                               if _is_automorphism(g, s)}
+
+
+def test_automorphisms_generate_the_group():
+    for g in SUITE.values():
+        _check_automorphisms(g)
+    assert len(_group(automorphisms(cycle_graph(8)), 8)) == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_st(max_vertices=6))
+def test_automorphisms_generate_the_group_on_random_graphs(g):
+    _check_automorphisms(g)
+
+
+def test_automorphism_search_is_charged(monkeypatch):
+    # the 15 generators of K16 swap twins, adjacent vertices with one
+    # closed neighbourhood, and need no search; the 1,099 twin swaps of an
+    # edgeless graph on 1,100 vertices are charged 1,100 steps each
+    assert len(automorphisms(complete_graph(16))) == 15
+    monkeypatch.setenv("RAAG_MAX_STATES", "100000")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^automorphisms \(search steps\): "):
+        automorphisms(empty_graph(1100))

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +8,7 @@ import raag.words
 from raag.errors import RaagError, ResourceLimitError
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
                         empty_graph, path_graph)
+from raag.linalg import rank_of_rows
 from raag.lie import (bracket_span_rank, restricted_span_rank, series_rank_lcs,
                       series_rank_restricted, series_ranks, span_ranks)
 from raag.magnus import leading_monomial_char_p, valuations
@@ -260,16 +259,53 @@ def test_closure_row_is_the_bracket_with_a_letter(g, data):
             == bracket({(v,): 1}, {t: 1}, g))
 
 
+def _direct_blocks(g, upto):
+    """Every nonzero letter-content block of degrees 1..upto, each reduced
+    by `_eliminate` from the rows that its neighbours one degree down kept,
+    with no automorphism and no relabelling: content -> (pivots,
+    remainders), and content -> the rows it keeps.  A content is the
+    sorted tuple of the vertex indices of its letters."""
+    key = raag.lie._k_key(g)
+    blocks, kept = {}, {}
+    for i, v in enumerate(g.vertices):
+        blocks[i,] = {(v,): (key((v,)), 1, {(v,): 1})}, ()
+        kept[i,] = [{(v,): 1}]
+    layer = list(kept)
+    for _ in range(2, upto + 1):
+        contents = sorted({tuple(sorted(b + (i,)))
+                           for b in layer for i in range(len(g.vertices))})
+        layer = []
+        for c in contents:
+            lower = [(g.vertices[i], kept.get(c[:j] + c[j + 1:], []))
+                     for j, i in enumerate(c) if not j or c[j - 1] != i]
+            pivots, remainders = raag.lie._eliminate(g, lower, key)
+            if pivots or remainders:
+                blocks[c] = pivots, remainders
+                kept[c] = ([r for _, _, r in pivots.values()]
+                           + list(remainders))
+                layer.append(c)
+    return blocks, kept
+
+
 def _check_pivot_leads(g, n):
     # the leads of a subspace are unique, and the Lyndon rows lead with
     # their traces, so elimination over the closure rows alone finds the
-    # Lyndon traces as its pivot leads; each row lies in one letter-content
-    # block, so the pivots of a block number its multigraded rank
-    leads = raag.lie._span(g, n)[0]
-    assert sorted(leads) == sorted(lyndon_traces_bruteforce(g, n))
-    contents = Counter(tuple(t.count(v) for v in g.vertices) for t in leads)
-    assert contents == {a: b for a, b in multigraded_ranks(g, n).items()
-                        if sum(a) == n}
+    # Lyndon traces of each content as the pivot leads of its block: when
+    # the block is built directly, and when a representative is built from
+    # relabelled rows; so the pivots of a block number its multigraded rank
+    lyndon = {}
+    for t in lyndon_traces_bruteforce(g, n):
+        lyndon.setdefault(tuple(sorted(map(g.index, t))), []).append(t)
+    blocks, _ = _direct_blocks(g, n)
+    direct = {c: sorted(pivots) for c, (pivots, _) in blocks.items()
+              if len(c) == n}
+    assert direct == {c: sorted(ts) for c, ts in lyndon.items()}
+    s = raag.lie._span(g)
+    for c, _ in s.degree(n):
+        assert sorted(s.blocks[c][0]) == direct[c]
+    counts = {tuple(i for i, x in enumerate(a) for _ in range(x)): b
+              for a, b in multigraded_ranks(g, n).items() if sum(a) == n}
+    assert {c: len(ts) for c, ts in lyndon.items()} == counts
 
 
 def test_pivot_leads_are_the_lyndon_traces():
@@ -282,6 +318,50 @@ def test_pivot_leads_are_the_lyndon_traces():
 @given(graphs_st(max_vertices=5), st.integers(1, 6))
 def test_pivot_leads_are_the_lyndon_traces_on_random_graphs(g, n):
     _check_pivot_leads(g, n)
+
+
+def _check_orbit_step(g, upto):
+    # an automorphism maps a block onto the block of the relabelled content
+    # and keeps its rank: every block, built directly, has its orbit
+    # representative's rank, and the relabelled rows span what the direct
+    # rows span, over Q, F_2 and F_3, alone and stacked together
+    blocks, kept = _direct_blocks(g, upto)
+    s = raag.lie._span(g)
+    for n in range(1, upto + 1):
+        reps = s.degree(n)
+        orbit = {c: s.orbits[c][0] for c in blocks if len(c) == n}
+        assert set(orbit.values()) == {c for c, _ in reps}
+        for c, rep in orbit.items():
+            pivots, remainders = s.blocks[rep]
+            assert (len(blocks[c][0]) + rank_of_rows(blocks[c][1], Q)
+                    == len(pivots) + rank_of_rows(remainders, Q)), (c, rep)
+            for domain in (Q, Fp(2), Fp(3)):
+                r = rank_of_rows(kept[c], domain)
+                assert rank_of_rows(s.kept(c), domain) == r, (c, domain)
+                assert rank_of_rows(kept[c] + s.kept(c), domain) == r
+        assert (sum(size for _, size in reps)
+                == sum(1 for c in blocks if len(c) == n))
+
+
+def test_orbit_step_keeps_every_block_rank():
+    for g in SUITE.values():
+        _check_orbit_step(g, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_st(max_vertices=6))
+def test_orbit_step_keeps_every_block_rank_on_random_graphs(g):
+    _check_orbit_step(g, 5)
+
+
+@pytest.mark.parametrize("kind", ["lcs", "restricted", "lambda"])
+def test_relabelling_by_a_non_automorphism_is_caught(kind, monkeypatch,
+                                                     fresh_span):
+    # a and d of R5 have degrees 2 and 1: swapping them is no automorphism,
+    # and the ranks that trust it as one disagree with the series route
+    monkeypatch.setattr(raag.lie, "automorphisms", lambda g: [(3, 1, 2, 0, 4)])
+    g = SUITE["R5"]
+    assert span_ranks(g, kind, 3, 4) != series_ranks(g, kind, 3, 4).values
 
 
 def test_lyndon_bracket_leads_with_its_trace():
@@ -346,10 +426,10 @@ def test_c5_span_route_reaches_degree_8():
     assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
 
 
-def test_span_route_work_count(monkeypatch):
-    # on C5 every closure row reduces to zero against the Lyndon rows up to
-    # degree 7, over Z, so the general elimination receives no row; the
-    # left-normed route handed over 20,940 nonzero rows at n = 7
+def test_span_route_work_count(monkeypatch, fresh_span):
+    # on C5 every closure row reduces to zero against the pivots of its
+    # block up to degree 7, over Z, so the general elimination is never
+    # called; the left-normed route handed over 20,940 nonzero rows at n = 7
     counted = []
     real = raag.linalg.rank_of_rows
 
@@ -363,39 +443,47 @@ def test_span_route_work_count(monkeypatch):
     for domain in (Q, Fp(2)):
         assert (tuple(bracket_span_rank(g, n, domain) for n in range(1, 8))
                 == (5, 5, 15, 40, 124, 365, 1160))
-    assert counted == [0] * 14
+    assert counted == []
 
 
 @pytest.fixture
 def fresh_span():
-    # the span is cached per (graph, degree): rows built under a mutation
-    # or a low cap must not outlive the test, nor come from an earlier one
+    # the span is cached per graph: rows built under a mutation or a low
+    # cap must not outlive the test, nor come from an earlier one
     raag.lie._span.cache_clear()
     yield
     raag.lie._span.cache_clear()
 
 
 def test_span_work_per_degree(monkeypatch, fresh_span):
-    # on C5 each degree builds one closure row per vertex and row kept
-    # below, keeps b_n rows, all of them pivots, and leaves no remainder
+    # on C5 each degree spans one block per orbit of the dihedral group of
+    # order 10: 119 closure rows for n <= 6, where the route that built
+    # each degree whole made 945.  Each representative keeps its pivots and
+    # no remainder, and the orbits of the representatives cover b_n
     b = (5, 5, 15, 40, 124, 365, 1160)
+    reps = (1, 1, 2, 5, 9, 16, 25)
+    rows = (0, 2, 3, 10, 26, 78, 220)
     built = []
     real = raag.lie._closure_row
     monkeypatch.setattr(raag.lie, "_closure_row",
                         lambda *args: built.append(1) or real(*args))
     g = cycle_graph(5)
+    s = raag.lie._span(g)
     for n in range(1, 8):
         before = len(built)
-        pivots, remainders = raag.lie._span(g, n)
-        assert len(built) - before == (5 * b[n - 2] if n > 1 else 0)
-        assert len(raag.lie._kept(g, n)) == len(pivots) == b[n - 1]
-        assert remainders == ()
+        degree = s.degree(n)
+        assert len(built) - before == rows[n - 1]
+        assert len(degree) == reps[n - 1]
+        assert sum(size * len(s.blocks[c][0]) for c, size in degree) == b[n - 1]
+        assert all(s.blocks[c][1] == () for c, _ in degree)
+    assert sum(rows[:6]) == 119
 
 
 def test_span_route_slot_insertions(monkeypatch, fresh_span):
-    # the closure rows are the only products: the route that also built
-    # each Lyndon row [P(u), P(v)] made 56,420 insertions here, and 31,550
-    # are made when every v.t is canonicalised
+    # the closure rows of the representatives and the relabelled traces of
+    # their neighbours are the only products: the route that built each
+    # degree whole made 17,046 insertions here, and the route that also
+    # built each Lyndon row [P(u), P(v)] made 56,420
     count = [0]
     real = raag.words._slot
 
@@ -408,28 +496,45 @@ def test_span_route_slot_insertions(monkeypatch, fresh_span):
     g = cycle_graph(5)
     assert (tuple(bracket_span_rank(g, n, Q) for n in range(1, 7))
             == (5, 5, 15, 40, 124, 365))
-    assert count[0] == 17_046
+    assert count[0] == 3_210
 
 
-@pytest.mark.parametrize("call, stage", [
-    (lambda g: bracket_span_rank(g, 7, Q),
-     r"^lie span \(closure rows\) at degree 5: 1100 states"),
-    (lambda g: restricted_span_rank(g, 8, 2),
-     r"^restricted span \(p\^i-th powers\) at degree 8: \d+ states"),
-], ids=["closure-rows", "powers"])
-def test_span_stages_are_charged(call, stage, monkeypatch, fresh_span):
-    # degree 5 charges 5 x the 220 terms kept at degree 4; the squares of
-    # the degree-4 rows are charged, pair by pair, before the degree-8
-    # span is built
-    monkeypatch.setenv("RAAG_MAX_STATES", "1000")
+@pytest.mark.parametrize("call, cap, stage", [
+    (lambda g: bracket_span_rank(g, 9, Q), 1000,
+     r"^lie span \(closure rows\) at degree 8: 1004 states"),
+    (lambda g: restricted_span_rank(complete_graph(3), 31, 31), 25,
+     r"^restricted span \(p\^i-th powers\) at degree 31: 26 states"),
+    (lambda g: bracket_span_rank(g, 1, Q), 5,
+     r"^automorphisms \(search steps\): 6 states"),
+], ids=["closure-rows", "powers", "automorphisms"])
+def test_span_stages_are_charged(call, cap, stage, monkeypatch, fresh_span):
+    # each block is charged on its own: the closure rows of a block of
+    # degree 8 on C5 hold 1,004 products; the 31st power of a letter on K3
+    # takes 30 products, charged one by one before each is formed; and the
+    # automorphism search on C5 takes 84 steps, the search on K3 14
+    monkeypatch.setenv("RAAG_MAX_STATES", str(cap))
     with pytest.raises(ResourceLimitError, match=stage):
         call(cycle_graph(5))
 
 
+def test_content_orbits_are_charged(monkeypatch, fresh_span):
+    # the orbit of the letter a under the rotations and reflections of C5
+    # holds five contents, and its search is charged one step for each
+    # generator it applies
+    gens = raag.lie.automorphisms(cycle_graph(5))
+    monkeypatch.setattr(raag.lie, "automorphisms", lambda g: gens)
+    monkeypatch.setenv("RAAG_MAX_STATES", "4")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^content orbits at degree 1: 5 states"):
+        bracket_span_rank(cycle_graph(5), 1, Q)
+
+
 def test_wrong_closure_product_is_caught(monkeypatch, fresh_span):
     # one term of the first closure row of degree 4 on C5 gets a wrong
-    # trace, its letters reversed.  That row becomes a pivot, so degree 4
-    # still counts 40, but degree 5 builds on it and the ranks disagree
+    # trace, its letters reversed: a a a c becomes c a a a, of the same
+    # content.  That row becomes a pivot of its block, so degree 4 still
+    # counts 40, but degree 5 builds on it, through the representative and
+    # the blocks relabelled from it, and the ranks disagree
     g = cycle_graph(5)
     real = raag.lie._closure_row
     spoilt = []
@@ -446,15 +551,17 @@ def test_wrong_closure_product_is_caught(monkeypatch, fresh_span):
         return {s: c for s, c in row.items() if c}
 
     monkeypatch.setattr(raag.lie, "_closure_row", spoil)
-    assert bracket_span_rank(g, 5, Q) != left_normed_span_rank(g, 5, Q)
-    assert spoilt[0][0] != spoilt[0][1]
+    assert bracket_span_rank(g, 5, Q) == 134 != left_normed_span_rank(g, 5, Q)
+    assert bracket_span_rank(g, 4, Q) == 40
+    assert spoilt[0] == (("a", "a", "a", "c"), ("c", "a", "a", "a"))
 
 
 def test_held_row_left_unreduced_is_caught(monkeypatch, fresh_span):
-    # the two rows held back at degree 4 on C5 (each led with coefficient
+    # the two rows held back at degree 4 on R5 (each led with coefficient
     # 2 when it was built) are not reduced again against the pivots found
-    # after them; they then keep entries at pivot traces and add rank
-    g = cycle_graph(5)
+    # after them; they then keep entries at pivot traces and add rank, twice
+    # over, since their block's orbit holds two blocks
+    g = SUITE["R5"]
     real = raag.lie._reduce
     returned = []
 
@@ -465,6 +572,8 @@ def test_held_row_left_unreduced_is_caught(monkeypatch, fresh_span):
         return returned[-1]
 
     monkeypatch.setattr(raag.lie, "_reduce", first_pass_only)
-    assert bracket_span_rank(g, 4, Q) != left_normed_span_rank(g, 4, Q)
+    assert bracket_span_rank(g, 4, Q) == 49 != left_normed_span_rank(g, 4, Q)
+    raag.lie._span.cache_clear()
+    returned.clear()
     assert (restricted_span_rank(g, 4, 3)
             != left_normed_span_rank(g, 4, Fp(3), 3))

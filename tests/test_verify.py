@@ -96,13 +96,15 @@ def test_commutator_parts_build_no_series(lincomb_inits):
 
 def test_verify_all_coerces_few_coefficients(monkeypatch):
     # every Magnus image and Koszul sum stays an integer until it is
-    # reduced once; stepping series objects made 15,652 coercions here
+    # reduced once; stepping series objects made 15,652 coercions here, and
+    # cubing the five letters for the restricted span, not the one letter
+    # that represents their orbit, made 16 more
     calls = []
     real = raag.series.Domain.coerce
     monkeypatch.setattr(raag.series.Domain, "coerce",
                         lambda self, x: calls.append(1) or real(self, x))
     assert all(r.ok for r in verify_all(cycle_graph(5)))
-    assert len(calls) == 85
+    assert len(calls) == 69
 
 
 @pytest.mark.parametrize("g, words", [(cycle_graph(5), 25),
@@ -222,16 +224,31 @@ def test_lambda_check_sums_the_span_ranks(monkeypatch):
 
 def test_verify_all_computes_each_route_once(monkeypatch):
     # one series recursion for b_n, one for d_n and one for the b_m that the
-    # exponent-p dimensions sum, and each degree of the span built once for
-    # the three kinds
+    # exponent-p dimensions sum; one span of the graph, with one search for
+    # its automorphisms, shared by the three kinds, and each block that a
+    # degree up to LIE_DEGREE needs reduced once
     calls = []
     real = raag.lie._mobius_ranks
     monkeypatch.setattr(raag.lie, "_mobius_ranks",
                         lambda g, upto, p: calls.append(p) or real(g, upto, p))
+    searches = []
+    real_search = raag.lie.automorphisms
+    monkeypatch.setattr(raag.lie, "automorphisms",
+                        lambda g: searches.append(g) or real_search(g))
+    reduced = []
+    real_eliminate = raag.lie._eliminate
+    monkeypatch.setattr(raag.lie, "_eliminate",
+                        lambda g, lower, key: reduced.append(1)
+                        or real_eliminate(g, lower, key))
     raag.lie._span.cache_clear()
-    assert all(r.ok for r in verify_all(cycle_graph(5)))
+    g = cycle_graph(5)
+    assert all(r.ok for r in verify_all(g))
     assert calls == [None, 3, None]
-    assert raag.lie._span.cache_info().misses == LIE_DEGREE
+    assert searches == [g]
+    assert raag.lie._span.cache_info().misses == 1
+    blocks = raag.lie._span(g).blocks
+    assert max(map(len, blocks)) == LIE_DEGREE
+    assert len(reduced) == sum(1 for c in blocks if len(c) > 1) == 9
 
 
 def _plus_one(real):
