@@ -186,11 +186,9 @@ def _reduce(row: dict[Trace, int], pivots: _Pivots) -> dict[Trace, int]:
     entries at every pivot trace.  pivots[t] = (K(t), lead, P), for a pivot
     row P with lead = P[t] = +-1 and every other trace of P K-greater than
     t, so clearing the K-least pivot trace first never brings back one
-    already cleared.  A row with no pivot trace is returned as it is."""
-    heap = [(pivots[t][0], t) for t in row if t in pivots]
-    if not heap:
-        return row
+    already cleared."""
     r = dict(row)
+    heap = [(pivots[t][0], t) for t in r if t in pivots]
     heapify(heap)
     while heap:
         t = heappop(heap)[1]
@@ -242,10 +240,13 @@ class _Span:
     degree.  A content is the sorted tuple of the vertex indices of its
     letters; the orbit of a content is searched breadth-first over the
     generators that move one of its letters, and its first content is the
-    representative."""
+    representative.  Each stage is charged the states of a whole degree:
+    the letters of every image its orbit searches form, as they form them,
+    and the closure products of its representatives with the terms
+    relabelled for them, before any block is reduced."""
 
     __slots__ = ("g", "key", "gens", "moving", "orbits", "reps", "blocks",
-                 "rows")
+                 "rows", "spent", "cap")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -254,21 +255,29 @@ class _Span:
         # moving[v]: the indices of the generators that move vertex v
         self.moving = [[i for i, s in enumerate(self.gens) if s[v] != v]
                        for v in range(len(g.vertices))]
-        # content -> (representative, its letters mapped onto the content,
-        # orbit size)
-        self.orbits: dict[tuple[int, ...], tuple] = {}
+        # content -> its orbit, shared by all of its contents: a dict from
+        # each content to the image of the representative, the first key,
+        # with its letters in place
+        self.orbits: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
         # reps[n]: (representative, orbit size) of the nonzero blocks
         self.reps: list[list[tuple[tuple[int, ...], int]]] = [[]]
         # representative -> (pivots, remainders); content -> rows kept
         self.blocks: dict[tuple[int, ...], tuple[_Pivots, tuple]] = {}
         self.rows: dict[tuple[int, ...], list[dict[Trace, int]]] = {}
+        # stage -> the states of the orbit searches since the last degree
+        # built began; the cap, read again by each call of `degree`
+        self.spent: dict[str, int] = {}
+        self.cap = max_states()
 
-    def orbit(self, c: tuple[int, ...], cap: int) -> tuple:
-        """c's entry in `orbits`, each step of its orbit charged."""
-        if c not in self.orbits:
+    def orbit(self, c: tuple[int, ...]) -> dict[tuple[int, ...], tuple]:
+        """c's entry in `orbits`, each image formed charged by its letters:
+        an orbit stores no more contents than it forms images."""
+        found = self.orbits.get(c)
+        if found is None:
+            stage = f"content orbits at degree {len(c)}"
+            steps = self.spent.get(stage, 0)
             found = {c: c}
             queue = [c]
-            steps = 0
             for x in queue:
                 image = found[x]
                 for i in {i for v in set(x) for i in self.moving[v]}:
@@ -277,24 +286,26 @@ class _Span:
                     if z not in found:
                         found[z] = y
                         queue.append(z)
-                    steps += 1
-                if steps > cap:
-                    check_states(steps, f"content orbits at degree {len(c)}")
-            for x, image in found.items():
-                self.orbits[x] = c, image, len(found)
-        return self.orbits[c]
+                    steps += len(c)
+                if steps > self.cap:
+                    check_states(steps, stage, self.cap)
+            self.spent[stage] = steps
+            for x in found:
+                self.orbits[x] = found
+        return found
 
     def kept(self, c: tuple[int, ...]) -> list[dict[Trace, int]]:
         """The rows block c keeps, pivot rows then remainders, relabelled
         from its representative's; none for a content off every orbit."""
         rows = self.rows.get(c)
         if rows is None:
-            rep, image, _ = self.orbits.get(c, (c, c, 0))
+            orbit = self.orbits.get(c, {c: c})
+            rep = next(iter(orbit))
             rows = self.rows.get(rep, [])
             if rep != c and rows:
                 g = self.g
                 names = g.vertices
-                to = {names[i]: names[j] for i, j in zip(rep, image)}
+                to = {names[i]: names[j] for i, j in zip(rep, orbit[c])}
                 new = {t: _concat((), map(to.__getitem__, t), g)
                        for t in {t for row in rows for t in row}}
                 rows = [{new[t]: x for t, x in row.items()} for row in rows]
@@ -309,9 +320,10 @@ class _Span:
             raise DomainError(f"degree must be >= 1, got {n}")
         g = self.g
         k = len(g.vertices)
+        self.cap = max_states()
         while len(self.reps) <= n:
             m = len(self.reps)
-            cap = max_states()
+            self.spent = {}
             reps: dict[tuple[int, ...], int] = {}
             # a letter outside b that commutes with every letter of b adds
             # a zero block: each of its closure rows vanishes, or builds on
@@ -320,31 +332,34 @@ class _Span:
                       [tuple(sorted(b + (i,))) for b, _ in self.reps[m - 1]
                        for mask in [sum(1 << i for i in set(b))]
                        for i in range(k) if mask & ~g._nbrs[i]]):
-                rep, _, size = self.orbits.get(c) or self.orbit(c, cap)
-                if rep in reps:
-                    continue
-                reps[rep] = size
-                if rep in self.blocks:
-                    continue
+                orbit = self.orbits.get(c) or self.orbit(c)
+                reps.setdefault(next(iter(orbit)), len(orbit))
+            # the letters i of each new block with the content less i, as
+            # [v, r] = 0 when v commutes with every letter of r
+            lower = {c: [(i, c[:j] + c[j + 1:]) for j, i in enumerate(c)
+                         if (not j or c[j - 1] != i)
+                         and mask & ~g._nbrs[i] & ~(1 << i)]
+                     for c in reps if c not in self.blocks
+                     for mask in [sum(1 << i for i in set(c))]}
+            # the closure products, and the terms relabelled for them, are
+            # charged before any block is reduced
+            terms = {b: sum(map(len, self.rows.get(
+                         next(iter(self.orbits.get(b, (b,)))), ())))
+                     for b in {b for v in lower.values() for _, b in v}}
+            check_states(sum(terms[b] for v in lower.values() for _, b in v)
+                         + sum(x for b, x in terms.items() if b not in self.rows),
+                         f"lie span (closure rows) at degree {m}", self.cap)
+            for c, letters in lower.items():
                 if m == 1:
-                    t = (g.vertices[rep[0]],)
+                    t = (g.vertices[c[0]],)
                     pivots, remainders = {t: (self.key(t), 1, {t: 1})}, ()
                 else:
-                    # [v, r] = 0 when v commutes with every letter of r
-                    mask = sum(1 << i for i in set(rep))
-                    lower = [(g.vertices[i], rows) for j, i in enumerate(rep)
-                             if (not j or rep[j - 1] != i)
-                             and mask & ~g._nbrs[i] & ~(1 << i)
-                             for rows in [self.kept(rep[:j] + rep[j + 1:])]
-                             if rows]
-                    work = sum(len(r) for _, rows in lower for r in rows)
-                    if work > cap:
-                        check_states(work,
-                                     f"lie span (closure rows) at degree {m}")
-                    pivots, remainders = _eliminate(g, lower, self.key)
-                self.blocks[rep] = pivots, remainders
-                self.rows[rep] = ([row for _, _, row in pivots.values()]
-                                  + list(remainders))
+                    pivots, remainders = _eliminate(
+                        g, [(g.vertices[i], rows) for i, b in letters
+                            for rows in [self.kept(b)] if rows], self.key)
+                self.blocks[c] = pivots, remainders
+                self.rows[c] = ([row for _, _, row in pivots.values()]
+                                + list(remainders))
             self.reps.append([(c, size) for c, size in reps.items()
                               if any(self.blocks[c])])
         return self.reps[n]
@@ -365,8 +380,7 @@ def bracket_span_rank(g: Graph, n: int, domain: Domain) -> int:
     total = 0
     for c, size in s.degree(n):
         pivots, remainders = s.blocks[c]
-        total += size * (len(pivots) + (rank_of_rows(remainders, domain)
-                                        if remainders else 0))
+        total += size * (len(pivots) + rank_of_rows(remainders, domain))
     return total
 
 
@@ -381,24 +395,23 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     powers of block beta lie in block p^i beta, which powers alone may
     reach, and an automorphism maps them onto the powers of the image
     block, so orbits count as for the brackets.  The powers of a block are
-    built after the brackets of degree n, each product charged before it
-    is formed, and reduced against the block's pivots."""
+    built after the brackets of degree n, each product charged, with those
+    of every block before it, before it is formed, and reduced against the
+    block's pivots."""
     domain = Fp(p)
     s = _span(g)
     reps = dict(s.degree(n))
-    cap = max_states()
     m, q = n, 1
     while m % p == 0:
         m //= p
         q *= p
         for b, _ in s.degree(m):
-            rep, _, size = s.orbit(tuple(sorted(b * q)), cap)
-            reps.setdefault(rep, size)
-    total = 0
+            orbit = s.orbit(tuple(sorted(b * q)))
+            reps.setdefault(next(iter(orbit)), len(orbit))
+    total = pairs = 0
     for c, size in reps.items():
         pivots, remainders = s.blocks.get(c, ({}, ()))
         rows = list(remainders)
-        pairs = 0
         b, q = c, 1
         while n % (q * p) == 0 and all(b.count(i) % p == 0 for i in set(b)):
             b = b[::p]  # each letter p times fewer
@@ -408,11 +421,10 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
                 for _ in range(q - 1):
                     pairs += len(x.coeffs) * len(y.coeffs)
                     check_states(pairs, "restricted span (p^i-th powers) at "
-                                 f"degree {n}", cap)
+                                 f"degree {n}", s.cap)
                     y = y * x
                 rows += filter(None, [_reduce(y.coeffs, pivots)])
-        total += size * (len(pivots) + (rank_of_rows(rows, domain)
-                                        if rows else 0))
+        total += size * (len(pivots) + rank_of_rows(rows, domain))
     return total
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,7 +331,7 @@ def _check_orbit_step(g, upto):
     s = raag.lie._span(g)
     for n in range(1, upto + 1):
         reps = s.degree(n)
-        orbit = {c: s.orbits[c][0] for c in blocks if len(c) == n}
+        orbit = {c: next(iter(s.orbits[c])) for c in blocks if len(c) == n}
         assert set(orbit.values()) == {c for c, _ in reps}
         for c, rep in orbit.items():
             pivots, remainders = s.blocks[rep]
@@ -428,8 +430,9 @@ def test_c5_span_route_reaches_degree_8():
 
 def test_span_route_work_count(monkeypatch, fresh_span):
     # on C5 every closure row reduces to zero against the pivots of its
-    # block up to degree 7, over Z, so the general elimination is never
-    # called; the left-normed route handed over 20,940 nonzero rows at n = 7
+    # block up to degree 7, over Z, so the general elimination receives no
+    # row: one empty call for each of the 59 representatives, over each
+    # field; the left-normed route handed over 20,940 nonzero rows at n = 7
     counted = []
     real = raag.linalg.rank_of_rows
 
@@ -443,7 +446,7 @@ def test_span_route_work_count(monkeypatch, fresh_span):
     for domain in (Q, Fp(2)):
         assert (tuple(bracket_span_rank(g, n, domain) for n in range(1, 8))
                 == (5, 5, 15, 40, 124, 365, 1160))
-    assert counted == []
+    assert counted == [0] * 118
 
 
 @pytest.fixture
@@ -500,27 +503,80 @@ def test_span_route_slot_insertions(monkeypatch, fresh_span):
 
 
 @pytest.mark.parametrize("call, cap, stage", [
-    (lambda g: bracket_span_rank(g, 9, Q), 1000,
-     r"^lie span \(closure rows\) at degree 8: 1004 states"),
-    (lambda g: restricted_span_rank(complete_graph(3), 31, 31), 25,
+    (lambda g: bracket_span_rank(g, 9, Q), 10_000,
+     r"^lie span \(closure rows\) at degree 8: 29470 states"),
+    (lambda g: restricted_span_rank(complete_graph(1), 31, 31), 25,
      r"^restricted span \(p\^i-th powers\) at degree 31: 26 states"),
+    (lambda g: bracket_span_rank(empty_graph(12), 4, Q), 20_000,
+     r"^content orbits at degree 4: 20008 states"),
     (lambda g: bracket_span_rank(g, 1, Q), 5,
      r"^automorphisms \(search steps\): 6 states"),
-], ids=["closure-rows", "powers", "automorphisms"])
+], ids=["closure-rows", "powers", "orbits", "automorphisms"])
 def test_span_stages_are_charged(call, cap, stage, monkeypatch, fresh_span):
-    # each block is charged on its own: the closure rows of a block of
-    # degree 8 on C5 hold 1,004 products; the 31st power of a letter on K3
-    # takes 30 products, charged one by one before each is formed; and the
-    # automorphism search on C5 takes 84 steps, the search on K3 14
+    # each stage is charged for a whole degree: the closure rows of degree
+    # 8 on C5 with the terms relabelled for them hold 29,470 states; the
+    # 31st power of the one letter of K1 takes 30 products, charged one by
+    # one before each is formed; degree 4 of the free group of rank 12 has
+    # four orbits of contents, whose searches form images of 28,512
+    # letters, the largest 13,200; and the automorphism search on C5 takes
+    # 84 steps
     monkeypatch.setenv("RAAG_MAX_STATES", str(cap))
     with pytest.raises(ResourceLimitError, match=stage):
         call(cycle_graph(5))
 
 
+def test_span_degree_is_charged_whole(monkeypatch, fresh_span):
+    # every block of degree 8 on C5 fits under a cap of 10,000 states, the
+    # largest with 2,940 closure products, but the degree does not: its 40
+    # representatives form 23,465 closure products, and 6,005 terms are
+    # relabelled for them.  The degree is charged before any block of it is
+    # reduced
+    work = []
+    real = raag.lie._eliminate
+
+    def counting(g, lower, key):
+        work.append(sum(len(r) for _, rows in lower for r in rows))
+        return real(g, lower, key)
+
+    monkeypatch.setattr(raag.lie, "_eliminate", counting)
+    g = cycle_graph(5)
+    raag.lie._span(g).degree(7)
+    work.clear()
+    raag.lie._span(g).degree(8)
+    assert (len(work), max(work), sum(work)) == (40, 2940, 23465)
+    raag.lie._span.cache_clear()
+    raag.lie._span(g).degree(7)
+    work.clear()
+    monkeypatch.setenv("RAAG_MAX_STATES", "10000")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^lie span \(closure rows\) at degree 8: 29470 "):
+        bracket_span_rank(g, 8, Q)
+    assert work == []
+
+
+def test_orbit_search_memory_is_bounded_by_the_cap(monkeypatch, fresh_span):
+    # the orbit searches of the free group of rank 20 stop at degree 5,
+    # after images of 300,000 letters, holding about 5 MB at their peak;
+    # searches charged one orbit at a time, one state for each image, held
+    # 17 MB and ran on to the end of degree 5
+    g = empty_graph(20)
+    monkeypatch.setenv("RAAG_MAX_STATES", "300000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"^content orbits at degree 5: "):
+            for n in range(1, 6):
+                bracket_span_rank(g, n, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 def test_content_orbits_are_charged(monkeypatch, fresh_span):
     # the orbit of the letter a under the rotations and reflections of C5
-    # holds five contents, and its search is charged one step for each
-    # generator it applies
+    # holds five contents, and its search is charged the letters of each
+    # image it forms, one for each generator it applies
     gens = raag.lie.automorphisms(cycle_graph(5))
     monkeypatch.setattr(raag.lie, "automorphisms", lambda g: gens)
     monkeypatch.setenv("RAAG_MAX_STATES", "4")
