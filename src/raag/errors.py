@@ -23,17 +23,16 @@ class DomainError(RaagError, ValueError):
 
 def max_states() -> int:
     """Enumeration cap, overridable through RAAG_MAX_STATES, which must be
-    an int >= 0."""
+    an int >= 0 in ASCII decimal, [0-9]+, as the command line's ints are."""
     raw = os.environ.get("RAAG_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise RaagError(f"RAAG_MAX_STATES must be an int >= 0, got {raw!r}")
-    return cap
+        if raw.isascii() and raw.isdigit():
+            return int(raw)
+    except ValueError:  # past Python's limit on the digits of an int
+        pass
+    raise RaagError(f"RAAG_MAX_STATES must be an int >= 0, got {raw!r}")
 
 
 def check_states(count: int, what: str, cap: int | None = None) -> None:

@@ -134,9 +134,8 @@ def phi_A_ratfunc(g: Graph) -> RatFunc:
     den = [0] * (deg + 1)
     for k, c in enumerate(counts):
         term = _poly_mul(_poly_pow([0, -2], k), _poly_pow([1, 1], deg - k))
-        for i, x in enumerate(term):
-            if i <= deg:
-                den[i] += c * x
+        for i, x in enumerate(term):  # term has degree exactly deg
+            den[i] += c * x
     return RatFunc(_poly_pow([1, 1], deg), den)
 
 

@@ -34,8 +34,9 @@ applied to every trace, each canonicalised once, with no elimination.
 
 Both theorems are checked by the tests instead.  The leads of a subspace
 are unique, and the standard bracketing P(t) of a Lyndon trace t (kept
-in `tests/oracles.py`) leads with t, so with no remainder the pivot leads
-of every block are the Lyndon traces (`_lyndon`) of its content.  To
+in `tests/oracles.py`) leads with t, so every pivot lead of a block is a
+Lyndon trace (`_lyndon`) of its content, the pivots and the rank of the
+remainders number them, and with no remainder the leads are all of them.  To
 degree 5, on the suite graphs and random ones, every block built directly
 has its representative's rank, and the relabelled rows span what the
 direct rows span over Q, F_2 and F_3, alone and stacked; a relabelling
@@ -89,32 +90,16 @@ class RankTable(NamedTuple):
 # 1993; Duchamp & Krob, Semigroup Forum 45, 1992).  The span route does not
 # use them; `verify._commutator_parts` builds its basic commutators on
 # them, and the tests check the pivot leads of `_span` against them.
-
-
-def _principal_factors(t: Trace, g: Graph):
-    """(v, rest) with v the up-closure of position j in lex-normal form and
-    rest the other letters of t in order, so that t = uv with u the
-    lex-normal form of rest, for the positions j >= 1 whose letter has the
-    highest index among t[1:].  t[j] is the only minimal letter of its
-    up-closure, so K of that factor starts with -index(t[j]): the factors
-    left out are K-greater than both t and the factors yielded."""
-    rank = g._index
-    nbrs = g._nbrs
-    idx = [rank[x] for x in t]
-    top = max(idx[1:])
-    n = len(t)
-    for j in range(1, n):
-        if idx[j] != top:
-            continue
-        up = 1 << top  # bitmask of the letters in the up-closure so far
-        rest, upper = list(t[:j]), [t[j]]
-        for i in range(j + 1, n):
-            if up & ~nbrs[idx[i]]:  # t[i] fails to commute with one of them
-                up |= 1 << idx[i]
-                upper.append(t[i])
-            else:
-                rest.append(t[i])
-        yield _concat((), upper, g), rest
+#
+# In a lex-normal t whose first letter has the highest index, the up-closure
+# of a position i starts with t[i], its only minimal letter, so it is
+# K-greater than t and than the up-closures of the positions j >= 1 that
+# hold the highest index of t[1:], unless i is one of them.  Such a factor
+# is the suffix t[j:]: were a later t[i] to commute with all of t[j..i-1],
+# it would not be t[j]'s vertex, which does not commute with itself, so it
+# would have a lower index, and t[j..i] would be a factor b.u.a with a < b
+# and a commuting with b.u, which a lex-normal word has not.  So u = t[:j],
+# both lex-normal already.
 
 
 def _closure_row(v: str, e: dict[Trace, int], g: Graph,
@@ -152,15 +137,11 @@ def _lyndon(g: Graph, n: int) -> dict[Trace, tuple[Trace, Trace] | None]:
     """The Lyndon traces t of degree n in the order of `enumerate_traces`,
     each with its standard factorisation (u, v), or None for the letters.
 
-    The candidates are the traces whose first letter has the highest index
-    among their letters.  These are the traces with a single minimal
-    letter, that letter being the highest-index one: a later letter with no
-    letter below it in the heap would commute with everything before it
-    and precede the first letter in vertex order, so it would not stay
-    behind in the lex-normal form.  Every Lyndon trace is one: a later
-    letter of higher index than t[0] would be the only minimal letter of
-    its up-closure, a proper principal right factor with K less than
-    K(t)."""
+    The candidates are the traces whose first letter has the highest index:
+    a later letter of higher index would be the only minimal letter of its
+    up-closure, a proper principal right factor K-less than t.  A candidate
+    is kept iff K(t) < K(t[j:]) for the K-least suffix t[j:] with t[j] of
+    the highest index in t[1:], and split as (t[:j], t[j:]) (see above)."""
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     rank = g._index
@@ -171,10 +152,11 @@ def _lyndon(g: Graph, n: int) -> dict[Trace, tuple[Trace, Trace] | None]:
     key = _k_key(g)
     lyndon: dict[Trace, tuple[Trace, Trace] | None] = {}
     for t in candidates:
-        kv, v, rest = min((key(v), v, rest)
-                          for v, rest in _principal_factors(t, g))
-        if key(t) < kv:
-            lyndon[t] = _concat((), rest, g), v
+        k = key(t)
+        top = min(k[1:])  # K ranks the highest index least
+        kv, j = min((k[j:], j) for j in range(1, n) if k[j] == top)
+        if k < kv:
+            lyndon[t] = t[:j], t[j:]
     return lyndon
 
 
@@ -332,15 +314,14 @@ class _Span:
                       [tuple(sorted(b + (i,))) for b, _ in self.reps[m - 1]
                        for mask in [sum(1 << i for i in set(b))]
                        for i in range(k) if mask & ~g._nbrs[i]]):
-                orbit = self.orbits.get(c) or self.orbit(c)
+                orbit = self.orbit(c)
                 reps.setdefault(next(iter(orbit)), len(orbit))
             # the letters i of each new block with the content less i, as
             # [v, r] = 0 when v commutes with every letter of r
             lower = {c: [(i, c[:j] + c[j + 1:]) for j, i in enumerate(c)
                          if (not j or c[j - 1] != i)
                          and mask & ~g._nbrs[i] & ~(1 << i)]
-                     for c in reps if c not in self.blocks
-                     for mask in [sum(1 << i for i in set(c))]}
+                     for c in reps for mask in [sum(1 << i for i in set(c))]}
             # the closure products, and the terms relabelled for them, are
             # charged before any block is reduced
             terms = {b: sum(map(len, self.rows.get(

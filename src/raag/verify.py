@@ -80,9 +80,7 @@ def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
             words[t] = c
             image = _image(c, g, n + 1)
             ok = ok and _omega(image, n + 1).value >= n
-            part = {s: a for s, a in image.items() if len(s) == n}
-            if part:
-                rows.append(part)
+            rows.append({s: a for s, a in image.items() if len(s) == n})
         parts.append(rows)
     return ok, parts
 

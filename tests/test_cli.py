@@ -401,7 +401,8 @@ def test_koszul_resource_limit(tmp_path, capsys, monkeypatch):
     assert "koszul basis up to trace degree 2: 186 states" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["abc", "-1", "1.5", ""])
+@pytest.mark.parametrize("cap", ["abc", "-1", "1.5", "", "5_000_000", "+3",
+                                 " 3", "3 ", "\u0663"])
 @pytest.mark.parametrize("row", COMMANDS, ids=[row[0] for row in COMMANDS])
 def test_bad_state_cap_exits_2_before_any_work(graph_file, capsys,
                                                monkeypatch, row, cap):

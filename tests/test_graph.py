@@ -188,9 +188,39 @@ def _check_automorphisms(g):
 
 
 def test_automorphisms_generate_the_group():
-    for g in SUITE.values():
+    # the first leaf below an individualised vertex of C3 + C4 splits into
+    # cells of other sizes than the first path's, so the search moves on
+    c3c4 = disjoint_union(cycle_graph(3), cycle_graph(4))
+    for g in [*SUITE.values(), c3c4]:
         _check_automorphisms(g)
+    assert len(_group(automorphisms(c3c4), 7)) == 48
     assert len(_group(automorphisms(cycle_graph(8)), 8)) == 16
+
+
+def test_rigid_graph_has_no_automorphism():
+    # the Frucht graph is cubic with a trivial group, so every leaf the
+    # search reaches must fail on its edges
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {frozenset((i, (i + 1) % 12)) for i in range(12)}
+    edges |= {frozenset((i, (i + d) % 12)) for i, d in enumerate(lcf)}
+    g = Graph([f"v{i}" for i in range(12)],
+              [tuple(f"v{i}" for i in e) for e in edges])
+    assert all(sum(map(g.adjacent, [v] * 12, g.vertices)) == 3
+               for v in g.vertices)
+    assert automorphisms(g) == []
+
+
+def test_automorphism_search_backtracks_to_a_match():
+    # the Shrikhande graph, the Cayley graph of Z4 x Z4 on +-(1, 0),
+    # +-(0, 1) and +-(1, 1), has 192 automorphisms, found after leaves that
+    # fail on their cells or their edges
+    steps = [(1, 0), (0, 1), (1, 1)]
+    g = Graph([f"v{i}" for i in range(16)],
+              [(f"v{4 * a + b}", f"v{4 * ((a + x) % 4) + (b + y) % 4}")
+               for a in range(4) for b in range(4) for x, y in steps])
+    gens = automorphisms(g)
+    assert all(_is_automorphism(g, s) for s in gens)
+    assert len(_group(gens, 16)) == 192
 
 
 @settings(max_examples=60, deadline=None)

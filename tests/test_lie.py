@@ -250,6 +250,24 @@ def test_lyndon_walks_the_traces_once(monkeypatch):
         assert calls == [(g, n)]
 
 
+def test_lyndon_forms_no_product(monkeypatch):
+    # a standard factorisation splits the lex-normal t into a prefix and a
+    # suffix, both lex-normal already: no letter is inserted
+    count = [0]
+    real = raag.words._slot
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(raag.words, "_slot", counting)
+    monkeypatch.setattr(raag.lie, "_slot", counting)
+    g = cycle_graph(5)
+    assert [len(raag.lie._lyndon(g, n)) for n in range(1, 7)] == [
+        5, 5, 15, 40, 124, 365]
+    assert count[0] == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs_st(max_vertices=5), st.data())
 def test_closure_row_is_the_bracket_with_a_letter(g, data):
@@ -291,20 +309,24 @@ def _direct_blocks(g, upto):
 
 def _check_pivot_leads(g, n):
     # the leads of a subspace are unique, and the Lyndon rows lead with
-    # their traces, so elimination over the closure rows alone finds the
-    # Lyndon traces of each content as the pivot leads of its block: when
-    # the block is built directly, and when a representative is built from
-    # relabelled rows; so the pivots of a block number its multigraded rank
+    # their traces, so elimination over the closure rows alone finds Lyndon
+    # traces of each content as the pivot leads of its block, and the
+    # pivots and the rank of the remainders number them all: when the block
+    # is built directly, and when a representative is built from relabelled
+    # rows.  A held row that ends its reduction with a lead of +-1 keeps a
+    # Lyndon lead out of the pivots, which one depending on the order of the
+    # rows; where no row is held, the pivot leads are the Lyndon traces
     lyndon = {}
     for t in lyndon_traces_bruteforce(g, n):
-        lyndon.setdefault(tuple(sorted(map(g.index, t))), []).append(t)
+        lyndon.setdefault(tuple(sorted(map(g.index, t))), set()).add(t)
     blocks, _ = _direct_blocks(g, n)
-    direct = {c: sorted(pivots) for c, (pivots, _) in blocks.items()
-              if len(c) == n}
-    assert direct == {c: sorted(ts) for c, ts in lyndon.items()}
+    direct = {c: b for c, b in blocks.items() if len(c) == n}
+    assert direct.keys() == lyndon.keys()
     s = raag.lie._span(g)
-    for c, _ in s.degree(n):
-        assert sorted(s.blocks[c][0]) == direct[c]
+    for c, (pivots, remainders) in [*direct.items(),
+                                    *((c, s.blocks[c]) for c, _ in s.degree(n))]:
+        assert set(pivots) <= lyndon[c], c
+        assert len(pivots) + rank_of_rows(remainders, Q) == len(lyndon[c]), c
     counts = {tuple(i for i, x in enumerate(a) for _ in range(x)): b
               for a, b in multigraded_ranks(g, n).items() if sum(a) == n}
     assert {c: len(ts) for c, ts in lyndon.items()} == counts
@@ -314,6 +336,17 @@ def test_pivot_leads_are_the_lyndon_traces():
     for g in SUITE.values():
         for n in range(1, 7):
             _check_pivot_leads(g, n)
+
+
+def test_pivot_leads_where_a_held_row_keeps_a_unit_lead(fresh_span):
+    # content (0, 1, 3, 3, 4) of this graph: its representative, built from
+    # relabelled rows, has 11 pivots and 2 remainders of rank 1 over Q
+    # against 12 Lyndon traces; built directly, 12 pivots
+    g = Graph([f"v{i}" for i in range(5)],
+              [("v0", "v2"), ("v1", "v2"), ("v2", "v4")])
+    _check_pivot_leads(g, 5)
+    pivots, remainders = raag.lie._span(g).blocks[0, 1, 3, 3, 4]
+    assert (len(pivots), len(remainders)) == (11, 2)
 
 
 @settings(max_examples=30, deadline=None)
