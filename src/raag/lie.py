@@ -6,16 +6,16 @@ derivative of the Poincare series.
 A bracket of letters is homogeneous in letter content, the multiset of
 its letters, so the degree-n span splits into blocks that never mix
 (Duchamp & Krob, Semigroup Forum 45, 1992).  Block beta is found by
-elimination over its closure rows [v, r], for each letter v of beta and
-each row r that block beta - v kept; degree 1 keeps the letters.  Each
-closure row is reduced, as soon as it is built, against the block's
-pivots so far, in plain integers: r -= c * lead * P at its K-least
-remaining pivot trace t, for the pivot row P that leads with t, with no
-gcd, no fraction and no reduction mod p.  A reduced row whose K-least
-trace has coefficient +1 or -1 becomes a pivot.  Any other nonzero row is
-held to the end of the block and reduced again against the final pivots,
-and only what is left goes through `linalg.rank_of_rows`, the one general
-elimination.
+elimination over its closure rows [v, r], for each letter v of beta but
+one it holds once (below) and each row r that block beta - v kept;
+degree 1 keeps the letters.  Each closure row is reduced, as soon as it
+is built, against the block's pivots so far, in plain integers:
+r -= c * lead * P at its K-least remaining pivot trace t, for the pivot
+row P that leads with t, with no gcd, no fraction and no reduction mod p.
+A reduced row whose K-least trace has coefficient +1 or -1 becomes a
+pivot.  Any other nonzero row is held to the end of the block and reduced
+again against the final pivots, and only what is left goes through
+`linalg.rank_of_rows`, the one general elimination.
 
 The pivots lead with distinct traces at unit coefficients, so they stay
 independent mod every prime, and a nonzero combination of them is
@@ -25,6 +25,15 @@ reduction step is invertible over Z, so the pivot rows and remainders
 span the content-beta part of L_n = [V, L_{n-1}] over Z once the blocks
 of degree n - 1 span L_{n-1}; no rank rests on the Lyndon basis theorem.
 
+The rows [a, r] of a letter a held once in beta, |beta| >= 2, are not
+needed.  The ad-words [y_1, [y_2, ..., [y_k, a]]] span an ideal S, as
+ad(x) maps S into S; every bracket of content beta holds a, so L_beta
+lies in S_beta.  As a occurs once in beta, y_1 != a in each ad-word of
+content beta, which is [y_1, w] with w in L_{beta - y_1} (the ideal half
+of Lazard elimination; Bourbaki, Lie Groups and Lie Algebras II.2.9).  Of
+those letters, the one whose block beta - a keeps the most terms is left
+out, the lowest index on a tie.
+
 An automorphism s of the graph is one of the ring and of L, so it maps
 block beta onto block s(beta) with the same rank over every field.  Only
 one block per orbit of `graph.automorphisms` on the contents is reduced:
@@ -32,15 +41,18 @@ a degree's rank is the sum of orbit size times the representative's
 rank, and the rows another block keeps are the representative's with s
 applied to every trace, each canonicalised once, with no elimination.
 
-Both theorems are checked by the tests instead.  The leads of a subspace
+These theorems are checked by the tests instead.  The leads of a subspace
 are unique, and the standard bracketing P(t) of a Lyndon trace t (kept
 in `tests/oracles.py`) leads with t, so every pivot lead of a block is a
 Lyndon trace (`_lyndon`) of its content, the pivots and the rank of the
 remainders number them, and with no remainder the leads are all of them.  To
 degree 5, on the suite graphs and random ones, every block built directly
 has its representative's rank, and the relabelled rows span what the
-direct rows span over Q, F_2 and F_3, alone and stacked; a relabelling
-that is no automorphism fails `ranks --check span`.
+direct rows span over Q, F_2 and F_3, alone and stacked, as does each
+block built directly without the rows of each letter it holds once; a
+relabelling that is no automorphism fails `ranks --check span`, and so
+does leaving out a letter held twice, as block a a b of the free group
+of rank 2 has the one row [a, [a, b]].
 
 `series_ranks` and `span_ranks` are the two routes for each kind of rank,
 which `ranks --check span` and `verify-all` compare.
@@ -228,7 +240,7 @@ class _Span:
     relabelled for them, before any block is reduced."""
 
     __slots__ = ("g", "key", "gens", "moving", "orbits", "reps", "blocks",
-                 "rows", "spent", "cap")
+                 "rows", "restricted", "spent", "cap")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -246,6 +258,8 @@ class _Span:
         # representative -> (pivots, remainders); content -> rows kept
         self.blocks: dict[tuple[int, ...], tuple[_Pivots, tuple]] = {}
         self.rows: dict[tuple[int, ...], list[dict[Trace, int]]] = {}
+        # (n, p) -> the restricted rank, its powers formed once
+        self.restricted: dict[tuple[int, int], int] = {}
         # stage -> the states of the orbit searches since the last degree
         # built began; the cap, read again by each call of `degree`
         self.spent: dict[str, int] = {}
@@ -322,13 +336,20 @@ class _Span:
                          if (not j or c[j - 1] != i)
                          and mask & ~g._nbrs[i] & ~(1 << i)]
                      for c in reps for mask in [sum(1 << i for i in set(c))]}
-            # the closure products, and the terms relabelled for them, are
-            # charged before any block is reduced
             terms = {b: sum(map(len, self.rows.get(
                          next(iter(self.orbits.get(b, (b,)))), ())))
                      for b in {b for v in lower.values() for _, b in v}}
+            # a block spans without the rows of one letter it holds once:
+            # of those, the letter whose lower block keeps the most terms
+            for c, letters in lower.items():
+                once = [(-terms[b], i, b) for i, b in letters if c.count(i) == 1]
+                if once:
+                    letters.remove(min(once)[1:])
+            # the closure products, and the terms relabelled for them, are
+            # charged before any block is reduced
+            used = {b for v in lower.values() for _, b in v}
             check_states(sum(terms[b] for v in lower.values() for _, b in v)
-                         + sum(x for b, x in terms.items() if b not in self.rows),
+                         + sum(terms[b] for b in used if b not in self.rows),
                          f"lie span (closure rows) at degree {m}", self.cap)
             for c, letters in lower.items():
                 if m == 1:
@@ -381,6 +402,8 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     block's pivots."""
     domain = Fp(p)
     s = _span(g)
+    if (n, p) in s.restricted:
+        return s.restricted[n, p]
     reps = dict(s.degree(n))
     m, q = n, 1
     while m % p == 0:
@@ -406,6 +429,7 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
                     y = y * x
                 rows += filter(None, [_reduce(y.coeffs, pivots)])
         total += size * (len(pivots) + rank_of_rows(rows, domain))
+    s.restricted[n, p] = total
     return total
 
 

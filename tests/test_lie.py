@@ -279,12 +279,19 @@ def test_closure_row_is_the_bracket_with_a_letter(g, data):
             == bracket({(v,): 1}, {t: 1}, g))
 
 
+def _lower(g, c, kept, skip=None):
+    """The letters v of content c but skip, each with the rows kept for c
+    less v: what `_eliminate` builds block c from."""
+    return [(g.vertices[i], kept.get(c[:j] + c[j + 1:], []))
+            for j, i in enumerate(c) if (not j or c[j - 1] != i) and i != skip]
+
+
 def _direct_blocks(g, upto):
     """Every nonzero letter-content block of degrees 1..upto, each reduced
     by `_eliminate` from the rows that its neighbours one degree down kept,
-    with no automorphism and no relabelling: content -> (pivots,
-    remainders), and content -> the rows it keeps.  A content is the
-    sorted tuple of the vertex indices of its letters."""
+    with every letter, no automorphism and no relabelling: content ->
+    (pivots, remainders), and content -> the rows it keeps.  A content is
+    the sorted tuple of the vertex indices of its letters."""
     key = raag.lie._k_key(g)
     blocks, kept = {}, {}
     for i, v in enumerate(g.vertices):
@@ -296,9 +303,7 @@ def _direct_blocks(g, upto):
                            for b in layer for i in range(len(g.vertices))})
         layer = []
         for c in contents:
-            lower = [(g.vertices[i], kept.get(c[:j] + c[j + 1:], []))
-                     for j, i in enumerate(c) if not j or c[j - 1] != i]
-            pivots, remainders = raag.lie._eliminate(g, lower, key)
+            pivots, remainders = raag.lie._eliminate(g, _lower(g, c, kept), key)
             if pivots or remainders:
                 blocks[c] = pivots, remainders
                 kept[c] = ([r for _, _, r in pivots.values()]
@@ -339,14 +344,16 @@ def test_pivot_leads_are_the_lyndon_traces():
 
 
 def test_pivot_leads_where_a_held_row_keeps_a_unit_lead(fresh_span):
-    # content (0, 1, 3, 3, 4) of this graph: its representative, built from
-    # relabelled rows, has 11 pivots and 2 remainders of rank 1 over Q
-    # against 12 Lyndon traces; built directly, 12 pivots
-    g = Graph([f"v{i}" for i in range(5)],
-              [("v0", "v2"), ("v1", "v2"), ("v2", "v4")])
+    # content (0, 1, 2, 2, 3) of this graph, built without the rows of v1:
+    # 5 pivots and 1 remainder, led at +1 by the sixth of its 6 Lyndon
+    # traces; built directly, 6 pivots
+    g = Graph([f"v{i}" for i in range(4)], [("v0", "v1"), ("v1", "v3")])
     _check_pivot_leads(g, 5)
-    pivots, remainders = raag.lie._span(g).blocks[0, 1, 3, 3, 4]
-    assert (len(pivots), len(remainders)) == (11, 2)
+    pivots, remainders = raag.lie._span(g).blocks[0, 1, 2, 2, 3]
+    assert (len(pivots), len(remainders)) == (5, 1)
+    assert min(remainders[0], key=raag.lie._k_key(g)) == ("v3", "v0", "v2",
+                                                          "v2", "v1")
+    assert len(_direct_blocks(g, 5)[0][0, 1, 2, 2, 3][0]) == 6
 
 
 @settings(max_examples=30, deadline=None)
@@ -387,6 +394,59 @@ def test_orbit_step_keeps_every_block_rank():
 @given(graphs_st(max_vertices=6))
 def test_orbit_step_keeps_every_block_rank_on_random_graphs(g):
     _check_orbit_step(g, 5)
+
+
+def _skip_rows(g, c, kept, a):
+    pivots, remainders = raag.lie._eliminate(g, _lower(g, c, kept, a),
+                                             raag.lie._k_key(g))
+    return [r for _, _, r in pivots.values()] + list(remainders)
+
+
+def _check_letter_skip(g, upto):
+    # L_beta lies in the ideal that a letter a of beta generates, the span
+    # of the [y_1, [y_2, ..., [y_k, a]]]; when a occurs once in beta, each
+    # of these of content beta is [y_1, w] with y_1 != a.  So every block of
+    # degree >= 2, built directly without the rows of a letter it holds
+    # once, for each such letter, spans what it spans built with all of its
+    # letters, over Q, F_2 and F_3, alone and stacked together
+    blocks, kept = _direct_blocks(g, upto)
+    for c in [c for c in blocks if len(c) > 1]:
+        for a in {i for i in c if c.count(i) == 1}:
+            rows = _skip_rows(g, c, kept, a)
+            for domain in (Q, Fp(2), Fp(3)):
+                r = rank_of_rows(kept[c], domain)
+                assert rank_of_rows(rows, domain) == r, (c, a, domain)
+                assert rank_of_rows(kept[c] + rows, domain) == r
+
+
+def test_letter_skip_keeps_every_block_span():
+    for g in SUITE.values():
+        _check_letter_skip(g, 5)
+    # a letter held twice may not be skipped: block a a b of the free group
+    # of rank 2 has the one row [a, [a, b]]
+    g = empty_graph(2)
+    _, kept = _direct_blocks(g, 3)
+    assert (len(kept[0, 0, 1]), _skip_rows(g, (0, 0, 1), kept, 0)) == (1, [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_st(max_vertices=6))
+def test_letter_skip_keeps_every_block_span_on_random_graphs(g):
+    _check_letter_skip(g, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_st(max_vertices=6), st.data())
+def test_span_ranks_do_not_depend_on_vertex_order(g, data):
+    # the letter each block skips, and what a degree is charged, follow the
+    # vertex order; the ranks do not, on a renamed and reordered copy
+    new = dict(zip(g.vertices, data.draw(st.permutations(
+        [f"w{i}" for i in range(len(g.vertices))]))))
+    h = Graph(data.draw(st.permutations(list(new.values()))),
+              [tuple(new[v] for v in e) for e in g.edges])
+    for kind, p in (("lcs", 2), ("restricted", 2), ("restricted", 3),
+                    ("lambda", 3)):
+        assert span_ranks(g, kind, p, 5) == span_ranks(h, kind, p, 5), kind
 
 
 @pytest.mark.parametrize("kind", ["lcs", "restricted", "lambda"])
@@ -461,6 +521,22 @@ def test_c5_span_route_reaches_degree_8():
     assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
 
 
+def test_restricted_powers_are_formed_once_per_prime(monkeypatch, fresh_span):
+    # the p^i-th powers for d_6 of R5 take 9 products at p = 2 and 6 at
+    # p = 3, and d_6 is 456 and 445: a repeated call forms none, and
+    # answers for its own p
+    products = []
+    real = PCSeries.__mul__
+    monkeypatch.setattr(PCSeries, "__mul__",
+                        lambda x, y: products.append(1) or real(x, y))
+    g = SUITE["R5"]
+    for p, d, formed in ((2, 456, 9), (3, 445, 6)):
+        products.clear()
+        assert (restricted_span_rank(g, 6, p), len(products)) == (d, formed)
+        products.clear()
+        assert restricted_span_rank(g, 6, p) == d and products == []
+
+
 def test_span_route_work_count(monkeypatch, fresh_span):
     # on C5 every closure row reduces to zero against the pivots of its
     # block up to degree 7, over Z, so the general elimination receives no
@@ -493,12 +569,14 @@ def fresh_span():
 
 def test_span_work_per_degree(monkeypatch, fresh_span):
     # on C5 each degree spans one block per orbit of the dihedral group of
-    # order 10: 119 closure rows for n <= 6, where the route that built
-    # each degree whole made 945.  Each representative keeps its pivots and
-    # no remainder, and the orbits of the representatives cover b_n
+    # order 10, without the rows of a letter the block holds once: 88
+    # closure rows for n <= 6, where all of its letters made 119 and the
+    # route that built each degree whole made 945.  Each representative
+    # keeps its pivots and no remainder, and the orbits of the
+    # representatives cover b_n
     b = (5, 5, 15, 40, 124, 365, 1160)
     reps = (1, 1, 2, 5, 9, 16, 25)
-    rows = (0, 2, 3, 10, 26, 78, 220)
+    rows = (0, 1, 2, 7, 19, 59, 173)
     built = []
     real = raag.lie._closure_row
     monkeypatch.setattr(raag.lie, "_closure_row",
@@ -512,14 +590,15 @@ def test_span_work_per_degree(monkeypatch, fresh_span):
         assert len(degree) == reps[n - 1]
         assert sum(size * len(s.blocks[c][0]) for c, size in degree) == b[n - 1]
         assert all(s.blocks[c][1] == () for c, _ in degree)
-    assert sum(rows[:6]) == 119
+    assert sum(rows[:6]) == 88
 
 
 def test_span_route_slot_insertions(monkeypatch, fresh_span):
     # the closure rows of the representatives and the relabelled traces of
-    # their neighbours are the only products: the route that built each
-    # degree whole made 17,046 insertions here, and the route that also
-    # built each Lyndon row [P(u), P(v)] made 56,420
+    # their neighbours are the only products: with the rows of every letter
+    # the span made 3,210 insertions here, the route that built each degree
+    # whole 17,046, and the route that also built each Lyndon row
+    # [P(u), P(v)] 56,420
     count = [0]
     real = raag.words._slot
 
@@ -532,12 +611,12 @@ def test_span_route_slot_insertions(monkeypatch, fresh_span):
     g = cycle_graph(5)
     assert (tuple(bracket_span_rank(g, n, Q) for n in range(1, 7))
             == (5, 5, 15, 40, 124, 365))
-    assert count[0] == 3_210
+    assert count[0] == 2_429
 
 
 @pytest.mark.parametrize("call, cap, stage", [
     (lambda g: bracket_span_rank(g, 9, Q), 10_000,
-     r"^lie span \(closure rows\) at degree 8: 29470 states"),
+     r"^lie span \(closure rows\) at degree 8: 25729 states"),
     (lambda g: restricted_span_rank(complete_graph(1), 31, 31), 25,
      r"^restricted span \(p\^i-th powers\) at degree 31: 26 states"),
     (lambda g: bracket_span_rank(empty_graph(12), 4, Q), 20_000,
@@ -547,7 +626,7 @@ def test_span_route_slot_insertions(monkeypatch, fresh_span):
 ], ids=["closure-rows", "powers", "orbits", "automorphisms"])
 def test_span_stages_are_charged(call, cap, stage, monkeypatch, fresh_span):
     # each stage is charged for a whole degree: the closure rows of degree
-    # 8 on C5 with the terms relabelled for them hold 29,470 states; the
+    # 8 on C5 with the terms relabelled for them hold 25,729 states; the
     # 31st power of the one letter of K1 takes 30 products, charged one by
     # one before each is formed; degree 4 of the free group of rank 12 has
     # four orbits of contents, whose searches form images of 28,512
@@ -560,8 +639,8 @@ def test_span_stages_are_charged(call, cap, stage, monkeypatch, fresh_span):
 
 def test_span_degree_is_charged_whole(monkeypatch, fresh_span):
     # every block of degree 8 on C5 fits under a cap of 10,000 states, the
-    # largest with 2,940 closure products, but the degree does not: its 40
-    # representatives form 23,465 closure products, and 6,005 terms are
+    # largest with 2,620 closure products, but the degree does not: its 40
+    # representatives form 20,016 closure products, and 5,713 terms are
     # relabelled for them.  The degree is charged before any block of it is
     # reduced
     work = []
@@ -576,13 +655,13 @@ def test_span_degree_is_charged_whole(monkeypatch, fresh_span):
     raag.lie._span(g).degree(7)
     work.clear()
     raag.lie._span(g).degree(8)
-    assert (len(work), max(work), sum(work)) == (40, 2940, 23465)
+    assert (len(work), max(work), sum(work)) == (40, 2620, 20016)
     raag.lie._span.cache_clear()
     raag.lie._span(g).degree(7)
     work.clear()
     monkeypatch.setenv("RAAG_MAX_STATES", "10000")
     with pytest.raises(ResourceLimitError,
-                       match=r"^lie span \(closure rows\) at degree 8: 29470 "):
+                       match=r"^lie span \(closure rows\) at degree 8: 25729 "):
         bracket_span_rank(g, 8, Q)
     assert work == []
 
@@ -620,10 +699,11 @@ def test_content_orbits_are_charged(monkeypatch, fresh_span):
 
 def test_wrong_closure_product_is_caught(monkeypatch, fresh_span):
     # one term of the first closure row of degree 4 on C5 gets a wrong
-    # trace, its letters reversed: a a a c becomes c a a a, of the same
-    # content.  That row becomes a pivot of its block, so degree 4 still
-    # counts 40, but degree 5 builds on it, through the representative and
-    # the blocks relabelled from it, and the ranks disagree
+    # trace, its letters reversed: a a c a becomes a c a a, of the same
+    # content.  That row becomes a pivot of its block, so degrees 4 and 5
+    # still count 40 and 124, but degree 6 builds on it, through the
+    # representatives and the blocks relabelled from them, and the ranks
+    # disagree
     g = cycle_graph(5)
     real = raag.lie._closure_row
     spoilt = []
@@ -640,17 +720,17 @@ def test_wrong_closure_product_is_caught(monkeypatch, fresh_span):
         return {s: c for s, c in row.items() if c}
 
     monkeypatch.setattr(raag.lie, "_closure_row", spoil)
-    assert bracket_span_rank(g, 5, Q) == 134 != left_normed_span_rank(g, 5, Q)
-    assert bracket_span_rank(g, 4, Q) == 40
-    assert spoilt[0] == (("a", "a", "a", "c"), ("c", "a", "a", "a"))
+    assert bracket_span_rank(g, 6, Q) == 380 != series_rank_lcs(g, 6).values[5]
+    assert [bracket_span_rank(g, n, Q) for n in (4, 5)] == [40, 124]
+    assert spoilt[0] == (("a", "a", "c", "a"), ("a", "c", "a", "a"))
 
 
 def test_held_row_left_unreduced_is_caught(monkeypatch, fresh_span):
-    # the two rows held back at degree 4 on R5 (each led with coefficient
-    # 2 when it was built) are not reduced again against the pivots found
-    # after them; they then keep entries at pivot traces and add rank, twice
-    # over, since their block's orbit holds two blocks
-    g = SUITE["R5"]
+    # the rows held back on this graph, three at degree 6 and ten at degree
+    # 7, are not reduced again against the pivots found after them; at
+    # degree 7 they then keep entries at pivot traces and add rank
+    g = Graph([f"v{i}" for i in range(5)],
+              [("v0", "v2"), ("v1", "v2"), ("v2", "v4")])
     real = raag.lie._reduce
     returned = []
 
@@ -661,8 +741,8 @@ def test_held_row_left_unreduced_is_caught(monkeypatch, fresh_span):
         return returned[-1]
 
     monkeypatch.setattr(raag.lie, "_reduce", first_pass_only)
-    assert bracket_span_rank(g, 4, Q) == 49 != left_normed_span_rank(g, 4, Q)
-    raag.lie._span.cache_clear()
-    returned.clear()
-    assert (restricted_span_rank(g, 4, 3)
-            != left_normed_span_rank(g, 4, Fp(3), 3))
+    for kind in ("lcs", "restricted"):
+        raag.lie._span.cache_clear()
+        returned.clear()
+        assert (span_ranks(g, kind, 3, 7)[6] == 3901
+                != series_ranks(g, kind, 3, 7).values[6])
