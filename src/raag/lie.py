@@ -240,7 +240,7 @@ class _Span:
     relabelled for them, before any block is reduced."""
 
     __slots__ = ("g", "key", "gens", "moving", "orbits", "reps", "blocks",
-                 "rows", "restricted", "spent", "cap")
+                 "rows", "spent", "cap")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -258,8 +258,6 @@ class _Span:
         # representative -> (pivots, remainders); content -> rows kept
         self.blocks: dict[tuple[int, ...], tuple[_Pivots, tuple]] = {}
         self.rows: dict[tuple[int, ...], list[dict[Trace, int]]] = {}
-        # (n, p) -> the restricted rank, its powers formed once
-        self.restricted: dict[tuple[int, int], int] = {}
         # stage -> the states of the orbit searches since the last degree
         # built began; the cap, read again by each call of `degree`
         self.spent: dict[str, int] = {}
@@ -402,8 +400,6 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
     block's pivots."""
     domain = Fp(p)
     s = _span(g)
-    if (n, p) in s.restricted:
-        return s.restricted[n, p]
     reps = dict(s.degree(n))
     m, q = n, 1
     while m % p == 0:
@@ -429,7 +425,6 @@ def restricted_span_rank(g: Graph, n: int, p: int) -> int:
                     y = y * x
                 rows += filter(None, [_reduce(y.coeffs, pivots)])
         total += size * (len(pivots) + rank_of_rows(rows, domain))
-    s.restricted[n, p] = total
     return total
 
 

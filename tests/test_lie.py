@@ -521,22 +521,6 @@ def test_c5_span_route_reaches_degree_8():
     assert bracket_span_rank(g, 8, Q) == series_rank_lcs(g, 8).values[7] == 3650
 
 
-def test_restricted_powers_are_formed_once_per_prime(monkeypatch, fresh_span):
-    # the p^i-th powers for d_6 of R5 take 9 products at p = 2 and 6 at
-    # p = 3, and d_6 is 456 and 445: a repeated call forms none, and
-    # answers for its own p
-    products = []
-    real = PCSeries.__mul__
-    monkeypatch.setattr(PCSeries, "__mul__",
-                        lambda x, y: products.append(1) or real(x, y))
-    g = SUITE["R5"]
-    for p, d, formed in ((2, 456, 9), (3, 445, 6)):
-        products.clear()
-        assert (restricted_span_rank(g, 6, p), len(products)) == (d, formed)
-        products.clear()
-        assert restricted_span_rank(g, 6, p) == d and products == []
-
-
 def test_span_route_work_count(monkeypatch, fresh_span):
     # on C5 every closure row reduces to zero against the pivots of its
     # block up to degree 7, over Z, so the general elimination receives no
