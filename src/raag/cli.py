@@ -8,9 +8,10 @@ order, an option as `--name value` or `--name=value` (the value may start
 with `-`), and `--` ends the options.  Options are spelled in full.  `-h` or
 `--help` prints the usage, built from the table, and exits 0.
 
-Each command reads its input and formats what the library answers: `ranks`
-takes `lie.series_ranks`, and with `--check span` also `lie.span_ranks`, the
-two routes `verify-all` compares; `valuation` takes `magnus.valuations`.
+Each command reads its input and formats what the library answers, in
+`_answer`, the one place that shapes an answer: `ranks` takes the tuples of
+`lie.series_ranks`, and with `--check span` also `lie.span_ranks`, the two
+routes `verify-all` compares; `valuation` takes `magnus.valuations`.
 Every `--p` given, and `RAAG_MAX_STATES`, is checked once, before any
 work; a p goes through `series.Fp`, so a bad one gets the same message on
 every command.
@@ -29,7 +30,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from raag.errors import RaagError, ResourceLimitError, max_states
+from raag.errors import RaagError, ResourceLimitError, decimal_int, max_states
 from raag.graph import Graph, clique_counts
 from raag.growth import phi_A, phi_A_ratfunc, phi_R, phi_R_ratfunc, phi_S
 from raag.koszul import verify_resolution
@@ -125,16 +126,9 @@ def _value(option, text: str):
             raise _UsageError(f"--{name}: {text!r} is not one of "
                               f"{', '.join(choices)}")
         return text
-    # ASCII decimal only, -?[0-9]+: `int` also takes "1_0", " 3" and other
-    # scripts' digits, and it raises past Python's limit on the digits of
-    # an int
-    digits = text[1:] if text.startswith("-") else text
-    try:
-        if digits.isascii() and digits.isdigit():
-            return int(text)
-    except ValueError:
-        pass
-    raise _UsageError(f"--{name}: {text!r} is not an int")
+    if (value := decimal_int(text, signed=True)) is None:
+        raise _UsageError(f"--{name}: {text!r} is not an int")
+    return value
 
 
 def _parse(argv: list[str]):
@@ -208,6 +202,10 @@ def _domain(args) -> Domain:
     return Fp(args.p)
 
 
+def _by_degree(ranks: tuple[int, ...]) -> dict[str, int]:
+    return {str(n): r for n, r in enumerate(ranks, 1)}
+
+
 def _emit(obj) -> None:
     # one line of compact JSON: json.dumps runs the C encoder, which
     # json.dump never does; the newline is written apart, so the answer is
@@ -272,8 +270,11 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
     elif cmd == "magnus":
         w, = words
         x = magnus(w, g, _domain(args), args.order)
+        # a trace is a list of vertex names: joined, they are ambiguous once
+        # a name is the concatenation of others
         _emit({"word": format_word(w), "order": args.order,
-               "series": x.to_json_obj()})
+               "series": [{"trace": t, "coeff": str(c)}
+                          for t, c in x.sorted_terms()]})
     elif cmd == "valuation":
         w, = words
         val, pval = valuations(w, g, args.order, _domain(args), args.p)
@@ -288,24 +289,36 @@ def _answer(g: Graph, args, words: list[GroupWord]) -> int:
             out["dimension_subgroup"] = val.membership(args.depth)
         _emit(out)
     elif cmd == "ranks":
-        # the series table is built first, so bad input exits 2 before any
-        # span work
-        table = series_ranks(g, args.kind, args.p, args.upto)
-        out = table.to_json_obj()
+        # the series ranks come first, so bad input exits 2 before any span
+        # work
+        ranks = series_ranks(g, args.kind, args.p, args.upto)
+        kind, method = {"lcs": ("lower_central", "series_recursion"),
+                        "restricted": ("restricted", "series_recursion"),
+                        "lambda": ("exponent_p", "partial_sums")}[args.kind]
+        out = {"kind": kind, "method": method,
+               "p": None if args.kind == "lcs" else args.p,
+               "values": _by_degree(ranks)}
         if args.check is not None:
             span = span_ranks(g, args.kind, args.p, args.upto)
-            ok = span == table.values
-            out["check"] = {"method": "bracket_span", "ok": ok, "values":
-                            {str(n): v for n, v in enumerate(span, 1)}}
+            ok = span == ranks
+            out["check"] = {"method": "bracket_span", "ok": ok,
+                            "values": _by_degree(span)}
         _emit(out)
     elif cmd == "koszul":
         rep = verify_resolution(g, args.upto, _domain(args))
         ok = rep.ok
-        _emit(rep.to_json_obj())
+        out = {"ok": ok, "checked": rep.checked}
+        if not ok:
+            clique, trace = rep.counterexample
+            out["counterexample"] = {"clique": clique, "trace": trace}
+            out["reason"] = rep.reason
+        _emit(out)
     elif cmd == "verify-all":
         results = verify_all(g, p=args.p)
         ok = all(r.ok for r in results)
-        _emit({"checks": [r.to_json_obj() for r in results], "ok": ok})
+        _emit({"checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
+                          if r.detail else {"name": r.name, "ok": r.ok}
+                          for r in results], "ok": ok})
     return EXIT_OK if ok else EXIT_VERIFY
 
 

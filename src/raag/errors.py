@@ -21,18 +21,28 @@ class DomainError(RaagError, ValueError):
     pass
 
 
+def decimal_int(text: str, signed: bool = False) -> int | None:
+    """The int `text` writes in ASCII decimal, [0-9]+ (-?[0-9]+ if signed),
+    else None: `int` also takes "1_0", " 3" and other scripts' digits, and
+    raises past Python's limit on the digits of an int."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:
+        pass
+    return None
+
+
 def max_states() -> int:
     """Enumeration cap, overridable through RAAG_MAX_STATES, which must be
-    an int >= 0 in ASCII decimal, [0-9]+, as the command line's ints are."""
+    an int >= 0 in ASCII decimal, as the command line's ints are."""
     raw = os.environ.get("RAAG_MAX_STATES")
     if raw is None:
         return DEFAULT_MAX_STATES
-    try:
-        if raw.isascii() and raw.isdigit():
-            return int(raw)
-    except ValueError:  # past Python's limit on the digits of an int
-        pass
-    raise RaagError(f"RAAG_MAX_STATES must be an int >= 0, got {raw!r}")
+    if (cap := decimal_int(raw)) is None:
+        raise RaagError(f"RAAG_MAX_STATES must be an int >= 0, got {raw!r}")
+    return cap
 
 
 def check_states(count: int, what: str, cap: int | None = None) -> None:

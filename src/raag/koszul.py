@@ -216,16 +216,6 @@ class ResolutionReport(NamedTuple):
     counterexample: BasisKey | None = None
     reason: str | None = None
 
-    def to_json_obj(self) -> dict:
-        out: dict = {"ok": self.ok, "checked": self.checked}
-        if not self.ok:
-            out["counterexample"] = {
-                "clique": list(self.counterexample[0]),
-                "trace": list(self.counterexample[1]),
-            }
-            out["reason"] = self.reason
-        return out
-
 
 def _vanishes(acc: dict[int, int], domain: Domain) -> bool:
     coerce = domain.coerce

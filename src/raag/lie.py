@@ -55,7 +55,7 @@ does leaving out a letter held twice, as block a a b of the free group
 of rank 2 has the one row [a, [a, b]].
 
 `series_ranks` and `span_ranks` are the two routes for each kind of rank,
-which `ranks --check span` and `verify-all` compare.
+tuples from degree 1, which `ranks --check span` and `verify-all` compare.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from raag.errors import check_states, max_states
 from raag.graph import Graph, automorphisms
@@ -71,21 +71,6 @@ from raag.growth import RatFunc, phi_R_ratfunc
 from raag.linalg import rank_of_rows
 from raag.series import Domain, DomainError, Fp, PCSeries, Q
 from raag.words import Trace, _concat, _slot, enumerate_traces
-
-
-class RankTable(NamedTuple):
-    kind: str  # "lower_central" | "restricted" | "exponent_p"
-    values: tuple[int, ...]  # indexed by degree, starting at 1
-    method: str  # "series_recursion" | "partial_sums"
-    p: int | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "method": self.method,
-            "p": self.p,
-            "values": {str(n + 1): v for n, v in enumerate(self.values)},
-        }
 
 
 # -- bracket expansions ------------------------------------------------
@@ -467,19 +452,17 @@ def _mobius_ranks(g: Graph, upto: int, p: int | None) -> tuple[int, ...]:
     return tuple(e[m] // m for m in range(1, upto + 1))
 
 
-def series_rank_lcs(g: Graph, upto: int) -> RankTable:
+def series_rank_lcs(g: Graph, upto: int) -> tuple[int, ...]:
     """Ranks b_n solving prod (1 - t^n)^{-b_n} = Phi_R(t), by Moebius
     inversion of c_m = sum_{n|m} n b_n (see _mobius_ranks)."""
-    return RankTable("lower_central", _mobius_ranks(g, upto, None),
-                     "series_recursion")
+    return _mobius_ranks(g, upto, None)
 
 
-def series_rank_restricted(g: Graph, p: int, upto: int) -> RankTable:
+def series_rank_restricted(g: Graph, p: int, upto: int) -> tuple[int, ...]:
     """Ranks d_n solving prod ((1 - t^{pn})/(1 - t^n))^{d_n} = Phi_R(t) for a
     prime p, by Moebius inversion (see _mobius_ranks)."""
     Fp(p)
-    return RankTable("restricted", _mobius_ranks(g, upto, p),
-                     "series_recursion", p=p)
+    return _mobius_ranks(g, upto, p)
 
 
 def _check_kind(kind: str, p: int) -> None:
@@ -491,7 +474,7 @@ def _check_kind(kind: str, p: int) -> None:
         raise DomainError(f"exponent-p dimensions need p >= 3, got {p}")
 
 
-def series_ranks(g: Graph, kind: str, p: int, upto: int) -> RankTable:
+def series_ranks(g: Graph, kind: str, p: int, upto: int) -> tuple[int, ...]:
     """The ranks of degrees 1..upto by the series recursion: b_n for "lcs",
     d_n at the prime p for "restricted", and for "lambda" the exponent-p
     series quotients, the lower-central Lie algebra tensored with a
@@ -500,10 +483,7 @@ def series_ranks(g: Graph, kind: str, p: int, upto: int) -> RankTable:
     if kind == "restricted":
         return series_rank_restricted(g, p, upto)
     b = series_rank_lcs(g, upto)
-    if kind == "lcs":
-        return b
-    return RankTable("exponent_p", tuple(accumulate(b.values)),
-                     "partial_sums", p=p)
+    return b if kind == "lcs" else tuple(accumulate(b))
 
 
 def span_ranks(g: Graph, kind: str, p: int, upto: int) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ small integers.  Over F_p the same step runs modulo p.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable
 
@@ -27,7 +26,8 @@ def _integer_row(row: dict, domain: Domain) -> dict:
     if domain.kind == "Fp":
         coerce = domain.coerce
         return {c: x for c, x in ((c, coerce(v)) for c, v in row.items()) if x}
-    vals = {c: v if type(v) is int else Fraction(v) for c, v in row.items()}
+    vals = {c: v if type(v) is int else domain.coerce(v)
+            for c, v in row.items()}
     den = lcm(*(v.denominator for v in vals.values())) if vals else 1
     return {c: int(v * den) for c, v in vals.items() if v}
 

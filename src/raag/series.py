@@ -57,27 +57,27 @@ class Domain(namedtuple("Domain", "kind p", defaults=(None,))):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def coerce(self, x):
+        """The image of x, an int (a bool is one) or a Fraction: a float,
+        a Decimal or a str raises, as converting it could change it."""
         # nearly every coefficient is a plain int: it is mapped before the
         # ABCMeta check of isinstance(x, Fraction)
         if type(x) is int:
             if self.kind == "Z":
                 return x
             return Fraction(x) if self.kind == "Q" else x % self.p
-        if self.kind == "Z":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise DomainError(f"{x} is not an integer")
-                return x.numerator
-            return int(x)
+        if not isinstance(x, (int, Fraction)):
+            raise DomainError(f"{x!r} is not an int or a Fraction")
+        x = Fraction(x)
         if self.kind == "Q":
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            num = x.numerator % self.p
-            den = x.denominator % self.p
-            if not den:
-                raise DomainError(f"{x} is not an element of F_{self.p}")
-            return (num * pow(den, -1, self.p)) % self.p
-        return int(x) % self.p
+            return x
+        if self.kind == "Z":
+            if x.denominator != 1:
+                raise DomainError(f"{x} is not an integer")
+            return x.numerator
+        den = x.denominator % self.p
+        if not den:
+            raise DomainError(f"{x} is not an element of F_{self.p}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
@@ -242,12 +242,6 @@ class PCSeries(LinComb):
         rank = self.graph._index.__getitem__
         return sorted(self.coeffs.items(),
                       key=lambda item: (len(item[0]), tuple(map(rank, item[0]))))
-
-    def to_json_obj(self) -> list[dict]:
-        # a trace is a list of vertex names (JSON writes the tuple as a
-        # list): joining them is ambiguous once a name is the concatenation
-        # of others
-        return [{"trace": t, "coeff": str(c)} for t, c in self.sorted_terms()]
 
     def __repr__(self) -> str:
         terms = self.sorted_terms()

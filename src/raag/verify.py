@@ -38,12 +38,6 @@ class CheckResult(NamedTuple):
     ok: bool
     detail: str = ""
 
-    def to_json_obj(self) -> dict:
-        out = {"name": self.name, "ok": self.ok}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 def _commutator_parts(g: Graph, upto: int) -> tuple[bool, list[list[dict]]]:
     """Integer Magnus images of the basic commutators of degree
@@ -126,7 +120,7 @@ def verify_all(g: Graph, *, p: int = 3) -> list[CheckResult]:
         ("restricted", f"restricted ranks agree at p={p}"),
         ("lambda", "exponent-p dims are partial sums of lower-central ranks"),
     )[:3 if p >= 3 else 2]
-    series = {kind: series_ranks(g, kind, p, LIE_DEGREE).values
+    series = {kind: series_ranks(g, kind, p, LIE_DEGREE)
               for kind, _ in lie_checks}
 
     # clique polynomial vs a second count of the cliques

@@ -39,6 +39,10 @@ def test_disjoint_union_basic():
     assert len(g.vertices) == 2 and not g.edges
     g = disjoint_union(complete_graph(2), complete_graph(1))
     assert len(g.vertices) == 3 and len(g.edges) == 1
+    # names that do not collide are kept
+    g = disjoint_union(path_graph(2), Graph(["x", "y"], [("x", "y")]))
+    assert g.to_dict() == {"vertices": ["a", "b", "x", "y"],
+                           "edges": [["a", "b"], ["x", "y"]]}
 
 
 def test_union_counts_add():

@@ -54,6 +54,11 @@ def test_ratfunc_forms_expand_to_series():
         assert phi_A(g, ORDER) == compose_growth(phi_R(g, ORDER))
 
 
+def test_ratfunc_rejects_negative_powers():
+    with pytest.raises(DomainError, match="^negative powers are not supported$"):
+        RatFunc([1], [1, -1]) ** -1
+
+
 @pytest.mark.parametrize("den", [[2, 1], [0, 1], [-1]])
 def test_ratfunc_needs_unit_constant_denominator(den):
     # the recurrence divides by nothing, so den[0] must be exactly 1

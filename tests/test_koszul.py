@@ -1,8 +1,10 @@
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 
+import raag.cli
 import raag.koszul
 import raag.words
 from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
@@ -89,10 +91,14 @@ def test_verify_resolution_enumerates_each_degree_once(monkeypatch):
     assert sorted(calls) == list(range(1, 6))
 
 
-def test_counterexample_json_lists_names():
+def test_counterexample_json_lists_names(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "p3.json"
+    f.write_text(json.dumps(P3.to_dict()))
     rep = ResolutionReport(False, 1, (("a", "b"), ("ab",)), "d^2 != 0")
-    assert rep.to_json_obj()["counterexample"] == {"clique": ["a", "b"],
-                                                   "trace": ["ab"]}
+    monkeypatch.setattr(raag.cli, "verify_resolution", lambda *args: rep)
+    assert raag.cli.main(["--graph", str(f), "koszul"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["counterexample"] == {"clique": ["a", "b"], "trace": ["ab"]}
 
 
 def _check_contraction_against_oracle(g, order):

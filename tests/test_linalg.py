@@ -54,3 +54,11 @@ def test_rank_over_fp_rejects_fraction_with_denominator_p():
     with pytest.raises(DomainError, match="F_3"):
         rank_of_rows([{0: Fraction(1, 3)}], Fp(3))
     assert rank_of_rows([{0: Fraction(1, 3)}], Fp(5)) == 1
+
+
+def test_rank_takes_exact_entries_only():
+    # 1/2 is 2 in F_3; a float is refused, not truncated to 0
+    assert rank_of_rows([{0: Fraction(1, 2)}], Fp(3)) == 1
+    for dom in (Q, Fp(3)):
+        with pytest.raises(DomainError, match="^0.5 is not an int or a Fraction$"):
+            rank_of_rows([{0: 0.5}], dom)

@@ -212,6 +212,11 @@ def test_leading_monomial_matches_brute_force():
             assert coeff == lm.coefficient % p
 
 
+def test_identity_has_no_leading_monomial():
+    with pytest.raises(ValueError, match="^identity has no leading monomial$"):
+        leading_monomial_char_p(IDENTITY, cycle_graph(5), 3)
+
+
 LEADING_MONOMIAL_BAD_P = """
 import sys
 from raag.graph import cycle_graph

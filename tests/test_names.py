@@ -28,7 +28,9 @@ A test module uses every name it imports (`from __future__` aside), and
 no function in src/raag imports: each module imports at its top level.
 
 No code in src/raag calls `json.dump` or passes `indent=`: both run the
-pure-Python encoder, and every answer is one line from `json.dumps`.
+pure-Python encoder, and every answer is one line from `json.dumps`.  Only
+`cli` shapes an answer: no other module defines a `to_json...` function or
+method, and the Lie ranks are plain tuples, with no record type.
 
 Importing `raag.cli` in a fresh interpreter loads none of `dataclasses`,
 `inspect`, `ast`, `dis` or `tokenize`: every CLI call pays its imports,
@@ -264,6 +266,18 @@ def test_json_is_written_by_the_c_encoder():
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name == "dump" or any(k.arg == "indent" for k in node.keywords):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_only_cli_shapes_answers():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "cli.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{node.lineno}: {node.name}"
+                      for node in ast.walk(tree) if isinstance(node, DEFS)
+                      and (node.name.startswith("to_json")
+                           or (path.name, node.name) == ("lie.py", "RankTable"))]
     assert found == []
 
 

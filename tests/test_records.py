@@ -8,7 +8,6 @@ import pytest
 from raag.graph import path_graph
 from raag.growth import IdentityReport
 from raag.koszul import ResolutionReport
-from raag.lie import RankTable
 from raag.magnus import LeadingMonomial, Valuation
 from raag.series import DomainError, Fp
 from raag.verify import CheckResult
@@ -18,8 +17,6 @@ RECORDS = [
     (lambda: Fp(3), "Domain(kind='Fp', p=3)"),
     (lambda: Syllable("a", -2), "Syllable(generator='a', exponent=-2)"),
     (lambda: GroupWord(()), "GroupWord(syllables=())"),
-    (lambda: RankTable("restricted", (5, 5), "partial_sums", 2),
-     "RankTable(kind='restricted', values=(5, 5), method='partial_sums', p=2)"),
     (lambda: ResolutionReport(False, 7, (("a",), ("b", "c")), "d.d != 0"),
      "ResolutionReport(ok=False, checked=7, "
      "counterexample=(('a',), ('b', 'c')), reason='d.d != 0')"),

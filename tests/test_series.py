@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,20 @@ def test_domain_validation():
         Domain("Fp", 6)
     with pytest.raises(DomainError):
         Domain("weird")
+    with pytest.raises(DomainError, match="^p is only meaningful for Fp$"):
+        Domain("Z", 3)
+
+
+@pytest.mark.parametrize("f, domain, constant, message", [
+    (exp_series, Z, 0, "exp needs rational coefficients"),
+    (exp_series, Q, 1, "exp needs zero constant term"),
+    (log_series, Z, 1, "log needs rational coefficients"),
+    (log_series, Q, 2, "log needs constant term 1"),
+], ids=["exp-Z", "exp-constant", "log-Z", "log-constant"])
+def test_exp_and_log_reject_what_they_do_not_map(f, domain, constant, message):
+    x = PCSeries(P3, domain, 3, [((), constant), (("a",), 1)])
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        f(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,14 +272,21 @@ def test_constructor_sums_repeats_and_truncates(g, p, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([Z, Q, Fp(2), Fp(3), Fp(5)]),
        st.one_of(st.integers(-10**30, 10**30), st.booleans(),
-                 st.fractions(max_denominator=30)))
+                 st.fractions(max_denominator=30), st.floats(),
+                 st.just(Decimal("1.5")), st.just("7")))
 @example(Fp(3), Fraction(1, 6))  # a denominator divisible by p
 @example(Z, Fraction(1, 2))
+@example(Z, 2.5)
+@example(Fp(3), 2.5)
+@example(Z, 2.0)
 def test_coerce_is_the_map_from_q(dom, x):
     # an int, bool or Fraction lands as an int in Z, a Fraction in Q and a
-    # residue in F_p; one with no image raises
-    q = Fraction(x)
-    if dom.kind == "Q":
+    # residue in F_p; one with no image raises, and so does any other value,
+    # a float, a Decimal or a str, which is not exact or not a number
+    q = Fraction(x) if isinstance(x, (int, Fraction)) else None
+    if q is None:
+        want = None
+    elif dom.kind == "Q":
         want = q
     elif dom.kind == "Z":
         want = q.numerator if q.denominator == 1 else None

@@ -161,6 +161,15 @@ def test_multiply_pushes_each_syllable_once(monkeypatch):
     assert pushes[0] == 2 * len(u)
 
 
+@pytest.mark.parametrize("walk, message", [
+    (enumerate_traces, "degree must be nonnegative"),
+    (lambda g, r: next(geodesic_words(g, r)), "radius must be nonnegative"),
+], ids=["traces", "geodesics"])
+def test_enumerations_reject_a_negative_size(walk, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        walk(path_graph(3), -1)
+
+
 def test_enumerate_traces_counts():
     # free case: n^d words of length d, all distinct
     e2 = empty_graph(2)
