@@ -4,16 +4,14 @@ polynomial ring, and cohomology ring of the group.
 Basis elements are cliques; a clique C = {v_0 < ... < v_{k-1}} stands for
 the product of its vertices written in decreasing order, so multiplying
 two basis elements picks up the parity of the merge that restores
-decreasing order.
+decreasing order.  `quadratic_dual_check` reads the duality with the ring
+off the products of the generators.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from raag.graph import Graph
-from raag.linalg import rank_of_rows
-from raag.series import Domain, DomainError, LinComb, Q
+from raag.series import Domain, DomainError, LinComb, Z
 
 CliqueKey = tuple[str, ...]  # sorted ascending in vertex order
 
@@ -69,28 +67,23 @@ def _basis_product(c1: CliqueKey, c2: CliqueKey, g: Graph):
 
 
 def quadratic_dual_check(g: Graph) -> bool:
-    """The two quadratic relation spaces annihilate each other under the
-    standard pairing on degree-2 tensors, with ranks summing to |V|^2."""
+    """Whether the algebra's quadratic relations are R^perp, the annihilator
+    under the standard pairing on V (x) V of the ring's relations R, the
+    commutators uw - wu of the edges, read off the products of the
+    generators v_u alone.
+
+    The product u (x) w -> v_u v_w maps V (x) V to A_2, whose basis is the
+    edge cliques.  If v_u v_w is zero exactly when u = w or u and w are not
+    adjacent, and for each edge it is +-1 times the edge's clique and
+    equals -v_w v_u, then the map has rank |E|.  Its kernel, the algebra's
+    quadratic relations, is then spanned by the |V|^2 - |E| independent
+    tensors uu, uw for each non-edge and uw + wu for each edge.  Each is
+    orthogonal to every uw - wu, and the dimensions of R and of the kernel
+    sum to |V|^2, so the kernel is R^perp."""
     V = g.vertices
-    pairs = list(iproduct(V, V))
-    col = {p: i for i, p in enumerate(pairs)}
-
-    rel_r: list[dict] = []
-    for e in g.edges:
-        u, w = tuple(e)
-        rel_r.append({col[(u, w)]: 1, col[(w, u)]: -1})
-    rel_s: list[dict] = []
-    for u, w in pairs:
-        if u == w or not g.adjacent(u, w):
-            rel_s.append({col[(u, w)]: 1})
-    for e in g.edges:
-        u, w = tuple(e)
-        rel_s.append({col[(u, w)]: 1, col[(w, u)]: 1})
-
-    for r in rel_r:
-        for s in rel_s:
-            dot = sum(r[c] * s[c] for c in set(r) & set(s))
-            if dot != 0:
-                return False
-    total = rank_of_rows(rel_r, Q) + rank_of_rows(rel_s, Q)
-    return total == len(V) ** 2
+    gen = {u: ExtElement.basis((u,), g, Z) for u in V}
+    prod = {(u, w): gen[u] * gen[w] for u in V for w in V}
+    return all(
+        x.is_zero() if u == w or not g.adjacent(u, w)
+        else x.coeffs in ({e: 1}, {e: -1}) and (x + prod[w, u]).is_zero()
+        for (u, w), x in prod.items() for e in [g.sort_vertices((u, w))])

@@ -225,7 +225,7 @@ class _Span:
     relabelled for them, before any block is reduced."""
 
     __slots__ = ("g", "key", "gens", "moving", "orbits", "reps", "blocks",
-                 "rows", "spent", "cap")
+                 "spent", "cap")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -240,9 +240,8 @@ class _Span:
         self.orbits: dict[tuple[int, ...], dict[tuple[int, ...], tuple]] = {}
         # reps[n]: (representative, orbit size) of the nonzero blocks
         self.reps: list[list[tuple[tuple[int, ...], int]]] = [[]]
-        # representative -> (pivots, remainders); content -> rows kept
+        # representative -> (pivots, remainders)
         self.blocks: dict[tuple[int, ...], tuple[_Pivots, tuple]] = {}
-        self.rows: dict[tuple[int, ...], list[dict[Trace, int]]] = {}
         # stage -> the states of the orbit searches since the last degree
         # built began; the cap, read again by each call of `degree`
         self.spent: dict[str, int] = {}
@@ -274,21 +273,21 @@ class _Span:
         return found
 
     def kept(self, c: tuple[int, ...]) -> list[dict[Trace, int]]:
-        """The rows block c keeps, pivot rows then remainders, relabelled
-        from its representative's; none for a content off every orbit."""
-        rows = self.rows.get(c)
-        if rows is None:
-            orbit = self.orbits.get(c, {c: c})
-            rep = next(iter(orbit))
-            rows = self.rows.get(rep, [])
-            if rep != c and rows:
-                g = self.g
-                names = g.vertices
-                to = {names[i]: names[j] for i, j in zip(rep, orbit[c])}
-                new = {t: _concat((), map(to.__getitem__, t), g)
-                       for t in {t for row in rows for t in row}}
-                rows = [{new[t]: x for t, x in row.items()} for row in rows]
-            self.rows[c] = rows
+        """The rows block c keeps, pivot rows then remainders, built from
+        its representative's block and relabelled when c is not the
+        representative; none for a content off every orbit.  Nothing is
+        stored."""
+        orbit = self.orbits.get(c, {c: c})
+        rep = next(iter(orbit))
+        pivots, remainders = self.blocks.get(rep, ({}, ()))
+        rows = [row for _, _, row in pivots.values()] + list(remainders)
+        if rep != c and rows:
+            g = self.g
+            names = g.vertices
+            to = {names[i]: names[j] for i, j in zip(rep, orbit[c])}
+            new = {t: _concat((), map(to.__getitem__, t), g)
+                   for t in {t for row in rows for t in row}}
+            rows = [{new[t]: x for t, x in row.items()} for row in rows]
         return rows
 
     def degree(self, n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -319,9 +318,9 @@ class _Span:
                          if (not j or c[j - 1] != i)
                          and mask & ~g._nbrs[i] & ~(1 << i)]
                      for c in reps for mask in [sum(1 << i for i in set(c))]}
-            terms = {b: sum(map(len, self.rows.get(
-                         next(iter(self.orbits.get(b, (b,)))), ())))
-                     for b in {b for v in lower.values() for _, b in v}}
+            rep = {b: next(iter(self.orbits.get(b, (b,))))
+                   for b in {b for v in lower.values() for _, b in v}}
+            terms = {b: sum(map(len, self.kept(r))) for b, r in rep.items()}
             # a block spans without the rows of one letter it holds once:
             # of those, the letter whose lower block keeps the most terms
             for c, letters in lower.items():
@@ -332,19 +331,17 @@ class _Span:
             # charged before any block is reduced
             used = {b for v in lower.values() for _, b in v}
             check_states(sum(terms[b] for v in lower.values() for _, b in v)
-                         + sum(terms[b] for b in used if b not in self.rows),
+                         + sum(terms[b] for b in used if b != rep[b]),
                          f"lie span (closure rows) at degree {m}", self.cap)
+            kept = {b: self.kept(b) for b in used}
             for c, letters in lower.items():
                 if m == 1:
                     t = (g.vertices[c[0]],)
-                    pivots, remainders = {t: (self.key(t), 1, {t: 1})}, ()
+                    self.blocks[c] = {t: (self.key(t), 1, {t: 1})}, ()
                 else:
-                    pivots, remainders = _eliminate(
-                        g, [(g.vertices[i], rows) for i, b in letters
-                            for rows in [self.kept(b)] if rows], self.key)
-                self.blocks[c] = pivots, remainders
-                self.rows[c] = ([row for _, _, row in pivots.values()]
-                                + list(remainders))
+                    self.blocks[c] = _eliminate(
+                        g, [(g.vertices[i], kept[b]) for i, b in letters
+                            if kept[b]], self.key)
             self.reps.append([(c, size) for c, size in reps.items()
                               if any(self.blocks[c])])
         return self.reps[n]

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import assume, given
 
+import raag.exterior
 from raag.exterior import ExtElement, quadratic_dual_check
-from raag.graph import clique_counts, complete_graph, path_graph
+from raag.graph import (Graph, clique_counts, complete_graph, cycle_graph,
+                        empty_graph, path_graph)
 from raag.growth import phi_S
 from raag.series import DomainError, Z
 
-from conftest import SUITE
+from conftest import SUITE, graphs_st
 
 P3 = path_graph(3)
 
@@ -78,6 +81,56 @@ def test_invalid_basis_rejected():
         ExtElement.basis(("a", "c"), P3, Z)  # not a clique
 
 
+LARGE = {"C12": cycle_graph(12), "E12": empty_graph(12),
+         "K16": complete_graph(16)}
+
+
 def test_quadratic_duality():
-    for g in SUITE.values():
+    for g in [*SUITE.values(), *LARGE.values()]:
         assert quadratic_dual_check(g)
+
+
+@given(graphs_st())
+def test_quadratic_duality_on_random_graphs(g):
+    assert quadratic_dual_check(g)
+
+
+def _unsigned_check(g):
+    # the check with every nonzero product of basis elements signed +1
+    real = raag.exterior._basis_product
+
+    def product(c1, c2, g):
+        res = real(c1, c2, g)
+        return None if res is None else (res[0], 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raag.exterior, "_basis_product", product)
+        return quadratic_dual_check(g)
+
+
+def _dropped_edge_check(g):
+    # the check with the least edge refused as a clique; the edge stays in
+    # the graph, as `adjacent` defines it
+    edge = set(min(map(sorted, g.edges)))
+    real = Graph.is_clique
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "is_clique",
+                   lambda self, members: set(members) != edge
+                   and real(self, members))
+        return quadratic_dual_check(g)
+
+
+FAULTS = [_unsigned_check, _dropped_edge_check]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_algebra_faults_fail_duality(fault):
+    for g in [*SUITE.values(), *LARGE.values()]:
+        if g.edges:
+            assert not fault(g), g
+
+
+@given(graphs_st())
+def test_algebra_faults_fail_duality_on_random_graphs(g):
+    assume(g.edges)
+    for fault in FAULTS:
+        assert not fault(g)
