@@ -11,10 +11,12 @@ id of its prefix (the trace less its last letter) beside it, and each
 clique gets an id; the key (c, t) is the one int
 id(t) * (number of cliques) + id(c).
 The differential sends a key to |c| keys and the contraction to at most
-one, all with coefficients +-1, so each map is written once, on keys:
-`_Basis.d` and `_Basis.s`.  The check builds no element: it applies the
-two maps to each key, sums each identity in a dict of Python ints keyed
-by ints, and reduces the sums into the domain once, where they are
+one, all with coefficients +-1.  d is a table: the faces of c, each with
+its sign and the front row of the vertex it peels off, give d(c, t) as
+those rows read at column t.  s is written once, on ids (`_Basis.s`).
+The check builds no element: it walks each clique once, reads d off the
+face tables, applies s, sums each identity in a dict of Python ints
+keyed by ints, and reduces the sums into the domain once, where they are
 compared with zero.  Z -> D is a ring map, so this is the check done in
 D throughout.  The integer sums are the same for every domain, so one
 pass (`_resolution_reports`) judges them in several domains at once:
@@ -29,11 +31,13 @@ The maps read tables that live as long as the pass:
   below the top degree only, and the pass forms v.t for each of those
   once, before any key is checked (`_Basis.fill`), in id order, by the
   prefix route v.t = (v.t[:-1]).t[-1]: one `_slot` insertion into the
-  product for the prefix, whose id is smaller.  d reads the table; only
-  a trace numbered past it has the table filled up to it first.
-- Per clique: its faces with their signs, the letters the contraction
-  may move into it (below its least vertex and adjacent to all of it),
-  as a bitmask, and the clique each of them makes.
+  product for the prefix, whose id is smaller.  Only a column numbered
+  past the table (a faulty product makes one) has it filled up to that
+  column before it is read.
+- Per clique: its faces, each with its sign and the front row of the
+  vertex it peels off, the letters the contraction may move into it
+  (below its least vertex and adjacent to all of it), as a bitmask, and
+  the clique each of them makes.
 - Per trace: the letters that commuting swaps can bring to its front, a
   bitmask one step from its prefix's.  The contraction moves the lowest
   bit of that mask ANDed with the clique's candidates, and the rest of
@@ -49,6 +53,7 @@ another's.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from raag.errors import check_states
@@ -63,9 +68,10 @@ BasisKey = tuple[Clique, Trace]  # (clique, canonical trace)
 
 class _Basis:
     """The basis keys of total degree < `order` on `g`, numbered, with the
-    tables that d and s read.  The cliques of size < order that the graph
-    lists have the first `listed` ids, and the empty trace has id 0; `add`
-    numbers traces whose prefixes have ids, and `trace_id` any trace."""
+    tables that are d and that s reads.  The cliques of size < order that
+    the graph lists have the first `listed` ids, and the empty trace has id
+    0; `add` numbers traces whose prefixes have ids, and `trace_id` any
+    trace."""
 
     __slots__ = ("g", "cliques", "listed", "clique_ids", "nc", "faces",
                  "cands", "ups", "traces", "ids", "prefix", "movable",
@@ -87,16 +93,19 @@ class _Basis:
                 self.cliques.append(c)
             return i
 
-        # per clique: [(id of c - v, v, sign)], the letters the contraction
-        # may move into c, and per such letter the id of the clique it
-        # makes (none at size order - 1, whose keys have empty traces)
-        self.faces: list[list[tuple[int, int, int]]] = []
+        # per letter v, by trace id t < the end last given to `fill`: id(v.t)
+        fronts = self.fronts = [[] for _ in g.vertices]
+        # per clique: d, as [(front row of v, id of c - v, (-1)^j)] for its
+        # j-th smallest vertex v (the basis product reads c in decreasing
+        # order), the letters the contraction may move into c, and per such
+        # letter the id of the clique it makes (none at size order - 1,
+        # whose keys have empty traces)
+        self.faces: list[list[tuple[list[int], int, int]]] = []
         self.cands: list[int] = []
         self.ups: list[dict[int, int]] = []
         for c in self.cliques:  # grows while a clique_id call numbers one
-            self.faces.append([(clique_id(c[:j] + c[j + 1:]), index[v],
-                                -1 if j % 2 else 1)
-                               for j, v in enumerate(c)])
+            self.faces.append([(fronts[index[v]], clique_id(c[:j] + c[j + 1:]),
+                                -1 if j % 2 else 1) for j, v in enumerate(c)])
             cand = 0
             if len(c) + 1 < order:
                 cand = (1 << index[c[0]]) - 1 if c else -1
@@ -113,8 +122,6 @@ class _Basis:
         self.ids: dict[Trace, int] = {(): 0}
         self.prefix = [0]
         self.movable = [0]
-        # per letter v, by trace id t < the end last given to `fill`: id(v.t)
-        self.fronts: list[list[int]] = [[] for _ in g.vertices]
         # per letter v, once formed: {t: id of the rest of t once s has
         # moved v out of it}, a dict, as s moves about one letter per trace
         self.rests: list[dict[int, int]] = [{} for _ in g.vertices]
@@ -163,37 +170,15 @@ class _Basis:
             i = self.ids[t]
         return i
 
-    def key(self, x: BasisKey) -> int:
-        c, t = x
-        return self.trace_id(t) * self.nc + self.clique_ids[c]
-
-    def pair(self, key: int) -> BasisKey:
-        t, c = divmod(key, self.nc)
-        return self.cliques[c], self.traces[t]
-
-    def d(self, key: int) -> list[tuple[int, int]]:
-        """d of one key (c, t).  c is ascending and the basis product is
-        written in decreasing order, so removing the j-th smallest vertex v
-        carries sign (-1)^j; v is multiplied into the trace at the front."""
-        t, c = divmod(key, self.nc)
-        nc, fronts = self.nc, self.fronts
-        out = []
-        for face, v, sign in self.faces[c]:
-            row = fronts[v]
-            if t >= len(row):
-                self.fill(t + 1)
-            out.append((row[t] * nc + face, sign))
-        return out
-
-    def s(self, key: int) -> int | None:
-        """s of one key (c, t): the least letter v of t that commuting swaps
-        can bring to the front, is adjacent to all of c and precedes min(c)
-        moves into the clique; None if no letter qualifies.
+    def s(self, c: int, t: int) -> tuple[int, int] | None:
+        """s of the key (c, t), as (clique id, trace id): the least letter v
+        of t that commuting swaps can bring to the front, is adjacent to all
+        of c and precedes min(c) moves into the clique; None if no letter
+        qualifies.
 
         Removing v can break lex-normality (on path_graph(4), s sends
         ((d,), (b, c, a)) to ((c, d), (a, b)): c moves and (b, a) is not
         lex-normal), so the rest is re-canonicalised, once per (v, t)."""
-        t, c = divmod(key, self.nc)
         m = self.movable[t] & self.cands[c]
         if not m:
             return None
@@ -207,7 +192,7 @@ class _Basis:
             rest = rests[t] = self.trace_id(
                 word[1:] if pos == 0
                 else _concat(word[:pos], word[pos + 1:], self.g))
-        return rest * self.nc + self.ups[c][v]
+        return self.ups[c][v], rest
 
 
 class ResolutionReport(NamedTuple):
@@ -234,16 +219,17 @@ def _resolution_reports(g: Graph, order: int,
     """`verify_resolution` in each of `domains` at once: one report per
     domain, each equal to the report of a call for that domain alone.
 
-    The keys are taken clique by clique, in ascending trace degree, and
-    each identity is summed for each key in turn, in integers, once for
-    all the domains.  Each domain still in the pass then judges the sum
-    with `_vanishes`; a domain it fails gets its report there and leaves
-    the pass, which ends when none is left.  One `_Basis` serves the whole
-    call, so a front product v.t needed by d(x), by d of a face of x or by
-    d(s(x)) is formed once however many keys need it.  d.d has no terms on
-    a clique of size <= 1 and is not summed there; a sum whose integer
-    coefficients are all zero is zero in every domain and is not reduced
-    into any."""
+    The keys are taken clique by clique, in ascending trace degree.  d of
+    a key x = (c, t) is c's face table read at column t, and so is d of
+    each face of x and of s(x).  Each identity is summed for each key in
+    turn, in integers, once for all the domains.  Each domain still in the
+    pass then judges the sum with `_vanishes`; a domain it fails gets its
+    report there and leaves the pass, which ends when none is left.  One
+    `_Basis` serves the whole call, so a front product v.t needed by d(x),
+    by d of a face of x or by d(s(x)) is formed once however many keys
+    need it.  d.d has no terms on a clique of size <= 1 and is not summed
+    there; a sum whose integer coefficients are all zero is zero in every
+    domain and is not reduced into any."""
     if order < 1:
         raise DomainError("order must be >= 1")
     # count the basis before enumerating it: the degree-n traces number r_n,
@@ -265,44 +251,58 @@ def _resolution_reports(g: Graph, order: int,
     for n in range(1, degrees):
         basis.add(enumerate_traces(g, n))
         ends.append(len(basis.traces))
-    # d multiplies into the traces below the top degree
-    basis.fill(ends[-2] if degrees > 1 else 0)
-    d, s, nc = basis.d, basis.s, basis.nc
+    # d multiplies into the traces below the top degree; a column past the
+    # filled end (only a faulty product makes one) is filled before a read
+    filled = ends[-2] if degrees > 1 else 0
+    basis.fill(filled)
+    faces, s, nc = basis.faces, basis.s, basis.nc
+    # the ids in order, as the ints `ids` holds: a rest kept for t shares
+    # its key with `ids`, where range would make one more int per rest
+    tids = list(basis.ids.values())
     reports: list[ResolutionReport | None] = [None] * len(domains)
     checked = 0
 
-    def failed_everywhere(acc: dict[int, int], x: int, reason: str) -> bool:
+    def failed_everywhere(acc: dict[int, int], x: BasisKey,
+                          reason: str) -> bool:
         # a sum with a nonzero integer, judged by each domain still passing
         for i, dom in enumerate(domains):
             if reports[i] is None and not _vanishes(acc, dom):
-                reports[i] = ResolutionReport(False, checked, basis.pair(x),
-                                              reason)
+                reports[i] = ResolutionReport(False, checked, x, reason)
         return all(reports)
 
     for c, clique in enumerate(basis.cliques[:basis.listed]):
+        dc = faces[c]
         pairs = len(clique) > 1
-        for t in range(ends[min(order - len(clique), degrees) - 1]):
-            x = t * nc + c
+        for t in islice(tids, ends[min(order - len(clique), degrees) - 1]):
             checked += 1
-            dx = d(x)
             if pairs:
                 acc: dict[int, int] = {}
-                for y, a in dx:
-                    for z, b in d(y):
+                for row, f, a in dc:
+                    u = row[t]
+                    if u >= filled:
+                        basis.fill(filled := u + 1)
+                    for row2, h, b in faces[f]:
+                        z = row2[u] * nc + h
                         acc[z] = acc.get(z, 0) + a * b
-                if any(acc.values()) and failed_everywhere(acc, x, "d^2 != 0"):
+                if any(acc.values()) and failed_everywhere(
+                        acc, (clique, basis.traces[t]), "d^2 != 0"):
                     return reports
             # sd + ds - (1 - eps); eps is 1 on ((), ()) alone
-            acc = {x: -1} if clique or t else {}
-            for y, a in dx:
-                z = s(y)
-                if z is not None:
+            acc = {t * nc + c: -1} if clique or t else {}
+            for row, f, a in dc:
+                y = s(f, row[t])
+                if y is not None:
+                    z = y[1] * nc + y[0]
                     acc[z] = acc.get(z, 0) + a
-            sx = s(x)
+            sx = s(c, t)
             if sx is not None:
-                for z, b in d(sx):
+                c2, t2 = sx
+                if t2 >= filled:
+                    basis.fill(filled := t2 + 1)
+                for row, f, b in faces[c2]:
+                    z = row[t2] * nc + f
                     acc[z] = acc.get(z, 0) + b
             if any(acc.values()) and failed_everywhere(
-                    acc, x, "sd + ds != 1 - eps"):
+                    acc, (clique, basis.traces[t]), "sd + ds != 1 - eps"):
                 return reports
     return [rep or ResolutionReport(True, checked) for rep in reports]

@@ -1,6 +1,6 @@
 """Brute-force oracles used only by the test suite, and the element-level
-Koszul maps that the contraction oracle is compared with.  The README's
-Tests section names the oracles that reuse library code."""
+Koszul contraction that the contraction oracle is compared with.  The
+README's Tests section names the oracles that reuse library code."""
 
 from __future__ import annotations
 
@@ -237,19 +237,24 @@ class KoszulElement(LinComb):
 
 
 def differential(x: KoszulElement) -> KoszulElement:
-    """d on elements: the linear extension of the library's d on numbered
-    keys (`_Basis.d`)."""
-    basis = _Basis(x.graph, x.order)
-    return x._like((basis.pair(y), a * b) for k, a in x.coeffs.items()
-                   for y, b in basis.d(basis.key(k)))
+    """d on elements, by brute force: peel the j-th vertex v off each
+    ascending clique, with sign (-1)^j, and multiply it into the trace at
+    the front, canonicalising (v,) + t from scratch."""
+    g = x.graph
+    return x._like(((c[:j] + c[j + 1:], canonicalize_trace((v,) + t, g)),
+                    -a if j % 2 else a)
+                   for (c, t), a in x.coeffs.items()
+                   for j, v in enumerate(c))
 
 
 def contraction(x: KoszulElement) -> KoszulElement:
     """s on elements: the linear extension of the library's s on numbered
     keys (`_Basis.s`)."""
     basis = _Basis(x.graph, x.order)
-    return x._like((basis.pair(y), a) for k, a in x.coeffs.items()
-                   if (y := basis.s(basis.key(k))) is not None)
+    return x._like(((basis.cliques[y[0]], basis.traces[y[1]]), a)
+                   for (c, t), a in x.coeffs.items()
+                   if (y := basis.s(basis.clique_ids[c], basis.trace_id(t)))
+                   is not None)
 
 
 def epsilon(x: KoszulElement) -> KoszulElement:

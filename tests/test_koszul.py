@@ -101,16 +101,22 @@ def test_counterexample_json_lists_names(tmp_path, capsys, monkeypatch):
     assert out["counterexample"] == {"clique": ["a", "b"], "trace": ["ab"]}
 
 
+def _s(basis, x):
+    # s of the basis element x = (clique, trace), as (clique, trace) or None
+    c, t = x
+    image = basis.s(basis.clique_ids[c], basis.trace_id(t))
+    return image and (basis.cliques[image[0]], basis.traces[image[1]])
+
+
 def _check_contraction_against_oracle(g, order):
     basis = _Basis(g, order)
     for c in enumerate_cliques(g):
         for n in range(order - len(c)):
             for t in enumerate_traces(g, n):
                 x = KoszulElement.basis(c, t, g, Q, order)
-                image = basis.s(basis.key((c, t)))
+                image = _s(basis, (c, t))
                 want = koszul_contraction(x)
-                assert want.coeffs == (
-                    {} if image is None else {basis.pair(image): 1})
+                assert want.coeffs == ({} if image is None else {image: 1})
                 assert contraction(x) == want
 
 
@@ -130,7 +136,7 @@ def test_s_key_recanonicalises_the_rest():
     g = path_graph(4)
     image = (("c", "d"), ("a", "b"))
     basis = _Basis(g, ORDER)
-    assert basis.pair(basis.s(basis.key((("d",), ("b", "c", "a"))))) == image
+    assert _s(basis, (("d",), ("b", "c", "a"))) == image
     x = KoszulElement.basis(("d",), ("b", "c", "a"), g, Q, ORDER)
     assert koszul_contraction(x).coeffs == {image: 1}
 
@@ -142,20 +148,23 @@ def test_verify_resolution_rejects_order_below_one(order):
 
 
 def _scaled_d(factor):
-    # multiplies one coefficient of d((b, c), (a)) on K3 by `factor`.  s
-    # reaches no key ((b, c), (a, ...)) of K3 from a smaller clique (it
-    # would move a, not b), so the change leaves every earlier homotopy
-    # check intact, and d.d = 0 is the check that must catch it.  A sign
-    # flip (-1) and an even change (3) are invisible over F_2
-    x = (("b", "c"), ("a",))
-    return lambda real: lambda basis, key: [
-        (y, factor * a if j == 1 and basis.pair(key) == x else a)
-        for j, (y, a) in enumerate(real(basis, key))]
+    # multiplies the coefficient of the face (b) in d((b, c), t) on K3 by
+    # `factor`, for every trace t: the face table is d.  A sign flip (-1)
+    # and an even change (3) are invisible over F_2
+    def init(real):
+        def faulty(basis, g, order):
+            real(basis, g, order)
+            faces = basis.faces[basis.clique_ids[("b", "c")]]
+            row, face, sign = faces[1]
+            faces[1] = (row, face, factor * sign)
+        return faulty
+    return init
 
 
 def _dropped_s(real):
-    return lambda basis, key: (None if basis.pair(key) == ((), ("b",))
-                               else real(basis, key))
+    return lambda basis, c, t: (
+        None if (basis.cliques[c], basis.traces[t]) == ((), ("b",))
+        else real(basis, c, t))
 
 
 def _faulty_front(real):
@@ -165,11 +174,14 @@ def _faulty_front(real):
         else real(t1, letters, g))
 
 
-def test_sign_flip_in_d_fails_d_squared(monkeypatch):
-    monkeypatch.setattr(_Basis, "d", _scaled_d(-1)(_Basis.d))
+def test_sign_flip_in_d_fails_the_homotopy(monkeypatch):
+    # the flip acts on every trace of (b, c), and s sends ((c), (b)) to
+    # ((b, c), ()): the homotopy check there reads the flipped d, and is
+    # met before any key of (b, c), where d.d = 0 would also catch it
+    monkeypatch.setattr(_Basis, "__init__", _scaled_d(-1)(_Basis.__init__))
     rep = verify_resolution(complete_graph(3), ORDER, Q)
-    assert (rep.ok, rep.reason, rep.counterexample) == (
-        False, "d^2 != 0", (("b", "c"), ("a",)))
+    assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
+        False, "sd + ds != 1 - eps", (("c",), ("b",)), 78)
 
 
 def test_dropped_s_image_fails_homotopy(monkeypatch):
@@ -188,12 +200,14 @@ def test_verify_resolution_builds_no_element(monkeypatch):
     # The other 303 calls of the kernel re-canonicalise, once per (letter,
     # trace), the rest of a trace whose s moves a letter other than the
     # first (711 letters), so the check inserts 7,586 letters in all; the
-    # trace layers are enumerated before counting
+    # trace layers are enumerated before counting.  s runs once on each key
+    # and once on each term of its d: 13,761 + 10,640 calls
     def no_element(*args):
         raise AssertionError("verify_resolution built a LinComb")
 
-    calls, slots = [0], [0]
+    calls, slots, contractions = [0], [0], [0]
     real_concat, real_slot = raag.koszul._concat, raag.words._slot
+    real_s = _Basis.s
 
     def counting_concat(*args):
         calls[0] += 1
@@ -203,16 +217,22 @@ def test_verify_resolution_builds_no_element(monkeypatch):
         slots[0] += 1
         return real_slot(*args)
 
+    def counting_s(*args):
+        contractions[0] += 1
+        return real_s(*args)
+
     g = cycle_graph(5)
     layers = [enumerate_traces(g, n) for n in range(7)]
     monkeypatch.setattr(LinComb, "__init__", no_element)
     monkeypatch.setattr(raag.koszul, "enumerate_traces", lambda g, n: layers[n])
     monkeypatch.setattr(raag.koszul, "_concat", counting_concat)
     monkeypatch.setattr(raag.words, "_slot", counting_slot)
+    monkeypatch.setattr(_Basis, "s", counting_s)
     rep = verify_resolution(g, 7, Q)
     assert (rep.ok, rep.checked) == (True, 13761)
     assert calls[0] == 6875 + 303
     assert slots[0] == 7586
+    assert contractions[0] == 24401
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(2)], ids=["Q", "F2"])
@@ -226,6 +246,25 @@ def test_wrong_front_product_fails_where_it_did_before(dom, monkeypatch):
     rep = verify_resolution(complete_graph(3), ORDER, dom)
     assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
         False, "sd + ds != 1 - eps", (("c",), ("a", "a", "b")), 87)
+
+
+def _unmerged_rest(real):
+    # the rest of a trace left as cut when more than one letter follows
+    # the moved one; `fill` appends one letter at a time, so only the
+    # rests that s keeps change
+    return lambda t1, letters, g: (t1 + tuple(letters) if len(letters) > 1
+                                   else real(t1, letters, g))
+
+
+def test_rest_past_the_table_is_filled_before_d_reads_it(monkeypatch):
+    # an unmerged rest is a trace the pass numbers past its filled front
+    # table, so d(s(x)) reads a column that is filled only then; the check
+    # runs on to the first key whose sum is wrong
+    monkeypatch.setattr(raag.koszul, "_concat",
+                        _unmerged_rest(raag.koszul._concat))
+    rep = verify_resolution(path_graph(4), 6, Q)
+    assert (rep.ok, rep.reason, rep.counterexample, rep.checked) == (
+        False, "sd + ds != 1 - eps", (("c", "d"), ("a", "a", "b")), 1395)
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,6 +300,31 @@ def _pass_basis(g, order):
     return basis
 
 
+def _check_d_tables_against_oracle(g, order):
+    # d of each key (c, t) with c nonempty, read off the pass's tables: the
+    # face (row, f, sign) of c gives sign * (f, row[t])
+    basis = _pass_basis(g, order)
+    for c, clique in enumerate(basis.cliques):
+        for n in range(order - len(clique)):
+            for t in enumerate_traces(g, n):
+                i = basis.ids[t]
+                got = KoszulElement(g, Q, order, [
+                    ((basis.cliques[f], basis.traces[row[i]]), sign)
+                    for row, f, sign in basis.faces[c]])
+                assert got == differential(
+                    KoszulElement.basis(clique, t, g, Q, order))
+
+
+def test_d_tables_match_bruteforce_differential(suite_graph):
+    _check_d_tables_against_oracle(suite_graph, 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_st(max_vertices=5))
+def test_d_tables_match_bruteforce_differential_random(g):
+    _check_d_tables_against_oracle(g, 5)
+
+
 @settings(max_examples=30, deadline=None)
 @given(graphs_st(max_vertices=5))
 def test_pass_front_table_is_canonical(g):
@@ -287,20 +351,23 @@ def test_pass_tables_hold_only_what_is_read():
 
 
 def test_front_walk_is_iterative():
-    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; and d
-    # on a new basis numbers the 300 prefixes of a^300 and fills the table
-    # over all of them
+    # one vertex: the keys (), a, ..., a^299 and (a), a, ..., a^298; and on
+    # a new basis, reading d((a), a^300) off the tables numbers the 300
+    # prefixes of a^300 and fills the table over all of them first
     g = Graph(["a"])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(100)
     try:
         rep = verify_resolution(g, 300, Q)
         basis = _Basis(g, 2)
-        [(y, sign)] = basis.d(basis.key((("a",), ("a",) * 300)))
+        t = basis.trace_id(("a",) * 300)
+        basis.fill(t + 1)
     finally:
         sys.setrecursionlimit(limit)
     assert (rep.ok, rep.checked) == (True, 599)
-    assert (basis.pair(y), sign) == (((), ("a",) * 301), 1)
+    [(row, face, sign)] = basis.faces[basis.clique_ids[("a",)]]
+    assert (basis.cliques[face], basis.traces[row[t]], sign) == (
+        (), ("a",) * 301, 1)
 
 
 DOMAINS = (Q, Fp(2))
@@ -322,11 +389,11 @@ def test_one_pass_reports_match_single_domain_reports(name):
 # fault: (graph, owner, kernel, mutation, (ok over Q, ok over F_2))
 FAULTS = {
     "dropped s image": (P3, _Basis, "s", _dropped_s, (False, False)),
-    "sign flip in d": (complete_graph(3), _Basis, "d", _scaled_d(-1),
+    "sign flip in d": (complete_graph(3), _Basis, "__init__", _scaled_d(-1),
                        (False, True)),
     "faulty front product": (complete_graph(3), raag.koszul, "_concat",
                              _faulty_front, (False, False)),
-    "tripled coefficient of d": (complete_graph(3), _Basis, "d",
+    "tripled coefficient of d": (complete_graph(3), _Basis, "__init__",
                                  _scaled_d(3), (False, True)),
 }
 

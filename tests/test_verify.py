@@ -129,18 +129,24 @@ def test_verify_all_images_one_word_per_lyndon_trace(g, words, monkeypatch):
 
 
 def test_verify_all_runs_one_koszul_pass(monkeypatch):
-    # Q and F_2 are judged on the same integer sums: the kernel runs as
-    # often as in one single-domain check
+    # Q and F_2 are judged on the same integer sums: the pass does the work
+    # of one single-domain check, with as many contractions (s on each of
+    # the 1,011 keys of C5 to order 5 and on each of the 765 terms of their
+    # d) and as many products formed by the Koszul module
     calls = []
-    real = raag.koszul._Basis.d
-    monkeypatch.setattr(raag.koszul._Basis, "d",
-                        lambda *args: calls.append(1) or real(*args))
+    real_s, real_concat = raag.koszul._Basis.s, raag.koszul._concat
+    monkeypatch.setattr(raag.koszul._Basis, "s",
+                        lambda *args: calls.append("s") or real_s(*args))
+    monkeypatch.setattr(raag.koszul, "_concat",
+                        lambda *args: calls.append("_concat")
+                        or real_concat(*args))
     g = cycle_graph(5)
     assert verify_resolution(g, KOSZUL_ORDER, Q).ok
-    single = len(calls)
+    single = sorted(calls)
     calls.clear()
     results = {r.name: r for r in verify_all(g)}
-    assert len(calls) == single > 0
+    assert sorted(calls) == single
+    assert single.count("s") == 1011 + 765
     for name in ("Q", "F2"):
         assert results[f"Koszul contraction identity over {name}"].ok
 
@@ -276,8 +282,9 @@ def _wrong_last_value(real):
 
 def _dropped_s_image(real):
     # the existing homotopy mutation: s forgets its image of b
-    return lambda basis, key: (None if basis.pair(key) == ((), ("b",))
-                               else real(basis, key))
+    return lambda basis, c, t: (
+        None if (basis.cliques[c], basis.traces[t]) == ((), ("b",))
+        else real(basis, c, t))
 
 
 def _dropped_follower(real):
